@@ -20,7 +20,7 @@ from .engine import (
 )
 from .errors import SkimflowError
 from .events import analysis_schema, make_event, make_particle, validate_event
-from .expr import eval_cut, eval_projection, parse_expr, typecheck_cut, typecheck_projection
+from .expr import parse_expr, typecheck_cut, typecheck_projection
 from .generator import GeneratorSpec, generate_corpus, generate_events, generate_evt
 from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Array, Primitive, Record, Schema
@@ -52,8 +52,6 @@ __all__ = [
     "SkimflowError",
     "analysis_schema",
     "convert_evt",
-    "eval_cut",
-    "eval_projection",
     "fill_histogram",
     "filter_map_write",
     "flatten_schema",

@@ -250,7 +250,7 @@ def sum_of_weights(
             "sum of weights is defined for mc only"
         )
     return map_reduce(
-        ds, lambda ev: ev["genInfo"]["weight"], combine="sum", workers=workers, timers=timers
+        ds, lambda ev: ev["genInfo"]["weight"], workers=workers, timers=timers
     )
 
 

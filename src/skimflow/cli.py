@@ -232,8 +232,10 @@ def cmd_bench(args) -> int:
     csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
     for r in reports:
         m = r.median
+        # with several workers each phase is a sum over threads and can exceed the wall time
+        sep = "=" if r.cell.workers == 1 else f"wall; phases summed over {r.cell.workers} threads:"
         print(
-            f"{r.cell.name}: total {m.total_s:.3f}s = read {m.read_s:.3f}s "
+            f"{r.cell.name}: total {m.total_s:.3f}s {sep} read {m.read_s:.3f}s "
             f"+ decode {m.decode_s:.3f}s + compute {m.compute_s:.3f}s "
             f"+ write {m.write_s:.3f}s (bytes_read {m.bytes_read}, rows {m.rows_out})"
         )

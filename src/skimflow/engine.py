@@ -10,9 +10,12 @@ scheduling order.
 An explicit in-memory cache ("persist") retains each partition's decoded
 events after the first full traversal; later traversals then read zero
 storage bytes. The cache map is populated once per partition and read-only
-afterwards, which is the only state workers share. When the decoded size
-estimate exceeds the configured budget the cache is dropped and the dataset
-falls back to cold reads, recording a warning.
+afterwards, which is the only state workers share. The cache budget is
+checked as each partition is admitted: the partition that would take the
+cache past it instead drops the whole cache, records a warning, and the
+dataset falls back to cold reads, so the cache never holds more than the
+budget. The budget counts decoded EVT payload bytes, not resident memory;
+the Python objects built from a payload take about ten times its size.
 """
 
 from __future__ import annotations
@@ -197,7 +200,6 @@ class PartitionedDataset:
         self._want_cache = False
         self._cache: dict[int, list[dict]] = {}
         self._cache_bytes = 0
-        self._overflowed = False
         self._lock = threading.Lock()
 
     # -- inventory ---------------------------------------------------------
@@ -227,7 +229,6 @@ class PartitionedDataset:
             self._cache.clear()
             self._cache_bytes = 0
             self._want_cache = False
-            self._overflowed = False
 
     # -- per-partition event access -----------------------------------------
 
@@ -247,20 +248,20 @@ class PartitionedDataset:
         decoded = timers.bytes_decoded - before
         budget = self.config.cache_budget_bytes
         with self._lock:
-            self._cache[part.index] = events
-            self._cache_bytes += decoded
-            if budget is not None and self._cache_bytes > budget:
-                self._overflowed = True
+            if not self._want_cache:  # another partition overflowed the budget
+                return events
+            total = self._cache_bytes + decoded
+            if budget is not None and total > budget:
+                self._cache.clear()
+                self._cache_bytes = 0
+                self._want_cache = False
+                self.warnings.append(
+                    f"cache budget exceeded ({total} > {budget} bytes); falling back to cold reads"
+                )
+            else:
+                self._cache[part.index] = events
+                self._cache_bytes = total
         return events
-
-    def _settle_cache(self) -> None:
-        if self._overflowed:
-            total = self._cache_bytes
-            budget = self.config.cache_budget_bytes
-            self.drop_cache()
-            self.warnings.append(
-                f"cache budget exceeded ({total} > {budget} bytes); falling back to cold reads"
-            )
 
 
 def open_dataset(
@@ -320,6 +321,31 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
         yield from pool.map(wrapped, ds.partitions)
 
 
+def _traverse(
+    ds: PartitionedDataset,
+    work: Callable[[Iterable[dict]], object],
+    workers: int | None,
+    timers: PhaseTimers,
+) -> list:
+    """Run `work(events)` on every partition and return its results in
+    partition order, merging each partition's phase timers into `timers`.
+    Compute is the partition's wall time, event access included, less the
+    read and decode time spent inside it."""
+
+    def task(part: Partition):
+        t = PhaseTimers()
+        t0 = time.perf_counter()
+        result = work(ds._partition_events(part, t))
+        t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
+        return result, t
+
+    results = []
+    for result, t in _run_partitions(ds, task, workers):
+        timers.merge(t)
+        results.append(result)
+    return results
+
+
 def _kahan_sum(values: Iterable[float]) -> float:
     total = 0.0
     comp = 0.0
@@ -331,15 +357,15 @@ def _kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _pairwise_combine(values: list, combine: Callable, empty):
+def _pairwise_sum(values: list[float]) -> float:
     """Fixed pairwise tree over partials in ascending partition order; the
-    combination order depends only on the partition count."""
+    addition order depends only on the partition count."""
     if not values:
-        return empty
+        return 0.0
     while len(values) > 1:
         nxt = []
         for i in range(0, len(values) - 1, 2):
-            nxt.append(combine(values[i], values[i + 1]))
+            nxt.append(values[i] + values[i + 1])
         if len(values) % 2:
             nxt.append(values[-1])
         values = nxt
@@ -350,49 +376,19 @@ def map_reduce(
     ds: PartitionedDataset,
     map_fn: Callable[[dict], float],
     *,
-    combine: str | Callable = "sum",
-    initial: float = 0.0,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
 ) -> float:
-    """Map every event to a float and combine.
+    """Map every event to a float and sum.
 
-    With combine="sum" each partition is accumulated with compensated
-    (Kahan) summation; partials then merge pairwise in partition order, so
-    the result is bit-identical for any worker count over a fixed partition
-    plan.
+    Each partition is accumulated with compensated (Kahan) summation;
+    partials then merge pairwise in partition order, so the result is
+    bit-identical for any worker count over a fixed partition plan.
     """
-    is_sum = combine == "sum"
-
-    def task(part: Partition):
-        t = PhaseTimers()
-        events = ds._partition_events(part, t)
-        t0 = time.perf_counter()
-        if is_sum:
-            value = _kahan_sum(map(map_fn, events))
-        else:
-            value = initial
-            first = True
-            for ev in events:
-                v = map_fn(ev)
-                value = v if first else combine(value, v)
-                first = False
-            if first:
-                value = None  # empty partition: no contribution
-        wall = time.perf_counter() - t0
-        t.compute += max(wall - t.read - t.decode, 0.0)
-        return value, t
-
-    partials = []
-    for value, t in _run_partitions(ds, task, workers):
-        if timers is not None:
-            timers.merge(t)
-        partials.append(value)
-    ds._settle_cache()
-    if is_sum:
-        return _pairwise_combine(partials, lambda a, b: a + b, 0.0)
-    partials = [p for p in partials if p is not None]
-    return _pairwise_combine(partials, combine, initial)
+    partials = _traverse(
+        ds, lambda events: _kahan_sum(map(map_fn, events)), workers, timers or PhaseTimers()
+    )
+    return _pairwise_sum(partials)
 
 
 def filter_map_write(
@@ -411,40 +407,28 @@ def filter_map_write(
 
     Returns the number of rows written.
     """
+    timers = timers or PhaseTimers()
     cut_fn = cut.evaluate
     proj_fn = projection.evaluate
 
-    def task(part: Partition):
-        t = PhaseTimers()
-        events = ds._partition_events(part, t)
-        t0 = time.perf_counter()
+    def work(events):
         if row_finalize is None:
-            rows = [proj_fn(ev) for ev in events if cut_fn(ev)]
-        else:
-            rows = [row_finalize(proj_fn(ev)) for ev in events if cut_fn(ev)]
-        wall = time.perf_counter() - t0
-        t.compute += max(wall - t.read - t.decode, 0.0)
-        return rows, t
+            return [proj_fn(ev) for ev in events if cut_fn(ev)]
+        return [row_finalize(proj_fn(ev)) for ev in events if cut_fn(ev)]
 
     count = 0
     try:
         # drain all partitions before writing: completed futures buffer their
         # rows regardless, and an exclusive write keeps the write phase free
         # of GIL contention with worker decode/compute
-        results = []
-        for rows, t in _run_partitions(ds, task, workers):
-            if timers is not None:
-                timers.merge(t)
-            results.append(rows)
+        results = _traverse(ds, work, workers, timers)
         t0 = time.perf_counter()
         for rows in results:
             sink.append_rows(rows)
             count += len(rows)
         sink.close()
-        if timers is not None:
-            timers.write += time.perf_counter() - t0
+        timers.write += time.perf_counter() - t0
     except BaseException:
         sink.abort()
         raise
-    ds._settle_cache()
     return count

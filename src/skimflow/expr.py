@@ -588,10 +588,3 @@ def _reject_non_scalar(node: Expr, column: str) -> None:
         for child in children:
             _reject_non_scalar(child, column)
 
-
-def eval_cut(cut: TypedCut, event: dict) -> bool:
-    return cut.evaluate(event)
-
-
-def eval_projection(proj: TypedProjection, event: dict) -> tuple:
-    return proj.evaluate(event)

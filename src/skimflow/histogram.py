@@ -88,17 +88,6 @@ class Histogram:
     def total_weight(self) -> float:
         return self.underflow + self.overflow + sum(self.contents)
 
-    def scaled(self, factor: float) -> "Histogram":
-        out = Histogram(self.spec)
-        out.contents = [c * factor for c in self.contents]
-        out.sumw2 = [s * factor * factor for s in self.sumw2]
-        out.underflow = self.underflow * factor
-        out.underflow_sumw2 = self.underflow_sumw2 * factor * factor
-        out.overflow = self.overflow * factor
-        out.overflow_sumw2 = self.overflow_sumw2 * factor * factor
-        out.n_fills = self.n_fills
-        return out
-
     def to_dict(self) -> dict:
         return {
             "variable": self.spec.variable,

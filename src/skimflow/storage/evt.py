@@ -89,9 +89,6 @@ class EvtIndex:
     def payload_bytes(self) -> int:
         return sum(b.payload_len for b in self.blocks)
 
-    def block_bytes(self, lo: int, hi: int) -> int:
-        return sum(12 + b.payload_len for b in self.blocks[lo:hi])
-
 
 def write_evt(
     path,
@@ -180,23 +177,22 @@ def _read_header(f, path) -> tuple[Schema, str, int]:
 
 def scan_evt(path, timers: PhaseTimers | None = None) -> EvtIndex:
     """Read the header and hop over payloads to index every block."""
+    timers = timers or PhaseTimers()
     path = Path(path)
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         t0 = time.perf_counter()
         schema, text, flags = _read_header(f, path)
         pos = f.tell()
-        if timers is not None:
-            timers.read += time.perf_counter() - t0
-            timers.bytes_read += pos
+        timers.read += time.perf_counter() - t0
+        timers.bytes_read += pos
         blocks = []
         index = 0
         while pos < file_size:
             t0 = time.perf_counter()
             raw = f.read(8)
-            if timers is not None:
-                timers.read += time.perf_counter() - t0
-                timers.bytes_read += len(raw)
+            timers.read += time.perf_counter() - t0
+            timers.bytes_read += len(raw)
             if len(raw) < 8:
                 raise TruncatedBlock(f"{path}: block {index}: truncated block header")
             n, plen = _BLOCK_HDR.unpack(raw)
@@ -217,7 +213,7 @@ def _decode_stored_block(
     codec: EventCodec,
     compressed: bool,
     path,
-    timers: PhaseTimers | None,
+    timers: PhaseTimers,
 ) -> list[dict]:
     """`data` holds payload + CRC for one block, as read from disk."""
     if len(data) < block.payload_len + 4:
@@ -236,9 +232,8 @@ def _decode_stored_block(
         events = codec.decode_block(payload, block.n_events)
     except TruncatedBlock as exc:
         raise TruncatedBlock(f"{path}: block {index}: {exc}") from exc
-    if timers is not None:
-        timers.decode += time.perf_counter() - t0
-        timers.bytes_decoded += len(payload)
+    timers.decode += time.perf_counter() - t0
+    timers.bytes_decoded += len(payload)
     return events
 
 
@@ -250,7 +245,13 @@ def iter_block_range(
     timers: PhaseTimers | None = None,
     codec: EventCodec | None = None,
 ) -> Iterator[dict]:
-    """Decode blocks [lo, hi) lazily, one block in memory at a time."""
+    """Decode blocks [lo, hi) lazily, one block in memory at a time.
+
+    `bytes_read` counts the payload and CRC bytes read here; the block
+    headers were counted by `scan_evt`, so a scan plus a full-range read
+    accounts for every byte of the file exactly once.
+    """
+    timers = timers or PhaseTimers()
     if codec is None:
         codec = EventCodec(index.schema)
     with open(index.path, "rb") as f:
@@ -259,59 +260,17 @@ def iter_block_range(
             f.seek(block.offset + 8)
             t0 = time.perf_counter()
             data = f.read(block.payload_len + 4)
-            if timers is not None:
-                timers.read += time.perf_counter() - t0
-                timers.bytes_read += len(data) + 8
+            timers.read += time.perf_counter() - t0
+            timers.bytes_read += len(data)
             yield from _decode_stored_block(
                 data, block, i, codec, index.compressed, index.path, timers
             )
 
 
 def read_evt(path, *, timers: PhaseTimers | None = None) -> tuple[Schema, Iterator[dict]]:
-    """Open an EVT file and return its schema plus a lazy event stream."""
-    path = Path(path)
-    f = open(path, "rb")
-    try:
-        file_size = os.fstat(f.fileno()).st_size
-        t0 = time.perf_counter()
-        schema, _, flags = _read_header(f, path)
-        if timers is not None:
-            timers.read += time.perf_counter() - t0
-            timers.bytes_read += f.tell()
-    except BaseException:
-        f.close()
-        raise
-    codec = EventCodec(schema)
-    compressed = bool(flags & FLAG_DEFLATE)
-
-    def stream() -> Iterator[dict]:
-        with f:
-            index = 0
-            pos = f.tell()
-            while pos < file_size:
-                t0 = time.perf_counter()
-                raw = f.read(8)
-                if timers is not None:
-                    timers.read += time.perf_counter() - t0
-                    timers.bytes_read += len(raw)
-                if len(raw) < 8:
-                    raise TruncatedBlock(f"{path}: block {index}: truncated block header")
-                n, plen = _BLOCK_HDR.unpack(raw)
-                if pos + 8 + plen + 4 > file_size:
-                    raise TruncatedBlock(f"{path}: block {index}: payload runs past end of file")
-                block = BlockInfo(pos, n, plen)
-                t0 = time.perf_counter()
-                data = f.read(plen + 4)
-                if timers is not None:
-                    timers.read += time.perf_counter() - t0
-                    timers.bytes_read += len(data)
-                yield from _decode_stored_block(
-                    data, block, index, codec, compressed, path, timers
-                )
-                pos = f.tell()
-                index += 1
-
-    return schema, stream()
+    """Index an EVT file and return its schema plus a lazy event stream."""
+    index = scan_evt(path, timers)
+    return index.schema, iter_block_range(index, 0, len(index.blocks), timers=timers)
 
 
 def convert_evt(

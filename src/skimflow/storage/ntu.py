@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,6 @@ from typing import Iterable, Sequence
 
 from .. import canonical
 from ..errors import ArityMismatch, BadMagic, CorruptHeader, FooterMismatch, UnknownColumn
-from ..timing import PhaseTimers
 
 MAGIC = b"NTU1"
 DEFAULT_GROUP_ROWS = 65536
@@ -208,15 +206,12 @@ class NtuData:
 def read_ntu(
     path,
     columns: Sequence[str] | None = None,
-    *,
-    timers: PhaseTimers | None = None,
 ) -> NtuData:
     """Read the requested columns (all when None), seeking over the rest."""
     path = Path(path)
     bytes_read = 0
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
-        t0 = time.perf_counter()
         magic = f.read(4)
         if magic != MAGIC:
             raise BadMagic(f"{path}: not an NTU file (magic {magic!r})")
@@ -240,8 +235,6 @@ def read_ntu(
         for name, kind in all_columns:
             if kind not in KIND_INFO:
                 raise CorruptHeader(f"{path}: column {name!r} has unknown kind {kind!r}")
-        if timers is not None:
-            timers.read += time.perf_counter() - t0
 
         known = {name for name, _ in all_columns}
         if columns is None:
@@ -257,18 +250,14 @@ def read_ntu(
         if file_size < f.tell() + _FOOTER.size:
             raise FooterMismatch(f"{path}: file too short for footer")
         data_start = f.tell()
-        t0 = time.perf_counter()
         f.seek(file_size - _FOOTER.size)
         total_rows, n_groups = _FOOTER.unpack(f.read(_FOOTER.size))
         bytes_read += _FOOTER.size
         f.seek(data_start)
-        if timers is not None:
-            timers.read += time.perf_counter() - t0
 
         out = {name: array(KIND_INFO[kinds[name]][0]) for name in wanted}
         rows_seen = 0
         for g in range(n_groups):
-            t0 = time.perf_counter()
             raw = f.read(4)
             if len(raw) < 4:
                 raise FooterMismatch(f"{path}: group {g}: truncated group header")
@@ -285,16 +274,12 @@ def read_ntu(
                 else:
                     f.seek(nbytes, os.SEEK_CUR)
             rows_seen += nrows
-            if timers is not None:
-                timers.read += time.perf_counter() - t0
         if f.tell() != file_size - _FOOTER.size:
             raise FooterMismatch(f"{path}: data section does not end at the footer")
         if rows_seen != total_rows:
             raise FooterMismatch(
                 f"{path}: footer declares {total_rows} rows, groups hold {rows_seen}"
             )
-    if timers is not None:
-        timers.bytes_read += bytes_read
     return NtuData(path, out, {n: kinds[n] for n in wanted}, all_columns, total_rows, n_groups, bytes_read)
 
 

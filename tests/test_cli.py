@@ -207,6 +207,16 @@ def test_bench_cli_smoke(corpus, capsys):
     assert (out / "bench_report.csv").exists()
 
 
+def test_bench_cli_labels_thread_sums(corpus, capsys):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), selection="met.pt > 50.0")
+    rc = main(["bench", "--config", str(cfg), "--out-dir", str(corpus / "bench_out"),
+               "--reps", "3", "--workers", "2", "--cells", "uncached+raw"])
+    assert rc == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("uncached+raw+w2: total ")
+    assert "s wall; phases summed over 2 threads: read " in line
+
+
 def test_bench_bad_cells_usage_error(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
     assert main(["bench", "--config", str(cfg), "--cells", "warm+raw"]) == 1

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from skimflow.errors import ConfigError, InvalidCustomPlan, NoFilesMatched
 from skimflow.events import analysis_schema
 from skimflow.expr import typecheck_cut, typecheck_projection
 from skimflow.generator import GeneratorSpec, generate_evt
-from skimflow.storage import BlockInfo, read_ntu, write_evt
+from skimflow.storage import BlockInfo, iter_block_range, read_ntu, write_evt
 from skimflow.storage.evt import EvtIndex
 from skimflow.storage.ntu import NtuWriter
 from skimflow.timing import PhaseTimers
@@ -170,15 +171,6 @@ def test_map_reduce_deterministic_across_workers(single_file):
         assert abs(values[0] - oracle) <= 1e-12 * abs(oracle)
 
 
-def test_map_reduce_custom_combine(single_file):
-    ds = open_dataset(mc_descriptor(str(single_file["path"])))
-    top = map_reduce(ds, lambda ev: ev["met"]["pt"], combine=max, initial=0.0)
-    from skimflow.storage import read_evt
-
-    _, events = read_evt(single_file["path"])
-    assert top == max(ev["met"]["pt"] for ev in events)
-
-
 def test_coverage_every_event_once(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     assert map_reduce(ds, lambda ev: 1.0) == 2000.0
@@ -201,6 +193,15 @@ def test_persist_second_traversal_reads_zero_bytes(small_corpus):
     assert first == second
 
 
+def test_persisting_pass_reports_compute(small_corpus):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    ds.persist()
+    t = PhaseTimers()
+    map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t)
+    assert t.decode > 0
+    assert t.compute > 0
+
+
 def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     config = EngineConfig(cache_budget_bytes=1)
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
@@ -212,6 +213,33 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     second = map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t)
     assert t.bytes_read > 0  # really cold again
     assert first == second
+
+
+def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    assert len(ds.partitions) >= 3
+    sizes = []
+    for part in ds.partitions:
+        t = PhaseTimers()
+        list(iter_block_range(ds.files[part.file_index], part.block_lo, part.block_hi, timers=t))
+        sizes.append(t.bytes_decoded)
+    budget = max(sizes) + 1  # just above one partition's decoded bytes
+
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
+    ds.persist()
+    seen = []
+
+    def weight(ev):
+        seen.append((ds.cache_state, ds._cache_bytes))
+        return ev["genInfo"]["weight"]
+
+    map_reduce(ds, weight, workers=1)
+    states = [state for state, _ in seen]
+    assert states[0] == "warming"
+    assert "cold" in states  # the dataset went cold during pass one
+    assert max(held for _, held in seen) <= budget + max(sizes)
+    assert ds.warnings and "budget" in ds.warnings[0]
 
 
 def test_cached_equals_cold(small_corpus):

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from skimflow.errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from skimflow.events import make_event, make_particle
-from skimflow.expr import (
-    eval_cut,
-    eval_projection,
-    parse_expr,
-    typecheck_cut,
-    typecheck_projection,
-)
+from skimflow.expr import parse_expr, typecheck_cut, typecheck_projection
 from skimflow.generator import GeneratorSpec, generate_events
 
 
@@ -158,14 +152,6 @@ def test_projection_size_empty(schema):
 def test_arithmetic_precedence(schema):
     proj = typecheck_projection([("x", "1 + 2 * 3"), ("y", "(1 + 2) * 3"), ("z", "-2 + 1")], schema)
     assert proj.evaluate(ev()) == (7.0, 9.0, -1.0)
-
-
-def test_eval_cut_and_projection_functions(schema):
-    cut = typecheck_cut("size(muons) == 0", schema)
-    proj = typecheck_projection([("n", "size(muons)")], schema)
-    event = ev(muons=2)
-    assert eval_cut(cut, event) is False
-    assert eval_projection(proj, event) == (2,)
 
 
 # -- oracle comparisons on synthetic events ------------------------------------------

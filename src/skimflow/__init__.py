@@ -4,7 +4,7 @@ The pieces, bottom up: a schema'd row-wise event container (EVT) with
 optional per-block deflate and CRC-checked blocks; a columnar ntuple
 format (NTU); a typed cut/projection expression language; a partitioned
 dataset engine with an explicit in-memory persist and deterministic
-parallel map/filter/reduce; the two-pass weighted analysis workflow with
+parallel map/filter/reduce; the weighted skim/slim workflow with
 histograms and stacked plot data; a seeded synthetic event generator; and
 a phase-separated benchmark harness.
 """

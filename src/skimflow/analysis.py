@@ -1,14 +1,15 @@
-"""The physics-facing two-pass workflow.
+"""The physics-facing skim/slim workflow.
 
-For mc datasets: pass one sums the generator weights (the normalization
-denominator), pass two selects events, projects them to flat rows, and
-appends a `weight` column holding
+For mc datasets one traversal selects events, projects them to flat rows
+and, in the same loop, sums the generator weights of every event (the
+normalization denominator). Once it ends, each row gets a `weight`
+column holding
 
     weight = genWeight * xsec_pb * luminosity_invpb / sum_of_weights
 
-Data events skip normalization and carry weight 1.0 exactly. Between the
-two passes the dataset can be persisted so the second pass reads from
-memory. Histograms are filled from the resulting ntuple columns, and the
+Data events skip normalization and carry weight 1.0 exactly. An mc
+dataset can be persisted so that later skims of it read from memory.
+Histograms are filled from the resulting ntuple columns, and the
 plot bundle stacks mc components in configuration order against data.
 
 The analysis configuration is one JSON document:
@@ -234,7 +235,11 @@ def _validate_expression_syntax(config: AnalysisConfig, where: str) -> None:
             raise ConfigError(f"{where}: projection {name!r}: {exc}") from exc
 
 
-# -- pass one ---------------------------------------------------------------------
+# -- weights -----------------------------------------------------------------------
+
+
+def _gen_weight(event: dict) -> float:
+    return event["genInfo"]["weight"]
 
 
 def sum_of_weights(
@@ -243,15 +248,14 @@ def sum_of_weights(
     workers: int | None = None,
     timers: PhaseTimers | None = None,
 ) -> float:
-    """Sum of generator weights over a full mc dataset (pass one)."""
+    """Sum of generator weights over a full mc dataset, in a traversal of
+    its own; `run_skim` gets the same sum from its one traversal."""
     if ds.descriptor.kind != "mc":
         raise KindMismatch(
             f"dataset {ds.descriptor.label!r} is kind {ds.descriptor.kind!r}; "
             "sum of weights is defined for mc only"
         )
-    return map_reduce(
-        ds, lambda ev: ev["genInfo"]["weight"], workers=workers, timers=timers
-    )
+    return map_reduce(ds, _gen_weight, workers=workers, timers=timers)
 
 
 def normalize_weight(
@@ -267,7 +271,7 @@ def normalize_weight(
     return gen_weight * xsec_pb * luminosity_invpb / sum_of_weights
 
 
-# -- pass two ----------------------------------------------------------------------
+# -- skim ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -301,9 +305,11 @@ def run_skim(
 ) -> SkimResult:
     """Run the full skim/slim for one dataset and write its ntuple.
 
-    mc runs two passes (sum of weights, then select/project/normalize);
-    data runs a single pass with unit weights. `persist` overrides the
-    config's between-pass caching.
+    Both kinds make one traversal. mc sums the generator weights of every
+    event in the same loop as the selection and normalizes the selected
+    rows' weights once it ends; data rows carry unit weights. `persist`
+    overrides the config's choice of keeping an mc dataset's decoded
+    events in memory for later traversals.
     """
     descriptor = ds.descriptor
     schema = ds.schema
@@ -316,32 +322,29 @@ def run_skim(
     if descriptor.kind == "mc":
         if do_persist:
             ds.persist()
-        sumw = sum_of_weights(ds, workers=workers, timers=timers)
-        if ds.n_events and sumw == 0.0:
-            raise ZeroSumOfWeights(
-                f"dataset {descriptor.label!r}: generator weights sum to zero"
-            )
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, "genInfo.weight")], schema
         )
-        if ds.n_events:
-            xsec = descriptor.xsec_pb
-            lumi = config.luminosity_invpb
+        weight = _gen_weight
+        xsec = descriptor.xsec_pb
+        lumi = config.luminosity_invpb
 
-            def finalize(row, s=sumw, x=xsec, l=lumi):
-                return row[:-1] + (normalize_weight(row[-1], x, l, s),)
-        else:
-            finalize = None
+        def finalize(sumw):
+            if ds.n_events and sumw == 0.0:
+                raise ZeroSumOfWeights(
+                    f"dataset {descriptor.label!r}: generator weights sum to zero"
+                )
+            return lambda row: row[:-1] + (normalize_weight(row[-1], xsec, lumi, sumw),)
     else:
-        sumw = None
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, "1.0")], schema
         )
-        finalize = None
+        weight = finalize = None
 
     sink = NtuWriter(out_path, projection.columns, group_target=config.ntu_group_rows)
-    n_out = filter_map_write(
-        ds, cut, projection, finalize, sink=sink, workers=workers, timers=timers
+    n_out, sumw = filter_map_write(
+        ds, cut, projection, sink=sink, weight=weight, finalize=finalize,
+        workers=workers, timers=timers,
     )
     return SkimResult(
         label=descriptor.label,

@@ -1,8 +1,9 @@
 """Phase-separated benchmark harness.
 
 Each benchmark cell fixes three axes — cached or cold input, deflated or
-raw input, and the worker count — and times the full two-pass skim of one
-dataset, attributing wall time to four non-overlapping phases:
+raw input, and the worker count — and times the full skim of one dataset
+(one traversal, for mc as for data), attributing wall time to four
+non-overlapping phases:
 
     read     raw storage reads
     decode   CRC checks, decompression, deserialization to events
@@ -16,8 +17,10 @@ repetitions (at least three) and reports per-repetition samples plus the
 median per phase; medians resist interference from other load. Cached
 cells persist the dataset once, warm the cache in the warm-up pass, and
 then measure pure in-memory traversals, which must read zero storage
-bytes. Timing never changes results: every cell of the same dataset and
-analysis produces a byte-identical ntuple, and its hash is recorded.
+bytes. The dataset's warnings, such as a cache budget overflow, are
+carried into the report. Timing never changes results: every cell of the
+same dataset and analysis produces a byte-identical ntuple, and its hash
+is recorded.
 """
 
 from __future__ import annotations
@@ -110,6 +113,7 @@ class TimingReport:
     reps: tuple[PhaseSample, ...]
     median: PhaseSample
     output_sha256: str
+    warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -129,6 +133,7 @@ class TimingReport:
             "reps": [s.as_dict() for s in self.reps],
             "median": self.median.as_dict(),
             "output_sha256": self.output_sha256,
+            "warnings": list(self.warnings),
         }
 
 
@@ -171,8 +176,8 @@ def run_benchmark(
     repetitions: int = 3,
     workdir,
 ) -> TimingReport:
-    """Benchmark one cell: warm-up plus `repetitions` measured two-pass
-    skims of a single dataset (the first configured one by default)."""
+    """Benchmark one cell: warm-up plus `repetitions` measured skims of a
+    single dataset (the first configured one by default)."""
     if repetitions < 3:
         raise UsageError("benchmark repetitions must be >= 3")
     descriptor = (
@@ -190,6 +195,7 @@ def run_benchmark(
         shared_ds.persist()
 
     samples: list[PhaseSample] = []
+    warnings: list[str] = []
     output_sha = None
     corpus = None
     for rep in range(repetitions + 1):  # rep 0 is the discarded warm-up
@@ -205,6 +211,7 @@ def run_benchmark(
             config, ds, out_path, workers=cell.workers, timers=timers, persist=False
         )
         total = time.perf_counter() - t0
+        warnings += [w for w in ds.warnings if w not in warnings]
         if corpus is None:
             corpus = (len(ds.files), ds.n_events, ds.n_bytes)
         sample = PhaseSample(
@@ -236,6 +243,7 @@ def run_benchmark(
         reps=tuple(samples[1:]),
         median=_median_sample(samples[1:]),
         output_sha256=output_sha,
+        warnings=tuple(warnings),
     )
 
 

@@ -231,6 +231,8 @@ def cmd_bench(args) -> int:
     json_path.write_text(reports_to_json(reports), encoding="utf-8")
     csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
     for r in reports:
+        for warning in r.warnings:
+            print(f"warning: {r.dataset_label}: {r.cell.name}: {warning}", file=sys.stderr)
         m = r.median
         # with several workers each phase is a sum over threads and can exceed the wall time
         sep = "=" if r.cell.workers == 1 else f"wall; phases summed over {r.cell.workers} threads:"

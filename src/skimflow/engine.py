@@ -7,6 +7,12 @@ per-partition results in ascending partition order, so every result is a
 pure function of the partition plan, whatever the worker count or
 scheduling order.
 
+`filter_map_write` is the only traversal a skim makes. Given a weight
+function, as for an mc dataset, it sums the weights in the same loop over
+each partition's events as the selection, so every event is read and
+decoded once. The selected rows are then held until the traversal ends,
+because an mc row's normalised weight needs the sum over the whole dataset.
+
 An explicit in-memory cache ("persist") retains each partition's decoded
 events after the first full traversal; later traversals then read zero
 storage bytes. The cache map is populated once per partition and read-only
@@ -395,35 +401,61 @@ def filter_map_write(
     ds: PartitionedDataset,
     cut,
     projection,
-    row_finalize: Callable[[tuple], tuple] | None,
     *,
     sink: NtuWriter,
+    weight: Callable[[dict], float] | None = None,
+    finalize: Callable[[float | None], Callable[[tuple], tuple]] | None = None,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
-) -> int:
+) -> tuple[int, float | None]:
     """Select events, project them to rows, and write the sink in partition
-    order (input order within each partition). Consumes the sink: it is
-    closed on success and aborted (partial file removed) on failure.
+    order (input order within each partition), in one traversal. Consumes
+    the sink: it is closed on success and aborted (partial file removed) on
+    failure.
 
-    Returns the number of rows written.
+    With `weight`, the same loop over each partition's events also sums
+    `weight(event)` over every event, selected or not, as `map_reduce`
+    does, so the sum is bit-identical to `map_reduce(ds, weight)`.
+    `finalize`, if given, is called once after the traversal and before
+    any row is written, with that sum (None without `weight`), and returns
+    the function applied to every row; an exception it raises aborts the
+    sink.
+
+    Returns (rows written, sum of weights or None).
     """
     timers = timers or PhaseTimers()
     cut_fn = cut.evaluate
     proj_fn = projection.evaluate
 
     def work(events):
-        if row_finalize is None:
-            return [proj_fn(ev) for ev in events if cut_fn(ev)]
-        return [row_finalize(proj_fn(ev)) for ev in events if cut_fn(ev)]
+        if weight is None:
+            return [proj_fn(ev) for ev in events if cut_fn(ev)], None
+        rows = []
+
+        def select_and_weigh(ev):
+            if cut_fn(ev):
+                rows.append(proj_fn(ev))
+            return weight(ev)
+
+        return rows, _kahan_sum(map(select_and_weigh, events))
 
     count = 0
     try:
-        # drain all partitions before writing: completed futures buffer their
-        # rows regardless, and an exclusive write keeps the write phase free
-        # of GIL contention with worker decode/compute
+        # drain all partitions before writing: a row's final value may need
+        # the sum over every partition, and an exclusive write keeps the
+        # write phase free of GIL contention with worker decode/compute
         results = _traverse(ds, work, workers, timers)
+        sumw = None if weight is None else _pairwise_sum([partial for _, partial in results])
+        if finalize is not None:
+            t0 = time.perf_counter()
+            row_fn = finalize(sumw)
+            for rows, _ in results:
+                # in place, so a projected row is freed as its final row replaces it
+                for i, row in enumerate(rows):
+                    rows[i] = row_fn(row)
+            timers.compute += time.perf_counter() - t0
         t0 = time.perf_counter()
-        for rows in results:
+        for rows, _ in results:
             sink.append_rows(rows)
             count += len(rows)
         sink.close()
@@ -431,4 +463,4 @@ def filter_map_write(
     except BaseException:
         sink.abort()
         raise
-    return count
+    return count, sumw

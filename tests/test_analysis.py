@@ -22,7 +22,8 @@ from skimflow.engine import DatasetDescriptor, EngineConfig, open_dataset
 from skimflow.errors import ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
 from skimflow.events import make_event
 from skimflow.histogram import Histogram, HistogramSpec
-from skimflow.storage import read_ntu, write_evt
+from skimflow.storage import inspect_evt, read_ntu, write_evt
+from skimflow.timing import PhaseTimers
 
 
 def mc_descriptor(glob, label="mc", xsec=10.0):
@@ -103,10 +104,36 @@ def test_skim_false_cut_empty_output(tmp_path, small_corpus):
 def test_skim_zero_sum_of_weights_raises(tmp_path, schema):
     events = [make_event(event=1, weight=1.0), make_event(event=2, weight=-1.0)]
     write_evt(tmp_path / "f.evt", events, schema)
-    config = base_config([mc_descriptor(str(tmp_path / "*.evt"))])
+    config = base_config([mc_descriptor(str(tmp_path / "*.evt"))], selection="true")
+    out = tmp_path / "out.ntu"
+    out.write_bytes(b"an earlier skim")
     ds = open_dataset(config.datasets[0], config.engine)
     with pytest.raises(ZeroSumOfWeights):
-        run_skim(config, ds, tmp_path / "out.ntu")
+        run_skim(config, ds, out)
+    assert out.read_bytes() == b"an earlier skim"
+    assert not (tmp_path / "out.ntu.tmp").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_skim_sum_weights_equals_sum_of_weights(tmp_path, small_corpus, workers):
+    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine)
+    ds = open_dataset(config.datasets[0], config.engine)
+    result = run_skim(config, ds, tmp_path / "mc.ntu", workers=workers)
+    fresh = open_dataset(config.datasets[0], config.engine)
+    assert result.sum_weights == sum_of_weights(fresh)
+
+
+def test_skim_over_cache_budget_decodes_each_block_once(tmp_path, small_corpus):
+    full_decode = sum(inspect_evt(p)["decoded_bytes"] for p in small_corpus["paths"])
+    # a budget below any one partition: the first one admitted overflows it
+    engine = EngineConfig(cache_budget_bytes=1)
+    config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
+    timers = PhaseTimers()
+    ds = open_dataset(config.datasets[0], config.engine, timers=timers)
+    run_skim(config, ds, tmp_path / "mc.ntu", timers=timers)
+    assert timers.bytes_decoded == full_decode
+    assert ds.warnings and "cache budget exceeded" in ds.warnings[0]
 
 
 def test_skim_empty_mc_dataset_writes_empty_file(tmp_path, schema):

@@ -14,6 +14,7 @@ from skimflow.bench import (
 from skimflow.engine import DatasetDescriptor, EngineConfig
 from skimflow.errors import IncomparableConfigs, UsageError
 from skimflow.generator import GeneratorSpec, generate_corpus, generate_evt
+from skimflow.storage import inspect_evt
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,11 @@ def test_uncached_report_structure_and_decomposition(bench_setup, tmp_path):
     assert report.repetitions == 3 and len(report.reps) == 3
     assert report.corpus_events == 20000 and report.corpus_files == 2
     med = report.median
-    assert med.bytes_read > 0 and med.bytes_decoded > 0 and med.cache_hits == 0
+    # one traversal: every corpus byte is read once and every block decoded once
+    paths = sorted((bench_setup["root"] / "mc").glob("*.evt"))
+    assert med.bytes_read == report.corpus_bytes
+    assert med.bytes_decoded == sum(inspect_evt(p)["decoded_bytes"] for p in paths)
+    assert med.cache_hits == 0
     assert med.read_compute_s == med.read_s + med.decode_s + med.compute_s
     # single worker: the four phases cover the measured wall time within 5%
     for sample in report.reps:

@@ -217,6 +217,19 @@ def test_bench_cli_labels_thread_sums(corpus, capsys):
     assert "s wall; phases summed over 2 threads: read " in line
 
 
+def test_bench_reports_cache_budget_overflow(corpus, capsys):
+    # a 1-byte budget is below any partition, so the cached cell overflows it
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), cache_budget_bytes=1)
+    out = corpus / "bench_out"
+    rc = main(["bench", "--config", str(cfg), "--out-dir", str(out), "--reps", "3",
+               "--cells", "cached+raw"])
+    assert rc == 0
+    assert "warning: sig: cached+raw+w1: cache budget exceeded" in capsys.readouterr().err
+    (report,) = json.loads((out / "bench_report.json").read_text())
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("cache budget exceeded")
+
+
 def test_bench_bad_cells_usage_error(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
     assert main(["bench", "--config", str(cfg), "--cells", "warm+raw"]) == 1

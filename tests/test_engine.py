@@ -266,7 +266,9 @@ def run_filter(ds, cut_text, out, workers=None, finalize=None):
     cut = typecheck_cut(cut_text, schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], schema)
     sink = NtuWriter(out, proj.columns, group_target=512)
-    return filter_map_write(ds, cut, proj, finalize, sink=sink, workers=workers)
+    count, sumw = filter_map_write(ds, cut, proj, sink=sink, finalize=finalize, workers=workers)
+    assert sumw is None
+    return count
 
 
 def test_filter_true_keeps_everything(small_corpus, tmp_path):
@@ -315,7 +317,7 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
 def test_row_finalize_applied(small_corpus, tmp_path):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     count = run_filter(
-        ds, "true", tmp_path / "fin.ntu", finalize=lambda row: (row[0] * 2.0, row[1])
+        ds, "true", tmp_path / "fin.ntu", finalize=lambda _: lambda row: (row[0] * 2.0, row[1])
     )
     assert count == 2000
     doubled = read_ntu(tmp_path / "fin.ntu").columns["met_pt"]
@@ -356,5 +358,5 @@ def test_sink_aborted_on_failure(small_corpus, tmp_path):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError):
-        filter_map_write(ds, cut, proj, explode, sink=sink)
+        filter_map_write(ds, cut, proj, sink=sink, finalize=lambda _: explode)
     assert list(tmp_path.iterdir()) == []

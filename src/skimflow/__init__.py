@@ -20,7 +20,7 @@ from .engine import (
 )
 from .errors import SkimflowError
 from .events import analysis_schema, make_event, make_particle, validate_event
-from .expr import parse_expr, typecheck_cut, typecheck_projection
+from .expr import parse_expr, typecheck_cut, typecheck_projection, typecheck_value
 from .generator import GeneratorSpec, generate_corpus, generate_events, generate_evt
 from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Array, Primitive, Record, Schema
@@ -69,6 +69,7 @@ __all__ = [
     "scan_evt",
     "typecheck_cut",
     "typecheck_projection",
+    "typecheck_value",
     "validate_event",
     "write_evt",
     "write_ntu",

@@ -9,6 +9,10 @@ column holding
 
 Data events skip normalization and carry weight 1.0 exactly. An mc
 dataset can be persisted so that later skims of it read from memory.
+The cut, the projection and the generator weight all reach the engine as
+compiled expressions, so every partition that does not go into the cache
+(all of a data dataset's, all of an mc dataset's without persist, and
+those after a cache-budget overflow) decodes only the leaves they read.
 Histograms are filled from the resulting ntuple columns, and the
 plot bundle stacks mc components in configuration order against data.
 
@@ -50,7 +54,7 @@ from .engine import (
     open_dataset,
 )
 from .errors import ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
-from .expr import typecheck_cut, typecheck_projection
+from .expr import typecheck_cut, typecheck_projection, typecheck_value
 from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Schema
 from .storage import NtuWriter, read_ntu
@@ -78,6 +82,7 @@ DEFAULT_HISTOGRAMS = (
 )
 
 WEIGHT_COLUMN = "weight"
+GEN_WEIGHT = "genInfo.weight"  # the generator weight of an mc event
 
 
 @dataclass(frozen=True)
@@ -238,10 +243,6 @@ def _validate_expression_syntax(config: AnalysisConfig, where: str) -> None:
 # -- weights -----------------------------------------------------------------------
 
 
-def _gen_weight(event: dict) -> float:
-    return event["genInfo"]["weight"]
-
-
 def sum_of_weights(
     ds: PartitionedDataset,
     *,
@@ -249,13 +250,15 @@ def sum_of_weights(
     timers: PhaseTimers | None = None,
 ) -> float:
     """Sum of generator weights over a full mc dataset, in a traversal of
-    its own; `run_skim` gets the same sum from its one traversal."""
+    its own that decodes only `genInfo.weight` (unless the traversal fills
+    the dataset's cache); `run_skim` gets the same sum from its one
+    traversal."""
     if ds.descriptor.kind != "mc":
         raise KindMismatch(
             f"dataset {ds.descriptor.label!r} is kind {ds.descriptor.kind!r}; "
             "sum of weights is defined for mc only"
         )
-    return map_reduce(ds, _gen_weight, workers=workers, timers=timers)
+    return map_reduce(ds, typecheck_value(GEN_WEIGHT, ds.schema), workers=workers, timers=timers)
 
 
 def normalize_weight(
@@ -307,7 +310,9 @@ def run_skim(
 
     Both kinds make one traversal. mc sums the generator weights of every
     event in the same loop as the selection and normalizes the selected
-    rows' weights once it ends; data rows carry unit weights. `persist`
+    rows' weights once it ends; data rows carry unit weights. The weight
+    is the compiled `genInfo.weight`, so the engine learns every leaf the
+    skim reads from the cut, the projection and the weight. `persist`
     overrides the config's choice of keeping an mc dataset's decoded
     events in memory for later traversals.
     """
@@ -323,9 +328,9 @@ def run_skim(
         if do_persist:
             ds.persist()
         projection = typecheck_projection(
-            list(user_columns) + [(WEIGHT_COLUMN, "genInfo.weight")], schema
+            list(user_columns) + [(WEIGHT_COLUMN, GEN_WEIGHT)], schema
         )
-        weight = _gen_weight
+        weight = typecheck_value(GEN_WEIGHT, schema)
         xsec = descriptor.xsec_pb
         lumi = config.luminosity_invpb
 

@@ -22,6 +22,15 @@ cache past it instead drops the whole cache, records a warning, and the
 dataset falls back to cold reads, so the cache never holds more than the
 budget. The budget counts decoded EVT payload bytes, not resident memory;
 the Python objects built from a payload take about ten times its size.
+
+Each traversal derives from the compiled expressions it is given the
+schema leaves they read (`expr` records them, `storage.codec` compiles a
+decoder for them) and decodes only those leaves in every partition that
+does not go into the cache: every partition of a dataset that is not
+persisted, and every partition after a budget overflow. A partition being
+admitted to the cache is decoded in full, so cached events serve any later
+traversal whatever leaves it reads. The choice follows the dataset's cache
+state alone. `bytes_decoded` counts every payload byte walked either way.
 """
 
 from __future__ import annotations
@@ -238,19 +247,25 @@ class PartitionedDataset:
 
     # -- per-partition event access -----------------------------------------
 
-    def _partition_events(self, part: Partition, timers: PhaseTimers) -> Iterable[dict]:
+    def _partition_events(
+        self, part: Partition, timers: PhaseTimers, codec: EventCodec
+    ) -> Iterable[dict]:
+        """The partition's events: from the cache, else decoded with the
+        full codec when the partition is to be admitted to the cache, and
+        with `codec` (which may read only some leaves) when it is not."""
         cached = self._cache.get(part.index)
         if cached is not None:
             timers.cache_hits += 1
             return cached
-        it = iter_block_range(
-            self.files[part.file_index], part.block_lo, part.block_hi,
-            timers=timers, codec=self.codec,
-        )
+        index = self.files[part.file_index]
         if not self._want_cache:
-            return it
+            return iter_block_range(
+                index, part.block_lo, part.block_hi, timers=timers, codec=codec
+            )
         before = timers.bytes_decoded
-        events = list(it)
+        events = list(iter_block_range(
+            index, part.block_lo, part.block_hi, timers=timers, codec=self.codec
+        ))
         decoded = timers.bytes_decoded - before
         budget = self.config.cache_budget_bytes
         with self._lock:
@@ -327,21 +342,42 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
         yield from pool.map(wrapped, ds.partitions)
 
 
+def _codec_for(ds: PartitionedDataset, *exprs) -> EventCodec:
+    """A codec that decodes only the leaves the compiled expressions read
+    (the union of their `leaves`; None entries are ignored), or the
+    dataset's full codec when any of them is a plain callable."""
+    leaves: set[tuple[str, ...]] = set()
+    for expr in exprs:
+        if expr is None:
+            continue
+        if not hasattr(expr, "leaves"):
+            return ds.codec
+        leaves |= expr.leaves
+    return EventCodec(ds.schema, leaves)
+
+
+def _evaluator(fn) -> Callable[[dict], object]:
+    """The per-event function of a compiled expression or a plain callable."""
+    return getattr(fn, "evaluate", fn)
+
+
 def _traverse(
     ds: PartitionedDataset,
     work: Callable[[Iterable[dict]], object],
     workers: int | None,
     timers: PhaseTimers,
+    codec: EventCodec,
 ) -> list:
     """Run `work(events)` on every partition and return its results in
     partition order, merging each partition's phase timers into `timers`.
-    Compute is the partition's wall time, event access included, less the
-    read and decode time spent inside it."""
+    A partition outside the cache is decoded with `codec`. Compute is the
+    partition's wall time, event access included, less the read and
+    decode time spent inside it."""
 
     def task(part: Partition):
         t = PhaseTimers()
         t0 = time.perf_counter()
-        result = work(ds._partition_events(part, t))
+        result = work(ds._partition_events(part, t, codec))
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
         return result, t
 
@@ -380,19 +416,25 @@ def _pairwise_sum(values: list[float]) -> float:
 
 def map_reduce(
     ds: PartitionedDataset,
-    map_fn: Callable[[dict], float],
+    map_fn,
     *,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
 ) -> float:
     """Map every event to a float and sum.
 
+    `map_fn` is a compiled expression (`expr.typecheck_value`), whose
+    `leaves` are then the only ones decoded, or a plain callable, which
+    gets the full decode.
+
     Each partition is accumulated with compensated (Kahan) summation;
     partials then merge pairwise in partition order, so the result is
     bit-identical for any worker count over a fixed partition plan.
     """
+    fn = _evaluator(map_fn)
     partials = _traverse(
-        ds, lambda events: _kahan_sum(map(map_fn, events)), workers, timers or PhaseTimers()
+        ds, lambda events: _kahan_sum(map(fn, events)), workers, timers or PhaseTimers(),
+        _codec_for(ds, map_fn),
     )
     return _pairwise_sum(partials)
 
@@ -403,7 +445,7 @@ def filter_map_write(
     projection,
     *,
     sink: NtuWriter,
-    weight: Callable[[dict], float] | None = None,
+    weight=None,
     finalize: Callable[[float | None], Callable[[tuple], tuple]] | None = None,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
@@ -414,28 +456,34 @@ def filter_map_write(
     failure.
 
     With `weight`, the same loop over each partition's events also sums
-    `weight(event)` over every event, selected or not, as `map_reduce`
-    does, so the sum is bit-identical to `map_reduce(ds, weight)`.
+    the weight of every event, selected or not, as `map_reduce` does, so
+    the sum is bit-identical to `map_reduce(ds, weight)`. Like `map_fn`
+    there, `weight` is a compiled expression or a plain callable.
     `finalize`, if given, is called once after the traversal and before
     any row is written, with that sum (None without `weight`), and returns
     the function applied to every row; an exception it raises aborts the
     sink.
+
+    Partitions that do not go into the cache are decoded only in the
+    union of the leaves that the cut, the projection and a compiled weight
+    read.
 
     Returns (rows written, sum of weights or None).
     """
     timers = timers or PhaseTimers()
     cut_fn = cut.evaluate
     proj_fn = projection.evaluate
+    weight_fn = None if weight is None else _evaluator(weight)
 
     def work(events):
-        if weight is None:
+        if weight_fn is None:
             return [proj_fn(ev) for ev in events if cut_fn(ev)], None
         rows = []
 
         def select_and_weigh(ev):
             if cut_fn(ev):
                 rows.append(proj_fn(ev))
-            return weight(ev)
+            return weight_fn(ev)
 
         return rows, _kahan_sum(map(select_and_weigh, events))
 
@@ -444,7 +492,7 @@ def filter_map_write(
         # drain all partitions before writing: a row's final value may need
         # the sum over every partition, and an exclusive write keeps the
         # write phase free of GIL contention with worker decode/compute
-        results = _traverse(ds, work, workers, timers)
+        results = _traverse(ds, work, workers, timers, _codec_for(ds, cut, projection, weight))
         sumw = None if weight is None else _pairwise_sum([partial for _, partial in results])
         if finalize is not None:
             t0 = time.perf_counter()

@@ -329,11 +329,24 @@ class _Checker:
     """Single pass producing (closure, result kind) per node.
 
     `element` is the record type of `it` inside count/reduce arguments, or
-    None at event level.
+    None at event level. Every schema path the compiled nodes read is
+    recorded in `paths`: a scalar's path, a collection's path for its size,
+    and the collection's path plus the field for an element field.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
+        self.paths: set[tuple[str, ...]] = set()
+        self._coll: tuple[str, ...] = ()  # the collection `it` ranges over
+
+    @property
+    def leaves(self) -> frozenset[tuple[str, ...]]:
+        """The recorded paths, less those that end at a collection some
+        longer path reads below: reading an element field gives the size."""
+        paths = self.paths
+        return frozenset(
+            p for p in paths if not any(len(q) > len(p) and q[:len(p)] == p for q in paths)
+        )
 
     def compile(self, node: Expr, element: Record | None = None):
         method = getattr(self, "_c_" + type(node).__name__.lower())
@@ -406,6 +419,8 @@ class _Checker:
                 f"{'.'.join(node.path)} is not a scalar; collections are reached "
                 "through size()/count()/max()/min()/sum()"
             )
+        path = node.path
+        self.paths.add(self._coll + path[1:] if path[0] == "it" else path)
         return getter, snode.kind
 
     def _c_compare(self, node: Compare, element):
@@ -460,13 +475,19 @@ class _Checker:
 
     def _c_size(self, node: Size, element):
         getter, _ = self._resolve_collection(node.coll, element)
+        self.paths.add(node.coll)
         return (lambda ev, g=getter: len(g(ev))), "i64"
 
     def _c_count(self, node: Count, element):
         getter, elem = self._resolve_collection(node.coll, element)
         if not isinstance(elem, Record):
             raise TypeMismatch(f"count() needs a collection of records: {'.'.join(node.coll)}")
-        pred, pk = self.compile(node.pred, elem)
+        self.paths.add(node.coll)
+        self._coll = node.coll
+        try:
+            pred, pk = self.compile(node.pred, elem)
+        finally:
+            self._coll = ()
         if pk != "bool":
             raise TypeMismatch(f"count() predicate must be boolean, got {pk}")
 
@@ -490,6 +511,7 @@ class _Checker:
         if not isinstance(fnode, Primitive) or fnode.kind not in NUMERIC_KINDS:
             raise TypeMismatch(f"{node.op}() needs a numeric element field: it.{node.field}")
         key = node.field
+        self.paths.add(node.coll + (key,))
         if node.op == "sum":
             def fn(ev, g=getter, k=key):
                 total = 0.0
@@ -517,14 +539,31 @@ class _Checker:
 
 # -- compiled, shareable forms ---------------------------------------------------
 
+# Each compiled form carries `leaves`, the schema paths its evaluation
+# reads. A path that ends at a collection reads only its size;
+# `count(jets, it.pt > 30.0)` reads ("jets", "pt").
+
 @dataclass(frozen=True)
 class TypedCut:
     """A boolean expression compiled against a schema."""
 
     source: str
     _fn: Callable[[dict], bool]
+    leaves: frozenset[tuple[str, ...]]
 
     def evaluate(self, event: dict) -> bool:
+        return self._fn(event)
+
+
+@dataclass(frozen=True)
+class TypedValue:
+    """A numeric expression compiled against a schema."""
+
+    source: str
+    _fn: Callable[[dict], object]
+    leaves: frozenset[tuple[str, ...]]
+
+    def evaluate(self, event: dict):
         return self._fn(event)
 
 
@@ -534,6 +573,7 @@ class TypedProjection:
 
     columns: tuple[tuple[str, str], ...]  # (name, kind)
     _fns: tuple[Callable[[dict], object], ...]
+    leaves: frozenset[tuple[str, ...]]
 
     def evaluate(self, event: dict) -> tuple:
         return tuple(fn(event) for fn in self._fns)
@@ -545,11 +585,24 @@ _PROJECTION_NODES = (Const, Field, Arith, Neg, Size, Count, Reduce)
 def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     """Type-check a cut against a schema and compile it for evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
-    fn, kind = _Checker(schema).compile(node)
+    checker = _Checker(schema)
+    fn, kind = checker.compile(node)
     if kind != "bool":
         raise TypeMismatch(f"cut must be boolean, got {kind}")
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedCut(source, fn)
+    return TypedCut(source, fn, checker.leaves)
+
+
+def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
+    """Type-check a numeric expression against a schema and compile it for
+    evaluation."""
+    node = parse_expr(expr) if isinstance(expr, str) else expr
+    checker = _Checker(schema)
+    fn, kind = checker.compile(node)
+    if kind not in NUMERIC_KINDS:
+        raise TypeMismatch(f"value must be numeric, got {kind}")
+    source = expr if isinstance(expr, str) else repr(expr)
+    return TypedValue(source, fn, checker.leaves)
 
 
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:
@@ -574,7 +627,7 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
         names.append(name)
         kinds.append(kind)
         fns.append(fn)
-    return TypedProjection(tuple(zip(names, kinds)), tuple(fns))
+    return TypedProjection(tuple(zip(names, kinds)), tuple(fns), checker.leaves)
 
 
 def _reject_non_scalar(node: Expr, column: str) -> None:

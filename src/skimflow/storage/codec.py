@@ -7,10 +7,30 @@ Encoding rules, little-endian throughout:
     record -> fields back-to-back in schema order
     array  -> u32 element count, then elements back-to-back
 
-The codec is compiled once per schema. Runs of fixed-width fields collapse
-into single struct calls, and arrays of fixed-width elements decode through
-one `iter_unpack` per array, which keeps pure-Python decoding fast enough
-for multi-hundred-MB files.
+The codec is compiled once per schema and leaf set. Encoding always
+covers the whole event, through closures in which runs of fixed-width
+fields collapse into single struct calls.
+
+Decoding reads only the leaves the codec was compiled for. A leaf is a
+path of field names from the root, where the names after an array's name
+address fields of its elements:
+
+    a path ending at a primitive or a record  -> that value, in full
+    a path ending at an array                 -> its length only, as range(n)
+    leaves=None                               -> every field (the full decode)
+
+A decoded event holds only the fields read. One compiler serves every
+leaf set: it writes the Python source of a loop that decodes a block's
+events and compiles it once. Runs of fixed-width fields become one
+struct call, in which the fields not read are pad bytes; arrays of
+fixed-width elements decode through one `iter_unpack` per array into
+dict displays, which build faster than `dict(zip(...))`. Arrays that are
+not read are skipped by count x width, or walked without being built
+when their elements vary in width. Every payload byte is still walked,
+and an array count that would run past the payload is rejected before
+anything of that size is built. (Elements that take no bytes, records
+without scalar fields, cannot run past it: read in full, their count is
+trusted.)
 
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
@@ -20,32 +40,32 @@ from __future__ import annotations
 
 import struct
 from struct import Struct
-from typing import Callable
+from typing import Callable, Iterable
 
-from ..errors import SchemaViolation, TruncatedBlock
+from ..errors import SchemaError, SchemaViolation, TruncatedBlock
 from ..schema import Array, Primitive, Record, Schema, SchemaNode
 
 _FMT = {"f64": "d", "f32": "f", "i64": "q", "i32": "i", "bool": "?"}
 _U32 = Struct("<I")
 
+# The selection a decoder is compiled from: True for a primitive that is
+# read, a dict of the fields read for a record, the element's selection
+# for an array, _SIZE for an array whose length alone is read, and None
+# (or absence from the parent record's dict) for a node that is skipped.
+_SIZE = object()
+
+
+# -- encoding -------------------------------------------------------------------
+
 
 def _fixed_info(node: SchemaNode):
-    """For subtrees without arrays: (fmt, flatten(value, out), assemble(vals, i)).
-
-    `flatten` appends the value's scalars to `out` in schema order;
-    `assemble` rebuilds the value from a flat tuple starting at index `i`
-    and returns (value, next index).
-    """
+    """For subtrees without arrays: (fmt, flatten(value, out)), where
+    `flatten` appends the value's scalars to `out` in schema order."""
     if isinstance(node, Primitive):
-        fmt = _FMT[node.kind]
-
         def flatten(v, out):
             out.append(v)
 
-        def assemble(vals, i):
-            return vals[i], i + 1
-
-        return fmt, flatten, assemble
+        return _FMT[node.kind], flatten
     if isinstance(node, Record):
         parts = []
         fmt = ""
@@ -53,79 +73,53 @@ def _fixed_info(node: SchemaNode):
             info = _fixed_info(child)
             if info is None:
                 return None
-            cfmt, cflat, casm = info
-            fmt += cfmt
-            parts.append((name, cflat, casm))
+            fmt += info[0]
+            parts.append((name, info[1]))
         if all(isinstance(child, Primitive) for _, child in node.fields):
             names = node.names()
-            width = len(names)
 
             def flatten(v, out, ns=names):
                 for n in ns:
                     out.append(v[n])
 
-            def assemble(vals, i, ns=names, w=width):
-                return dict(zip(ns, vals[i:i + w])), i + w
-
-            return fmt, flatten, assemble
+            return fmt, flatten
 
         parts = tuple(parts)
 
         def flatten(v, out, ps=parts):
-            for name, cflat, _ in ps:
+            for name, cflat in ps:
                 cflat(v[name], out)
 
-        def assemble(vals, i, ps=parts):
-            d = {}
-            for name, _, casm in ps:
-                d[name], i = casm(vals, i)
-            return d, i
-
-        return fmt, flatten, assemble
+        return fmt, flatten
     return None
 
 
-def _compile(node: SchemaNode):
-    """Return (encode(buf, value), decode(mv, off) -> (value, off))."""
+def _compile_encoder(node: SchemaNode) -> Callable:
+    """Return encode(buf, value)."""
     info = _fixed_info(node)
     if info is not None:
-        fmt, flatten, assemble = info
+        fmt, flatten = info
         stru = Struct("<" + fmt)
-        size = stru.size
 
         def enc(buf, v, s=stru, fl=flatten):
             out = []
             fl(v, out)
             buf += s.pack(*out)
 
-        def dec(mv, off, s=stru, asm=assemble, sz=size):
-            vals = s.unpack_from(mv, off)
-            value, _ = asm(vals, 0)
-            return value, off + sz
-
-        return enc, dec
+        return enc
 
     if isinstance(node, Array):
         elem_info = _fixed_info(node.element)
         if elem_info is not None and Struct("<" + elem_info[0]).size == 0:
             # zero-width element (records with no scalar fields): only the
             # count carries information
-            easm = elem_info[2]
-
             def enc(buf, v):
                 buf += _U32.pack(len(v))
 
-            def dec(mv, off, asm=easm):
-                (n,) = _U32.unpack_from(mv, off)
-                return [asm((), 0)[0] for _ in range(n)], off + 4
-
-            return enc, dec
+            return enc
         if elem_info is not None:
-            efmt, eflat, easm = elem_info
-            estru = Struct("<" + efmt)
-            esize = estru.size
+            efmt, eflat = elem_info
             packs: dict[int, Struct] = {}
-            elem = node.element
 
             def enc(buf, v, fl=eflat, fmt=efmt, cache=packs):
                 n = len(v)
@@ -139,79 +133,34 @@ def _compile(node: SchemaNode):
                         s = cache[n] = Struct("<" + fmt * n)
                     buf += s.pack(*out)
 
-            if isinstance(elem, Record) and all(isinstance(c, Primitive) for _, c in elem.fields):
-                names = elem.names()
+            return enc
 
-                def dec(mv, off, s=estru, sz=esize, ns=names):
-                    (n,) = _U32.unpack_from(mv, off)
-                    off += 4
-                    end = off + n * sz
-                    items = [dict(zip(ns, t)) for t in s.iter_unpack(mv[off:end])]
-                    return items, end
-            elif isinstance(elem, Primitive):
-                def dec(mv, off, s=estru, sz=esize):
-                    (n,) = _U32.unpack_from(mv, off)
-                    off += 4
-                    end = off + n * sz
-                    items = [t[0] for t in s.iter_unpack(mv[off:end])]
-                    return items, end
-            else:
-                def dec(mv, off, s=estru, sz=esize, asm=easm):
-                    (n,) = _U32.unpack_from(mv, off)
-                    off += 4
-                    end = off + n * sz
-                    items = [asm(t, 0)[0] for t in s.iter_unpack(mv[off:end])]
-                    return items, end
-
-            return enc, dec
-
-        eenc, edec = _compile(node.element)
+        eenc = _compile_encoder(node.element)
 
         def enc(buf, v, e=eenc):
             buf += _U32.pack(len(v))
             for item in v:
                 e(buf, item)
 
-        def dec(mv, off, e=edec):
-            (n,) = _U32.unpack_from(mv, off)
-            off += 4
-            items = []
-            for _ in range(n):
-                item, off = e(mv, off)
-                items.append(item)
-            return items, off
+        return enc
 
-        return enc, dec
-
-    # record containing at least one array: encode/decode stepwise, folding
+    # record containing at least one array: encode stepwise, folding
     # consecutive fixed fields into one struct
     assert isinstance(node, Record)
-    enc_steps: list[Callable] = []
-    dec_steps: list[Callable] = []
+    steps: list[Callable] = []
     pending: list[tuple[str, SchemaNode]] = []
 
     def flush_pending():
         if not pending:
             return
-        info = _fixed_info(Record(tuple(pending)))
-        assert info is not None
-        fmt, flatten, assemble = info
-        stru = Struct("<" + fmt)
-        size = stru.size
+        fmt, flatten = _fixed_info(Record(tuple(pending)))
 
-        def enc_step(buf, v, s=stru, fl=flatten):
+        def step(buf, v, s=Struct("<" + fmt), fl=flatten):
             out = []
             fl(v, out)
             buf += s.pack(*out)
 
-        def dec_step(d, mv, off, s=stru, asm=assemble, sz=size):
-            vals = s.unpack_from(mv, off)
-            sub, _ = asm(vals, 0)
-            d.update(sub)
-            return off + sz
-
-        enc_steps.append(enc_step)
-        dec_steps.append(dec_step)
+        steps.append(step)
         pending.clear()
 
     for name, child in node.fields:
@@ -219,41 +168,219 @@ def _compile(node: SchemaNode):
             pending.append((name, child))
             continue
         flush_pending()
-        cenc, cdec = _compile(child)
 
-        def enc_step(buf, v, n=name, e=cenc):
+        def step(buf, v, n=name, e=_compile_encoder(child)):
             e(buf, v[n])
 
-        def dec_step(d, mv, off, n=name, e=cdec):
-            d[n], off = e(mv, off)
-            return off
-
-        enc_steps.append(enc_step)
-        dec_steps.append(dec_step)
+        steps.append(step)
     flush_pending()
 
-    enc_steps_t = tuple(enc_steps)
-    dec_steps_t = tuple(dec_steps)
-
-    def enc(buf, v, steps=enc_steps_t):
+    def enc(buf, v, steps=tuple(steps)):
         for step in steps:
             step(buf, v)
 
-    def dec(mv, off, steps=dec_steps_t):
-        d: dict = {}
-        for step in steps:
-            off = step(d, mv, off)
-        return d, off
+    return enc
 
-    return enc, dec
+
+# -- leaf selection ---------------------------------------------------------------
+
+
+def _select_all(node: SchemaNode):
+    if isinstance(node, Primitive):
+        return True
+    if isinstance(node, Array):
+        return _select_all(node.element)
+    return {name: _select_all(child) for name, child in node.fields}
+
+
+def _select(node: SchemaNode, paths: set[tuple[str, ...]]):
+    """The selection of `node` from leaf paths relative to it."""
+    if isinstance(node, Array):
+        inner = {p for p in paths if p}
+        return _select(node.element, inner) if inner else _SIZE
+    if () in paths:
+        return _select_all(node)
+    if isinstance(node, Primitive):
+        raise SchemaError(f"leaf path continues past a scalar: {sorted(paths)}")
+    unknown = {p[0] for p in paths} - set(node.names())
+    if unknown:
+        raise SchemaError(f"leaf paths name unknown fields {sorted(unknown)}")
+    sel = {}
+    for name, child in node.fields:
+        sub = {p[1:] for p in paths if p[0] == name}
+        if sub:
+            sel[name] = _select(child, sub)
+    return sel
+
+
+# -- decoding -------------------------------------------------------------------------
+
+
+def _width(node: SchemaNode) -> int:
+    """Byte width of a subtree without arrays."""
+    return struct.calcsize("<" + _fixed_info(node)[0])
+
+
+def _overrun(n: int, need: int, left: int) -> ValueError:
+    return ValueError(f"array of {n} elements needs {need} bytes, {left} left")
+
+
+def _fixed_source(fields, var: str):
+    """For (name, node, selection) fields without arrays: (fmt, pairs,
+    n_values). `fmt` unpacks the n_values selected scalars into the tuple
+    named `var`, the other fields being pad bytes, and `pairs` holds
+    (name, source expression) for each selected field."""
+    fmt = ""
+    n_values = 0
+
+    def walk(node, sel):
+        nonlocal fmt, n_values
+        if sel is None:
+            fmt += f"{_width(node)}x"
+            return None
+        if isinstance(node, Primitive):
+            fmt += _FMT[node.kind]
+            n_values += 1
+            return f"{var}[{n_values - 1}]"
+        pairs = [(name, walk(child, sel.get(name))) for name, child in node.fields]
+        return _dict_source(pairs)
+
+    pairs = [(name, walk(node, sel)) for name, node, sel in fields]
+    return fmt, [(name, expr) for name, expr in pairs if expr is not None], n_values
+
+
+def _dict_source(pairs) -> str:
+    return "{" + ", ".join(f"{name!r}: {expr}" for name, expr in pairs if expr is not None) + "}"
+
+
+class _DecoderSource:
+    """Writes the Python source of one decoder. Each method emits the
+    lines that read one value at `off` and move `off` past it, and returns
+    the source expression for the value (None for a skipped node). Every
+    variable name is unique, so an expression stays valid while later
+    lines run."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {"U32": _U32.unpack_from, "overrun": _overrun}
+        self.k = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.k += 1
+        return f"{prefix}{self.k}"
+
+    def struct(self, fmt: str) -> str:
+        name = self.fresh("S")
+        self.consts[name] = Struct("<" + fmt)
+        return name
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def node(self, node: SchemaNode, sel, depth: int) -> str | None:
+        if _fixed_info(node) is not None:
+            pairs = self.fixed([(None, node, sel)], depth)
+            return pairs[0][1] if pairs else None
+        if isinstance(node, Array):
+            return self.array(node, sel, depth)
+        return self.record(node, sel, depth)
+
+    def fixed(self, fields, depth: int) -> list:
+        """Read fields without arrays in one struct call; returns their
+        (name, expr) pairs."""
+        var = self.fresh("v")
+        fmt, pairs, n_values = _fixed_source(fields, var)
+        if n_values:
+            self.emit(depth, f"{var} = {self.struct(fmt)}.unpack_from(mv, off)")
+        width = struct.calcsize("<" + fmt)
+        if width:
+            self.emit(depth, f"off += {width}")
+        return pairs
+
+    def record(self, node: Record, sel, depth: int) -> str | None:
+        pairs: list = []
+        run: list = []
+        for name, child in node.fields:
+            csel = None if sel is None else sel.get(name)
+            if _fixed_info(child) is not None:
+                run.append((name, child, csel))
+                continue
+            if run:
+                pairs += self.fixed(run, depth)
+                run = []
+            pairs.append((name, self.node(child, csel, depth)))
+        if run:
+            pairs += self.fixed(run, depth)
+        return None if sel is None else _dict_source(pairs)
+
+    def array(self, node: Array, sel, depth: int) -> str | None:
+        n, end, out = self.fresh("n"), self.fresh("end"), self.fresh("a")
+        elem = node.element
+        build = sel is not None and sel is not _SIZE
+        self.emit(depth, f"{n} = U32(mv, off)[0]")
+        self.emit(depth, "off += 4")
+        if _fixed_info(elem) is not None:
+            width = _width(elem)
+            self.emit(depth, f"{end} = off + {n} * {width}")
+            self.emit(depth, f"if {end} > size: raise overrun({n}, {end} - off, size - off)")
+            if build:
+                fmt, ((_, item),), n_values = _fixed_source([(None, elem, sel)], "t")
+                if n_values:
+                    rows = f"{self.struct(fmt)}.iter_unpack(mv[off:{end}])"
+                    self.emit(depth, f"{out} = [{item} for t in {rows}]")
+                else:  # records read only for their empty sub-records
+                    self.emit(depth, f"{out} = [{item} for _ in range({n})]")
+            self.emit(depth, f"off = {end}")
+        else:
+            # each element holds an array, so takes at least its 4-byte count
+            need = f"{n} * 4"
+            self.emit(depth, f"if off + {need} > size: raise overrun({n}, {need}, size - off)")
+            if build:
+                self.emit(depth, f"{out} = []")
+            self.emit(depth, f"for _ in range({n}):")
+            item = self.node(elem, sel if build else None, depth + 1)
+            if build:
+                self.emit(depth + 1, f"{out}.append({item})")
+        if sel is None:
+            return None
+        return out if build else f"range({n})"
+
+
+def _compile_decoder(root: Record, sel) -> Callable:
+    """Compile `decode(mv, count) -> (events, off)`, which decodes `count`
+    events from the start of `mv`."""
+    gen = _DecoderSource()
+    event = gen.record(root, sel, 2)
+    source = "\n".join([
+        "def decode(mv, count):",
+        "    size = len(mv)",
+        "    off = 0",
+        "    events = []",
+        "    for _ in range(count):",
+        *gen.lines,
+        f"        events.append({event})",
+        "    return events, off",
+        "",
+    ])
+    namespace = dict(gen.consts)
+    exec(source, namespace)
+    return namespace["decode"]
 
 
 class EventCodec:
-    """Encoder/decoder for events of one schema."""
+    """Encoder/decoder for events of one schema. `leaves` names the leaf
+    paths decoding reads (see the module docstring); None reads every
+    field."""
 
-    def __init__(self, schema: Schema):
+    def __init__(self, schema: Schema, leaves: Iterable[tuple[str, ...]] | None = None):
         self.schema = schema
-        self._enc, self._dec = _compile(schema.root)
+        self.leaves = None if leaves is None else frozenset(leaves)
+        self._enc = _compile_encoder(schema.root)
+        if self.leaves is None:
+            sel = _select_all(schema.root)
+        else:
+            sel = _select(schema.root, set(self.leaves))
+        self._decode = _compile_decoder(schema.root, sel)
 
     def encode(self, event: dict) -> bytes:
         buf = bytearray()
@@ -270,15 +397,12 @@ class EventCodec:
         """Decode `count` events packed back-to-back; the payload must be
         consumed exactly."""
         mv = memoryview(payload)
-        dec = self._dec
-        off = 0
-        events = []
         try:
-            for _ in range(count):
-                event, off = dec(mv, off)
-                events.append(event)
-        except Exception as exc:  # struct errors on malformed payloads
+            events, off = self._decode(mv, count)
+        except Exception as exc:  # struct errors and overruns on malformed payloads
             raise TruncatedBlock(f"event data overruns block payload: {exc}") from exc
+        if off > len(mv):
+            raise TruncatedBlock(f"event data overruns block payload by {off - len(mv)} bytes")
         if off != len(mv):
             raise TruncatedBlock(
                 f"block payload has {len(mv) - off} undecoded trailing bytes"

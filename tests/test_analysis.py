@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -134,6 +135,63 @@ def test_skim_over_cache_budget_decodes_each_block_once(tmp_path, small_corpus):
     run_skim(config, ds, tmp_path / "mc.ntu", timers=timers)
     assert timers.bytes_decoded == full_decode
     assert ds.warnings and "cache budget exceeded" in ds.warnings[0]
+
+
+LOOSE_SELECTION = "met.pt > 7.5 and size(taus) <= 1 and count(jets, it.pt > 24.0) >= 1"
+WIDE_PROJECTION = DEFAULT_PROJECTION + (
+    ("n_muons", "size(muons)"),
+    ("photon_pt_sum", "sum(photons, it.pt)"),
+    ("tau_pt_max", "max(taus, it.pt)"),
+    ("jet_eta_min", "min(jets, it.eta)"),
+)
+SKIMS = {
+    "default": (DEFAULT_SELECTION, DEFAULT_PROJECTION),
+    "wide": (LOOSE_SELECTION, WIDE_PROJECTION),
+    "loose": (LOOSE_SELECTION, DEFAULT_PROJECTION),
+    "true": ("true", ()),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("skim", sorted(SKIMS))
+def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, workers):
+    """Cold partitions decode only the leaves read, cached ones decode in
+    full; a budget overflow mixes the two within one skim."""
+    selection, projection = SKIMS[skim]
+    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
+    outputs = set()
+    sums = set()
+    for name, persist, budget in (
+        ("cold", False, None), ("cached", True, None), ("overflow", True, payload // 2),
+    ):
+        config = base_config(
+            [mc_descriptor(small_corpus["glob"])], selection=selection, projection=projection,
+            engine=replace(engine, cache_budget_bytes=budget), persist=persist,
+        )
+        ds = open_dataset(config.datasets[0], config.engine)
+        out = tmp_path / f"{name}.ntu"
+        result = run_skim(config, ds, out, workers=workers)
+        assert ds.cache_state == {"cold": "cold", "cached": "cached", "overflow": "cold"}[name]
+        outputs.add(out.read_bytes())
+        sums.add(result.sum_weights)
+    assert len(outputs) == 1
+    assert len(sums) == 1
+
+
+def test_cached_skim_serves_other_leaves(tmp_path, small_corpus):
+    """A dataset cached by one skim holds complete events, so a skim that
+    reads other leaves reads no storage and matches a cold skim."""
+    wide = base_config([mc_descriptor(small_corpus["glob"])], projection=WIDE_PROJECTION)
+    ds = open_dataset(wide.datasets[0], wide.engine)
+    run_skim(base_config([mc_descriptor(small_corpus["glob"])]), ds, tmp_path / "first.ntu")
+    assert ds.cache_state == "cached"
+    timers = PhaseTimers()
+    run_skim(wide, ds, tmp_path / "cached.ntu", timers=timers)
+    assert timers.bytes_read == 0
+    cold = open_dataset(wide.datasets[0], wide.engine)
+    run_skim(wide, cold, tmp_path / "cold.ntu", persist=False)
+    assert (tmp_path / "cached.ntu").read_bytes() == (tmp_path / "cold.ntu").read_bytes()
 
 
 def test_skim_empty_mc_dataset_writes_empty_file(tmp_path, schema):

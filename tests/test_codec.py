@@ -1,0 +1,155 @@
+"""Leaf-pruned decoding: equivalence with the full decode and hostile counts."""
+
+import random
+import tracemalloc
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randgen import random_events, random_schema
+from skimflow.errors import SchemaError, TruncatedBlock
+from skimflow.events import make_event, make_particle
+from skimflow.schema import Array, Primitive, Record, Schema
+from skimflow.storage import EventCodec, iter_block_range, scan_evt, write_evt
+
+DEFAULT_LEAVES = {
+    ("genInfo", "weight"), ("met", "pt"), ("met", "phi"), ("jets", "pt"),
+    ("muons",), ("electrons",),
+}
+
+
+def leaf_paths(node, prefix=()):
+    """Every path a leaf set may name: through records by field name, and
+    through arrays to the fields of their elements."""
+    if isinstance(node, Array):
+        return leaf_paths(node.element, prefix)
+    if isinstance(node, Primitive):
+        return []
+    out = []
+    for name, child in node.fields:
+        path = prefix + (name,)
+        out.append(path)
+        out.extend(leaf_paths(child, path))
+    return out
+
+
+def restrict(value, node, paths):
+    """`value` as a decode of the leaf paths (relative to `node`) gives it:
+    a path ending at an array keeps only its length, one ending elsewhere
+    keeps the whole value, and a record keeps the fields some path names."""
+    if isinstance(node, Array):
+        inner = {p for p in paths if p}
+        if not inner:
+            return range(len(value))
+        return [restrict(item, node.element, inner) for item in value]
+    if () in paths:
+        return value
+    return {
+        name: restrict(value[name], child, {p[1:] for p in paths if p[0] == name})
+        for name, child in node.fields
+        if any(p[0] == name for p in paths)
+    }
+
+
+@st.composite
+def schema_events_leaves(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    events = random_events(rng, schema, rng.randint(0, 6))
+    paths = leaf_paths(schema.root)
+    leaves = set(rng.sample(paths, rng.randint(0, len(paths))))
+    return schema, events, leaves
+
+
+@given(case=schema_events_leaves())
+@settings(max_examples=300, deadline=None)
+def test_pruned_decode_equals_restricted_full_decode(case):
+    schema, events, leaves = case
+    full = EventCodec(schema)
+    payload = b"".join(full.encode(ev) for ev in events)
+    assert full.decode_block(payload, len(events)) == events
+
+    pruned = EventCodec(schema, leaves)
+    want = [restrict(ev, schema.root, leaves) for ev in events]
+    assert pruned.decode_block(payload, len(events)) == want
+    # the payload is consumed exactly: one byte more or less is an error
+    with pytest.raises(TruncatedBlock):
+        pruned.decode_block(payload + b"\x00", len(events))
+    if payload:
+        with pytest.raises(TruncatedBlock):
+            pruned.decode_block(payload[:-1], len(events))
+
+
+def test_default_skim_leaves_decode(schema):
+    ev = make_event(
+        weight=-1.0, met_pt=200.0, met_phi=0.5,
+        muons=[make_particle()], taus=[make_particle(), make_particle()],
+        jets=[make_particle(pt=40.0, eta=1.0), make_particle(pt=25.0)],
+    )
+    (got,) = EventCodec(schema, DEFAULT_LEAVES).decode_block(EventCodec(schema).encode(ev), 1)
+    assert got == {
+        "genInfo": {"weight": -1.0},
+        "met": {"pt": 200.0, "phi": 0.5},
+        "muons": range(1),
+        "electrons": range(0),
+        "jets": [{"pt": 40.0}, {"pt": 25.0}],
+    }
+
+
+def test_unknown_leaf_rejected(schema):
+    with pytest.raises(SchemaError):
+        EventCodec(schema, {("met", "eta")})
+    with pytest.raises(SchemaError):
+        EventCodec(schema, {("met", "pt", "x")})
+
+
+# -- hostile counts ------------------------------------------------------------------
+
+TRACKS = Schema(Record((
+    ("x", Primitive("f64")),
+    ("tracks", Array(Record((("q", Primitive("i32")), ("hits", Array(Primitive("f64"))))))),
+)))
+
+
+@pytest.mark.parametrize("schema_name, leaves, collection", [
+    ("analysis", DEFAULT_LEAVES, "taus"),  # skipped, fixed-width elements
+    ("analysis", DEFAULT_LEAVES, "muons"),  # size only, fixed-width elements
+    ("analysis", DEFAULT_LEAVES, "jets"),  # read, fixed-width elements
+    ("tracks", {("x",)}, "tracks"),  # skipped, variable-width elements
+    ("tracks", {("tracks",)}, "tracks"),  # size only, variable-width elements
+    ("tracks", None, "tracks"),  # read, variable-width elements
+])
+def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_name, leaves,
+                                                    collection):
+    """A block whose CRC is valid but one of whose u32 counts claims far
+    more elements than the payload holds."""
+    if schema_name == "analysis":
+        event = make_event()
+        offset = 48 + 4 * ("muons", "electrons", "taus", "photons", "jets").index(collection)
+    else:
+        schema, event, offset = TRACKS, {"x": 1.0, "tracks": []}, 8
+    path = tmp_path / "hostile.evt"
+    write_evt(path, [event], schema)
+    block = scan_evt(path).blocks[0]
+    raw = bytearray(path.read_bytes())
+    start = block.offset + 8
+    raw[start + offset:start + offset + 4] = (0xFFFFFFF0).to_bytes(4, "little")
+    payload = bytes(raw[start:start + block.payload_len])
+    raw[start + block.payload_len:start + block.payload_len + 4] = (
+        zlib.crc32(payload).to_bytes(4, "little")
+    )
+    path.write_bytes(bytes(raw))
+
+    index = scan_evt(path)
+    codec = EventCodec(schema, leaves)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedBlock, match="4294967280 elements"):
+            list(iter_block_range(index, 0, 1, codec=codec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

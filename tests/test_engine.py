@@ -14,7 +14,7 @@ from skimflow.engine import (
 )
 from skimflow.errors import ConfigError, InvalidCustomPlan, NoFilesMatched
 from skimflow.events import analysis_schema
-from skimflow.expr import typecheck_cut, typecheck_projection
+from skimflow.expr import typecheck_cut, typecheck_projection, typecheck_value
 from skimflow.generator import GeneratorSpec, generate_evt
 from skimflow.storage import BlockInfo, iter_block_range, read_ntu, write_evt
 from skimflow.storage.evt import EvtIndex
@@ -325,6 +325,40 @@ def test_row_finalize_applied(small_corpus, tmp_path):
     run_filter(plain_ds, "true", tmp_path / "plain.ntu")
     plain = read_ntu(tmp_path / "plain.ntu").columns["met_pt"]
     assert list(doubled) == [v * 2.0 for v in plain]
+
+
+class SpyCut:
+    """A compiled cut that passes nothing and records the events it sees."""
+
+    def __init__(self, leaves):
+        self.leaves = frozenset(leaves)
+        self.seen = []
+
+    def evaluate(self, ev):
+        self.seen.append(ev)
+        return False
+
+
+def test_only_cached_partitions_decode_every_leaf(small_corpus, tmp_path):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    proj = typecheck_projection([("njets", "size(jets)")], ds.schema)
+    cold = SpyCut({("met", "pt")})
+    filter_map_write(ds, cold, proj, sink=NtuWriter(tmp_path / "a.ntu", proj.columns))
+    assert len(cold.seen) == 2000
+    assert all(ev.keys() == {"met", "jets"} and isinstance(ev["jets"], range) for ev in cold.seen)
+
+    ds.persist()
+    admitted = SpyCut({("met", "pt")})
+    filter_map_write(ds, admitted, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
+    assert ds.cache_state == "cached"
+    assert all(len(ev) == 10 for ev in admitted.seen)
+
+
+def test_map_reduce_compiled_value_equals_callable(small_corpus):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    compiled = map_reduce(ds, typecheck_value("met.pt * genInfo.weight", ds.schema))
+    plain = map_reduce(ds, lambda ev: ev["met"]["pt"] * ev["genInfo"]["weight"])
+    assert compiled == plain
 
 
 def test_decode_errors_identify_partition(tmp_path, schema):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from skimflow.errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from skimflow.events import make_event, make_particle
-from skimflow.expr import parse_expr, typecheck_cut, typecheck_projection
+from skimflow.expr import parse_expr, typecheck_cut, typecheck_projection, typecheck_value
 from skimflow.generator import GeneratorSpec, generate_events
 
 
@@ -94,6 +94,51 @@ def test_projection_column_kinds(schema):
     assert proj.columns == (
         ("met_pt", "f64"), ("n", "i64"), ("ht", "f64"), ("k", "i64"), ("x", "f64"),
     )
+
+
+def test_value_must_be_numeric(schema):
+    assert typecheck_value("genInfo.weight", schema).evaluate(ev(weight=-1.0)) == -1.0
+    with pytest.raises(TypeMismatch):
+        typecheck_value("met.pt > 1.0", schema)
+
+
+# -- leaves read -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, leaves", [
+    ("run", {("run",)}),
+    ("met.pt", {("met", "pt")}),
+    ("size(muons)", {("muons",)}),
+    ("count(jets, it.pt > 30.0)", {("jets", "pt")}),
+    ("count(jets, it.pt > 30.0 and it.eta < 2.5)", {("jets", "pt"), ("jets", "eta")}),
+    ("count(jets, true)", {("jets",)}),
+    ("max(jets, it.pt)", {("jets", "pt")}),
+    ("min(taus, it.eta)", {("taus", "eta")}),
+    ("sum(photons, it.mass)", {("photons", "mass")}),
+    ("met.pt / (sum(jets, it.pt) + 1.0)", {("met", "pt"), ("jets", "pt")}),
+    ("-met.phi", {("met", "phi")}),
+    ("not met.pt > 1.0", {("met", "pt")}),
+    ("met.pt > 1.0 and size(muons) == 0", {("met", "pt"), ("muons",)}),
+    ("genInfo.weight < 0.0 or event > 5", {("genInfo", "weight"), ("event",)}),
+    # a size is read with any element field of the same collection
+    ("size(jets) > 0 and max(jets, it.pt) > 50.0", {("jets", "pt")}),
+    ("1.0 + 2", set()),
+    ("true", set()),
+])
+def test_leaves(schema, text, leaves):
+    try:
+        typed = typecheck_cut(text, schema)
+    except TypeMismatch:
+        typed = typecheck_value(text, schema)
+    assert typed.leaves == leaves
+
+
+def test_projection_leaves_are_the_union_of_its_columns(schema):
+    proj = typecheck_projection(
+        [("met_pt", "met.pt"), ("n", "size(electrons)"), ("ht", "sum(jets, it.pt)"), ("k", "2")],
+        schema,
+    )
+    assert proj.leaves == {("met", "pt"), ("electrons",), ("jets", "pt")}
 
 
 def test_parse_errors():

@@ -10,9 +10,10 @@ column holding
 Data events skip normalization and carry weight 1.0 exactly. An mc
 dataset can be persisted so that later skims of it read from memory.
 The cut, the projection and the generator weight all reach the engine as
-compiled expressions, so every partition that does not go into the cache
-(all of a data dataset's, all of an mc dataset's without persist, and
-those after a cache-budget overflow) decodes only the leaves they read.
+compiled expressions, which it writes into one loop per skim, and every
+partition that does not go into the cache (all of a data dataset's, all
+of an mc dataset's without persist, and those after a cache-budget
+overflow) decodes only the leaves they read.
 Histograms are filled from the resulting ntuple columns, and the
 plot bundle stacks mc components in configuration order against data.
 
@@ -51,7 +52,6 @@ from .engine import (
     PartitionedDataset,
     filter_map_write,
     map_reduce,
-    open_dataset,
 )
 from .errors import ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
 from .expr import typecheck_cut, typecheck_projection, typecheck_value
@@ -359,18 +359,6 @@ def run_skim(
         sum_weights=sumw,
         columns=projection.columns,
     )
-
-
-def open_and_skim(
-    config: AnalysisConfig,
-    label: str,
-    out_path,
-    *,
-    workers: int | None = None,
-    timers: PhaseTimers | None = None,
-) -> SkimResult:
-    ds = open_dataset(config.dataset(label), config.engine, timers=timers)
-    return run_skim(config, ds, out_path, workers=workers, timers=timers)
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -7,8 +7,9 @@ non-overlapping phases:
 
     read     raw storage reads
     decode   CRC checks, decompression, deserialization to events
-    compute  cut evaluation, projection, weight normalization
-    write    ntuple serialization and output writes
+    compute  compiling and running the skim loop (cut, projection and
+             weight sum), weight normalization
+    write    ntuple serialization and output writes, freeing the rows
 
 `read_compute` (read + decode + compute) is also reported so runs can be
 compared against harnesses that cannot separate decoding from reading.

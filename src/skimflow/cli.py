@@ -148,7 +148,10 @@ def cmd_skim(args) -> int:
     out_dir = _out_dir(args)
     for descriptor in _select_datasets(config, args.dataset):
         ds = open_dataset(descriptor, config.engine)
-        result = run_skim(config, ds, _ntu_path(out_dir, descriptor.label), workers=args.workers)
+        # each opened dataset is skimmed once, so caching its events gains nothing
+        result = run_skim(
+            config, ds, _ntu_path(out_dir, descriptor.label), workers=args.workers, persist=False
+        )
         for warning in ds.warnings:
             print(f"warning: {descriptor.label}: {warning}", file=sys.stderr)
         print(

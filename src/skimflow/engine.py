@@ -7,11 +7,14 @@ per-partition results in ascending partition order, so every result is a
 pure function of the partition plan, whatever the worker count or
 scheduling order.
 
-`filter_map_write` is the only traversal a skim makes. Given a weight
-function, as for an mc dataset, it sums the weights in the same loop over
-each partition's events as the selection, so every event is read and
-decoded once. The selected rows are then held until the traversal ends,
-because an mc row's normalised weight needs the sum over the whole dataset.
+`filter_map_write` is the only traversal a skim makes. Each partition
+runs one loop generated from the skim's compiled cut, projection and
+weight (`expr.compile_kernel`), over cached and decoded events alike.
+Given a weight, as for an mc dataset, that loop sums the weights as it
+selects, so every event is read and decoded once. The selected rows are
+then held until the traversal ends, because an mc row's normalised
+weight needs the sum over the whole dataset. `map_reduce` is the same
+loop with no cut and no projection.
 
 An explicit in-memory cache ("persist") retains each partition's decoded
 events after the first full traversal; later traversals then read zero
@@ -51,6 +54,7 @@ from .errors import (
     SkimflowError,
     UnreadableFile,
 )
+from .expr import TypedCut, TypedProjection, TypedValue, compile_kernel
 from .schema import Schema
 from .storage import EventCodec, EvtIndex, iter_block_range, scan_evt
 from .storage.ntu import NtuWriter
@@ -342,61 +346,40 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
         yield from pool.map(wrapped, ds.partitions)
 
 
-def _codec_for(ds: PartitionedDataset, *exprs) -> EventCodec:
-    """A codec that decodes only the leaves the compiled expressions read
-    (the union of their `leaves`; None entries are ignored), or the
-    dataset's full codec when any of them is a plain callable."""
-    leaves: set[tuple[str, ...]] = set()
-    for expr in exprs:
-        if expr is None:
-            continue
-        if not hasattr(expr, "leaves"):
-            return ds.codec
-        leaves |= expr.leaves
-    return EventCodec(ds.schema, leaves)
-
-
-def _evaluator(fn) -> Callable[[dict], object]:
-    """The per-event function of a compiled expression or a plain callable."""
-    return getattr(fn, "evaluate", fn)
-
-
 def _traverse(
     ds: PartitionedDataset,
-    work: Callable[[Iterable[dict]], object],
+    cut: TypedCut | None,
+    projection: TypedProjection | None,
+    weight: TypedValue | None,
     workers: int | None,
     timers: PhaseTimers,
-    codec: EventCodec,
-) -> list:
-    """Run `work(events)` on every partition and return its results in
-    partition order, merging each partition's phase timers into `timers`.
-    A partition outside the cache is decoded with `codec`. Compute is the
-    partition's wall time, event access included, less the read and
-    decode time spent inside it."""
+) -> list[tuple[list[tuple], float]]:
+    """Run the skim kernel of (cut, projection, weight) on every partition
+    and return each partition's (selected rows, Kahan partial of the
+    weight) in partition order, merging its phase timers into `timers`.
+    A partition outside the cache is decoded only in the union of the
+    leaves the three read. Compute is the time to compile the kernel and
+    that decoder, plus each partition's wall time, event access included,
+    less the read and decode time spent inside it."""
+    t0 = time.perf_counter()
+    kernel = compile_kernel(cut, projection, weight)
+    parts = [e for e in (cut, projection, weight) if e is not None]
+    codec = EventCodec(ds.schema, frozenset().union(*(e.leaves for e in parts)))
+    timers.compute += time.perf_counter() - t0
 
     def task(part: Partition):
         t = PhaseTimers()
         t0 = time.perf_counter()
-        result = work(ds._partition_events(part, t, codec))
+        rows: list[tuple] = []
+        partial = kernel(ds._partition_events(part, t, codec), rows)
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
-        return result, t
+        return (rows, partial), t
 
     results = []
     for result, t in _run_partitions(ds, task, workers):
         timers.merge(t)
         results.append(result)
     return results
-
-
-def _kahan_sum(values: Iterable[float]) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def _pairwise_sum(values: list[float]) -> float:
@@ -416,36 +399,30 @@ def _pairwise_sum(values: list[float]) -> float:
 
 def map_reduce(
     ds: PartitionedDataset,
-    map_fn,
+    value: TypedValue,
     *,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
 ) -> float:
-    """Map every event to a float and sum.
-
-    `map_fn` is a compiled expression (`expr.typecheck_value`), whose
-    `leaves` are then the only ones decoded, or a plain callable, which
-    gets the full decode.
+    """Sum a compiled numeric expression (`expr.typecheck_value`) over
+    every event: the skim kernel with no cut and no projection, so only
+    the value's `leaves` are decoded.
 
     Each partition is accumulated with compensated (Kahan) summation;
     partials then merge pairwise in partition order, so the result is
     bit-identical for any worker count over a fixed partition plan.
     """
-    fn = _evaluator(map_fn)
-    partials = _traverse(
-        ds, lambda events: _kahan_sum(map(fn, events)), workers, timers or PhaseTimers(),
-        _codec_for(ds, map_fn),
-    )
-    return _pairwise_sum(partials)
+    results = _traverse(ds, None, None, value, workers, timers or PhaseTimers())
+    return _pairwise_sum([partial for _, partial in results])
 
 
 def filter_map_write(
     ds: PartitionedDataset,
-    cut,
-    projection,
+    cut: TypedCut,
+    projection: TypedProjection,
     *,
     sink: NtuWriter,
-    weight=None,
+    weight: TypedValue | None = None,
     finalize: Callable[[float | None], Callable[[tuple], tuple]] | None = None,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
@@ -455,44 +432,27 @@ def filter_map_write(
     the sink: it is closed on success and aborted (partial file removed) on
     failure.
 
-    With `weight`, the same loop over each partition's events also sums
-    the weight of every event, selected or not, as `map_reduce` does, so
-    the sum is bit-identical to `map_reduce(ds, weight)`. Like `map_fn`
-    there, `weight` is a compiled expression or a plain callable.
-    `finalize`, if given, is called once after the traversal and before
-    any row is written, with that sum (None without `weight`), and returns
-    the function applied to every row; an exception it raises aborts the
+    Each partition runs one generated loop (`expr.compile_kernel`) over
+    its events, cached or decoded. With `weight`, that loop also sums the
+    weight of every event, selected or not, as `map_reduce` does, so the
+    sum is bit-identical to `map_reduce(ds, weight)`. `finalize`, if
+    given, is called once after the traversal and before any row is
+    written, with that sum (None without `weight`), and returns the
+    function applied to every row; an exception it raises aborts the
     sink.
 
     Partitions that do not go into the cache are decoded only in the
-    union of the leaves that the cut, the projection and a compiled weight
-    read.
+    union of the leaves that the cut, the projection and the weight read.
 
     Returns (rows written, sum of weights or None).
     """
     timers = timers or PhaseTimers()
-    cut_fn = cut.evaluate
-    proj_fn = projection.evaluate
-    weight_fn = None if weight is None else _evaluator(weight)
-
-    def work(events):
-        if weight_fn is None:
-            return [proj_fn(ev) for ev in events if cut_fn(ev)], None
-        rows = []
-
-        def select_and_weigh(ev):
-            if cut_fn(ev):
-                rows.append(proj_fn(ev))
-            return weight_fn(ev)
-
-        return rows, _kahan_sum(map(select_and_weigh, events))
-
     count = 0
     try:
         # drain all partitions before writing: a row's final value may need
         # the sum over every partition, and an exclusive write keeps the
         # write phase free of GIL contention with worker decode/compute
-        results = _traverse(ds, work, workers, timers, _codec_for(ds, cut, projection, weight))
+        results = _traverse(ds, cut, projection, weight, workers, timers)
         sumw = None if weight is None else _pairwise_sum([partial for _, partial in results])
         if finalize is not None:
             t0 = time.perf_counter()
@@ -506,6 +466,7 @@ def filter_map_write(
         for rows, _ in results:
             sink.append_rows(rows)
             count += len(rows)
+            rows.clear()  # the sink holds the values: free the rows as written
         sink.close()
         timers.write += time.perf_counter() - t0
     except BaseException:

@@ -29,14 +29,26 @@ Semantics, pinned so that evaluation is total and deterministic:
 Type checking happens once against a schema and produces an immutable
 compiled form; evaluation holds no mutable state and never raises on a
 schema-conforming event.
+
+Compiling writes Python source, not a tree of closures, and compiles it
+once with `exec`, as the codec does for its decoders. Each compiled
+form's `evaluate` is a generated one-event function, and
+`compile_kernel` writes one loop per skim: for each event it adds the
+weight to a Kahan sum, tests the cut's top-level `and` clauses in source
+order up to the first that fails, and appends the projected row. A field
+is read once into a local and shared by every clause and column that
+reads it, as is an aggregate; the aggregates over one collection share
+one loop. User text enters that source only as the `repr()` of a parsed
+constant or of a field name the schema has checked, and every local name
+is generated.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Union
 
 from .errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from .schema import Array, Primitive, Record, Schema
@@ -294,7 +306,7 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-# -- type checking and compilation ---------------------------------------------
+# -- type checking and code generation ----------------------------------------------
 
 def _ieee_div(a: float, b: float) -> float:
     if b != 0.0:
@@ -308,36 +320,77 @@ def _ne(a: float, b: float) -> bool:
     return a != b and a == a and b == b
 
 
-_CMP_FNS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": _ne,
-}
+_COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+_ARITH_OPS = frozenset({"+", "-", "*", "/"})
+_FLOAT_KINDS = frozenset({"f64", "f32"})
+_CONST_TYPES = {"i64": int, "f64": float, "bool": bool}
 
-_ARITH_FNS: dict[str, Callable[[float, float], float]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _ieee_div,
-}
+
+def _keys(path: tuple[str, ...]) -> str:
+    return "".join(f"[{name!r}]" for name in path)
+
+
+def _float_of(value) -> float | None:
+    """float(value), or None when that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+class _Loop:
+    """One loop over a collection, computing every aggregate of it that a
+    prelude needs."""
+
+    def __init__(self, coll: str, item: str):
+        self.coll = coll  # the local holding the collection
+        self.item = item  # the loop variable
+        self.reads: dict[tuple[str, ...], str] = {}  # element field path -> local
+        self.init: list[str] = []
+        self.body: list[str] = []
+        self.post: list[str] = []
+
+    def lines(self) -> list[str]:
+        reads = [f"{var} = {self.item}{_keys(path)}" for path, var in self.reads.items()]
+        return [
+            *self.init,
+            f"for {self.item} in {self.coll}:",
+            *("    " + line for line in reads + self.body),
+            *self.post,
+        ]
 
 
 class _Checker:
-    """Single pass producing (closure, result kind) per node.
+    """Single pass that type-checks each node and writes the Python source
+    evaluating it; `compile` returns (source expression, result kind).
 
-    `element` is the record type of `it` inside count/reduce arguments, or
-    None at event level. Every schema path the compiled nodes read is
-    recorded in `paths`: a scalar's path, a collection's path for its size,
-    and the collection's path plus the field for an element field.
+    An expression reads locals that statements assign before it: a field
+    is read once into a local, and the aggregates over one collection
+    share one loop. The statements collect in the current prelude, which
+    `prelude()` returns and clears; the caller places them before the
+    expressions compiled since the last call. A local, once assigned,
+    serves every later prelude, so a field or an aggregate that the cut
+    and the projection share is computed once. Every local name is
+    generated; a field name enters the source only as the `repr()` of a
+    name the schema has checked, and a constant only as the `repr()` of
+    its parsed value (or, if not finite, by reference).
+
+    `element` is the record type of `it` inside count/reduce arguments,
+    or None at event level. Every schema path the compiled nodes read is
+    recorded in `paths`: a scalar's path, a collection's path for its
+    size, and the collection's path plus the field for an element field.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.paths: set[tuple[str, ...]] = set()
+        self.consts: dict[str, object] = {"div": _ieee_div, "ne": _ne}
         self._coll: tuple[str, ...] = ()  # the collection `it` ranges over
+        self._loop: _Loop | None = None  # the loop that binds `it`
+        self._memo: dict[object, str] = {}  # field path or aggregate node -> local
+        self._lines: list[str] = []
+        self._loops: dict[tuple[str, ...], _Loop] = {}
+        self._k = 0
 
     @property
     def leaves(self) -> frozenset[tuple[str, ...]]:
@@ -348,14 +401,84 @@ class _Checker:
             p for p in paths if not any(len(q) > len(p) and q[:len(p)] == p for q in paths)
         )
 
-    def compile(self, node: Expr, element: Record | None = None):
+    def compile(self, node: Expr, element: Record | None = None) -> tuple[str, str]:
         method = getattr(self, "_c_" + type(node).__name__.lower())
         return method(node, element)
+
+    def prelude(self) -> list[str]:
+        """The statements the expressions compiled since the last call need."""
+        lines = self._lines
+        for loop in self._loops.values():
+            lines += loop.lines()
+        self._lines, self._loops = [], {}
+        return lines
+
+    def clauses(self, node: Expr) -> list[tuple[list[str], str]]:
+        """A cut's top-level `and` clauses in source order, each as
+        (its prelude, its source)."""
+        items = node.items if isinstance(node, BoolOp) and node.op == "and" else (node,)
+        out = []
+        for item in items:
+            src, kind = self.compile(item)
+            if kind != "bool":
+                raise TypeMismatch(
+                    f"'and' needs boolean operands, got {kind}" if len(items) > 1
+                    else f"cut must be boolean, got {kind}"
+                )
+            out.append((self.prelude(), src))
+        return out
+
+    def _fresh(self, prefix: str) -> str:
+        self._k += 1
+        return f"{prefix}{self._k}"
+
+    def _constant(self, value) -> str:
+        """Source of a constant: its repr, or a name bound to it when the
+        repr is not a literal (inf, nan)."""
+        if isinstance(value, float) and not math.isfinite(value):
+            name = self._fresh("k")
+            self.consts[name] = value
+            return name
+        text = repr(value)
+        return f"({text})" if text.startswith("-") else text
+
+    def _field(self, path: tuple[str, ...]) -> str:
+        """The local holding the event's value at `path`."""
+        var = self._memo.get(path)
+        if var is None:
+            parent = "ev" if len(path) == 1 else self._field(path[:-1])
+            var = self._memo[path] = self._fresh("v")
+            self._lines.append(f"{var} = {parent}[{path[-1]!r}]")
+        return var
+
+    def _read(self, loop: _Loop, path: tuple[str, ...]) -> str:
+        """The local holding the current element's value at `path`."""
+        var = loop.reads.get(path)
+        if var is None:
+            var = loop.reads[path] = self._fresh("x")
+        return var
+
+    def _loop_over(self, coll: tuple[str, ...]) -> _Loop:
+        loop = self._loops.get(coll)
+        if loop is None:
+            loop = self._loops[coll] = _Loop(self._field(coll), self._fresh("e"))
+        return loop
+
+    def _float(self, node: Expr, src: str, kind: str) -> str:
+        """Source of `float(value)` for an operand: a constant folded, and
+        a computed value, always a float already, left as it is."""
+        if isinstance(node, Const):
+            value = _float_of(node.value)
+            # a constant too large for f64 raises when evaluated, as it always has
+            return f"float({src})" if value is None else self._constant(value)
+        if kind in _FLOAT_KINDS and not isinstance(node, Field):
+            return src
+        return f"float({src})"
 
     # field access -------------------------------------------------------
 
     def _resolve_value(self, path: tuple[str, ...], element: Record | None):
-        """Resolve a path to (getter, schema node)."""
+        """Resolve a path to its schema node."""
         if path[0] == "it":
             if element is None:
                 raise UnknownField("'it' is only valid inside count()/max()/min()/sum()")
@@ -382,174 +505,176 @@ class _Checker:
                 node = node.field(part)
             except KeyError:
                 raise UnknownField(f"unknown field {'.'.join(path)}") from None
-        if len(rest) == 1:
-            key = rest[0]
-            getter = lambda obj, k=key: obj[k]  # noqa: E731
-        elif len(rest) == 2:
-            k1, k2 = rest
-            getter = lambda obj, a=k1, b=k2: obj[a][b]  # noqa: E731
-        else:
-            keys = tuple(rest)
+        return node
 
-            def getter(obj, ks=keys):
-                for k in ks:
-                    obj = obj[k]
-                return obj
-
-        return getter, node
-
-    def _resolve_collection(self, path: tuple[str, ...], element: Record | None):
+    def _resolve_collection(self, path: tuple[str, ...], element: Record | None) -> Record:
+        """The element record type of the collection at `path`."""
         if path[0] == "it":
             raise TypeMismatch("nested collection operations over 'it' are not supported")
-        getter, node = self._resolve_value(path, element)
+        node = self._resolve_value(path, element)
         if not isinstance(node, Array):
             raise TypeMismatch(f"{'.'.join(path)} is not a collection")
-        return getter, node.element
+        return node.element
 
     # node kinds -----------------------------------------------------------
 
     def _c_const(self, node: Const, element):
-        v = node.value
-        return (lambda ev, c=v: c), node.kind
+        if type(node.value) is not _CONST_TYPES.get(node.kind):
+            raise TypeMismatch(f"constant {node.value!r} is not of kind {node.kind!r}")
+        return self._constant(node.value), node.kind
 
     def _c_field(self, node: Field, element):
-        getter, snode = self._resolve_value(node.path, element)
+        snode = self._resolve_value(node.path, element)
         if not isinstance(snode, Primitive):
             raise TypeMismatch(
                 f"{'.'.join(node.path)} is not a scalar; collections are reached "
                 "through size()/count()/max()/min()/sum()"
             )
         path = node.path
-        self.paths.add(self._coll + path[1:] if path[0] == "it" else path)
-        return getter, snode.kind
+        if path[0] == "it":
+            self.paths.add(self._coll + path[1:])
+            return self._read(self._loop, path[1:]), snode.kind
+        self.paths.add(path)
+        return self._field(path), snode.kind
 
     def _c_compare(self, node: Compare, element):
-        lf, lk = self.compile(node.left, element)
-        rf, rk = self.compile(node.right, element)
+        if node.op not in _COMPARE_OPS:
+            raise TypeMismatch(f"unknown comparison {node.op!r}")
+        left, lk = self.compile(node.left, element)
+        right, rk = self.compile(node.right, element)
         if lk not in NUMERIC_KINDS or rk not in NUMERIC_KINDS:
             raise TypeMismatch(f"comparison {node.op!r} needs numeric operands, got {lk}/{rk}")
-        op = _CMP_FNS[node.op]
-        return (lambda ev, l=lf, r=rf, o=op: o(float(l(ev)), float(r(ev)))), "bool"
+        a = self._float(node.left, left, lk)
+        b = self._float(node.right, right, rk)
+        if node.op == "!=":  # false when either side is NaN
+            return f"ne({a}, {b})", "bool"
+        return f"({a} {node.op} {b})", "bool"
 
     def _c_boolop(self, node: BoolOp, element):
-        fns = []
+        if node.op not in ("and", "or"):
+            raise TypeMismatch(f"unknown boolean operator {node.op!r}")
+        srcs = []
         for item in node.items:
-            f, k = self.compile(item, element)
+            src, k = self.compile(item, element)
             if k != "bool":
                 raise TypeMismatch(f"{node.op!r} needs boolean operands, got {k}")
-            fns.append(f)
-        fns = tuple(fns)
-        if node.op == "and":
-            def fn(ev, fs=fns):
-                for f in fs:
-                    if not f(ev):
-                        return False
-                return True
-        else:
-            def fn(ev, fs=fns):
-                for f in fs:
-                    if f(ev):
-                        return True
-                return False
-        return fn, "bool"
+            srcs.append(src)
+        return "(" + f" {node.op} ".join(srcs) + ")", "bool"
 
     def _c_not(self, node: Not, element):
-        f, k = self.compile(node.item, element)
+        src, k = self.compile(node.item, element)
         if k != "bool":
             raise TypeMismatch(f"'not' needs a boolean operand, got {k}")
-        return (lambda ev, f=f: not f(ev)), "bool"
+        return f"(not {src})", "bool"
 
     def _c_arith(self, node: Arith, element):
-        lf, lk = self.compile(node.left, element)
-        rf, rk = self.compile(node.right, element)
+        if node.op not in _ARITH_OPS:
+            raise TypeMismatch(f"unknown arithmetic operator {node.op!r}")
+        left, lk = self.compile(node.left, element)
+        right, rk = self.compile(node.right, element)
         if lk not in NUMERIC_KINDS or rk not in NUMERIC_KINDS:
             raise TypeMismatch(f"arithmetic {node.op!r} needs numeric operands, got {lk}/{rk}")
-        op = _ARITH_FNS[node.op]
-        return (lambda ev, l=lf, r=rf, o=op: o(float(l(ev)), float(r(ev)))), "f64"
+        a = self._float(node.left, left, lk)
+        b = self._float(node.right, right, rk)
+        if node.op == "/" and not (
+            isinstance(node.right, Const) and _float_of(node.right.value) not in (None, 0.0)
+        ):
+            return f"div({a}, {b})", "f64"
+        return f"({a} {node.op} {b})", "f64"
 
     def _c_neg(self, node: Neg, element):
-        f, k = self.compile(node.item, element)
+        src, k = self.compile(node.item, element)
         if k not in NUMERIC_KINDS:
             raise TypeMismatch(f"unary '-' needs a numeric operand, got {k}")
-        return (lambda ev, f=f: -float(f(ev))), "f64"
+        return f"(-{self._float(node.item, src, k)})", "f64"
 
     def _c_size(self, node: Size, element):
-        getter, _ = self._resolve_collection(node.coll, element)
+        self._resolve_collection(node.coll, element)
         self.paths.add(node.coll)
-        return (lambda ev, g=getter: len(g(ev))), "i64"
+        return f"len({self._field(node.coll)})", "i64"
 
     def _c_count(self, node: Count, element):
-        getter, elem = self._resolve_collection(node.coll, element)
+        elem = self._resolve_collection(node.coll, element)
         if not isinstance(elem, Record):
             raise TypeMismatch(f"count() needs a collection of records: {'.'.join(node.coll)}")
+        var = self._memo.get(node)
+        if var is not None:  # the same count, already compiled
+            return var, "i64"
         self.paths.add(node.coll)
-        self._coll = node.coll
+        loop = self._loop_over(node.coll)
+        self._coll, self._loop = node.coll, loop
         try:
             pred, pk = self.compile(node.pred, elem)
         finally:
-            self._coll = ()
+            self._coll, self._loop = (), None
         if pk != "bool":
             raise TypeMismatch(f"count() predicate must be boolean, got {pk}")
-
-        def fn(ev, g=getter, p=pred):
-            n = 0
-            for item in g(ev):
-                if p(item):
-                    n += 1
-            return n
-
-        return fn, "i64"
+        var = self._memo[node] = self._fresh("c")
+        loop.init.append(f"{var} = 0")
+        loop.body.append(f"if {pred}: {var} += 1")
+        return var, "i64"
 
     def _c_reduce(self, node: Reduce, element):
-        getter, elem = self._resolve_collection(node.coll, element)
+        elem = self._resolve_collection(node.coll, element)
         if not isinstance(elem, Record):
             raise TypeMismatch(f"{node.op}() needs a collection of records: {'.'.join(node.coll)}")
+        if node.op not in ("max", "min", "sum"):
+            raise TypeMismatch(f"unknown reduction {node.op!r}")
         try:
             fnode = elem.field(node.field)
         except KeyError:
             raise UnknownField(f"unknown element field it.{node.field}") from None
         if not isinstance(fnode, Primitive) or fnode.kind not in NUMERIC_KINDS:
             raise TypeMismatch(f"{node.op}() needs a numeric element field: it.{node.field}")
-        key = node.field
-        self.paths.add(node.coll + (key,))
+        var = self._memo.get(node)
+        if var is not None:  # the same reduction, already compiled
+            return var, "f64"
+        self.paths.add(node.coll + (node.field,))
+        loop = self._loop_over(node.coll)
+        item = self._read(loop, (node.field,))
+        var = self._memo[node] = self._fresh("r")
         if node.op == "sum":
-            def fn(ev, g=getter, k=key):
-                total = 0.0
-                for item in g(ev):
-                    total += item[k]
-                return total
-        elif node.op == "max":
-            def fn(ev, g=getter, k=key):
-                best = None
-                for item in g(ev):
-                    v = item[k]
-                    if best is None or v > best:
-                        best = v
-                return float(best) if best is not None else 0.0
+            # in element order from 0.0, so an int field is added as float
+            loop.init.append(f"{var} = 0.0")
+            loop.body.append(f"{var} += {item}")
         else:
-            def fn(ev, g=getter, k=key):
-                best = None
-                for item in g(ev):
-                    v = item[k]
-                    if best is None or v < best:
-                        best = v
-                return float(best) if best is not None else 0.0
-        return fn, "f64"
+            # the first extreme in element order; a NaN is kept only if first
+            loop.init.append(f"{var} = None")
+            op = ">" if node.op == "max" else "<"
+            loop.body.append(f"if {var} is None or {item} {op} {var}: {var} = {item}")
+            loop.post.append(f"{var} = 0.0 if {var} is None else float({var})")
+        return var, "f64"
+
+
+def _function(checker: _Checker, name: str, args: str, body: list[str]) -> Callable:
+    """Compile `def name(args): body` once, over the checker's constants."""
+    source = "\n".join([f"def {name}({args}):", *("    " + line for line in body), ""])
+    namespace = dict(checker.consts)
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _row(srcs: list[str]) -> str:
+    return "(" + "".join(f"{src}, " for src in srcs) + ")"
 
 
 # -- compiled, shareable forms ---------------------------------------------------
 
-# Each compiled form carries `leaves`, the schema paths its evaluation
-# reads. A path that ends at a collection reads only its size;
-# `count(jets, it.pt > 30.0)` reads ("jets", "pt").
+# Each compiled form keeps its syntax tree and schema, from which
+# `compile_kernel` writes a skim's loop, and carries `leaves`, the schema
+# paths its evaluation reads. A path that ends at a collection reads only
+# its size; `count(jets, it.pt > 30.0)` reads ("jets", "pt"). `evaluate`
+# is a generated one-event function from the same code generator.
 
 @dataclass(frozen=True)
 class TypedCut:
     """A boolean expression compiled against a schema."""
 
     source: str
-    _fn: Callable[[dict], bool]
+    node: Expr
+    schema: Schema
     leaves: frozenset[tuple[str, ...]]
+    _fn: Callable[[dict], bool] = field(repr=False, compare=False)
 
     def evaluate(self, event: dict) -> bool:
         return self._fn(event)
@@ -560,8 +685,10 @@ class TypedValue:
     """A numeric expression compiled against a schema."""
 
     source: str
-    _fn: Callable[[dict], object]
+    node: Expr
+    schema: Schema
     leaves: frozenset[tuple[str, ...]]
+    _fn: Callable[[dict], object] = field(repr=False, compare=False)
 
     def evaluate(self, event: dict):
         return self._fn(event)
@@ -572,11 +699,13 @@ class TypedProjection:
     """An ordered list of scalar columns compiled against a schema."""
 
     columns: tuple[tuple[str, str], ...]  # (name, kind)
-    _fns: tuple[Callable[[dict], object], ...]
+    nodes: tuple[Expr, ...]
+    schema: Schema
     leaves: frozenset[tuple[str, ...]]
+    _fn: Callable[[dict], tuple] = field(repr=False, compare=False)
 
     def evaluate(self, event: dict) -> tuple:
-        return tuple(fn(event) for fn in self._fns)
+        return self._fn(event)
 
 
 _PROJECTION_NODES = (Const, Field, Arith, Neg, Size, Count, Reduce)
@@ -586,11 +715,12 @@ def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     """Type-check a cut against a schema and compile it for evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
-    fn, kind = checker.compile(node)
-    if kind != "bool":
-        raise TypeMismatch(f"cut must be boolean, got {kind}")
+    body = []
+    for prelude, test in checker.clauses(node):
+        body += prelude + [f"if not {test}:", "    return False"]
+    fn = _function(checker, "cut", "ev", body + ["return True"])
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedCut(source, fn, checker.leaves)
+    return TypedCut(source, node, schema, checker.leaves, fn)
 
 
 def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
@@ -598,11 +728,12 @@ def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
     evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
-    fn, kind = checker.compile(node)
+    src, kind = checker.compile(node)
     if kind not in NUMERIC_KINDS:
         raise TypeMismatch(f"value must be numeric, got {kind}")
+    fn = _function(checker, "value", "ev", checker.prelude() + [f"return {src}"])
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedValue(source, fn, checker.leaves)
+    return TypedValue(source, node, schema, checker.leaves, fn)
 
 
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:
@@ -615,19 +746,22 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
     checker = _Checker(schema)
     names: list[str] = []
     kinds: list[str] = []
-    fns = []
+    nodes: list[Expr] = []
+    srcs: list[str] = []
     for name, expr in columns:
         if name in names:
             raise NonScalarProjection(f"duplicate projection column {name!r}")
         node = parse_expr(expr) if isinstance(expr, str) else expr
         _reject_non_scalar(node, name)
-        fn, kind = checker.compile(node)
+        src, kind = checker.compile(node)
         if kind == "bool":
             raise NonScalarProjection(f"column {name!r} is boolean, not a scalar value")
         names.append(name)
         kinds.append(kind)
-        fns.append(fn)
-    return TypedProjection(tuple(zip(names, kinds)), tuple(fns), checker.leaves)
+        nodes.append(node)
+        srcs.append(src)
+    fn = _function(checker, "row", "ev", checker.prelude() + [f"return {_row(srcs)}"])
+    return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, checker.leaves, fn)
 
 
 def _reject_non_scalar(node: Expr, column: str) -> None:
@@ -641,3 +775,46 @@ def _reject_non_scalar(node: Expr, column: str) -> None:
         for child in children:
             _reject_non_scalar(child, column)
 
+
+# -- the skim kernel -----------------------------------------------------------------
+
+
+def compile_kernel(
+    cut: TypedCut | None = None,
+    projection: TypedProjection | None = None,
+    weight: TypedValue | None = None,
+) -> Callable[[Iterable[dict], list], float]:
+    """Write and compile one skim's loop: `kernel(events, rows)` returns
+    the Kahan-compensated sum of `weight` over every event (0.0 without a
+    weight) and appends the projected row of every event that passes the
+    cut to `rows`. For each event it first adds the weight, then tests the
+    cut's top-level `and` clauses in source order, each computing only
+    what it reads and stopping at the first that fails, and then builds
+    the row from what the clauses already read plus the rest. No cut
+    passes every event; no projection appends nothing."""
+    parts = [part for part in (cut, projection, weight) if part is not None]
+    if not parts:
+        raise TypeMismatch("a kernel needs a cut, a projection or a weight")
+    schema = parts[0].schema
+    if any(part.schema != schema for part in parts):
+        raise TypeMismatch("the cut, projection and weight were compiled against different schemas")
+    checker = _Checker(schema)
+    body: list[str] = []
+    if weight is not None:
+        src, _ = checker.compile(weight.node)
+        body += checker.prelude()
+        body += [f"y = {src} - comp", "t = total + y", "comp = (t - total) - y", "total = t"]
+    if cut is not None:
+        for prelude, test in checker.clauses(cut.node):
+            body += prelude + [f"if not {test}:", "    continue"]
+    if projection is not None:
+        srcs = [checker.compile(node)[0] for node in projection.nodes]
+        body += checker.prelude() + [f"append({_row(srcs)})"]
+    return _function(checker, "kernel", "events, rows", [
+        "total = 0.0",
+        "comp = 0.0",
+        "append = rows.append",
+        "for ev in events:",
+        *("    " + line for line in body or ["pass"]),
+        "return total",
+    ])

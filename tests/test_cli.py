@@ -230,6 +230,13 @@ def test_bench_reports_cache_budget_overflow(corpus, capsys):
     assert report["warnings"][0].startswith("cache budget exceeded")
 
 
+def test_skim_does_not_cache(corpus, capsys):
+    # a 1-byte budget is below any partition: a caching skim would overflow it
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), cache_budget_bytes=1)
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(corpus / "out")]) == 0
+    assert "cache budget" not in capsys.readouterr().err
+
+
 def test_bench_bad_cells_usage_error(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
     assert main(["bench", "--config", str(cfg), "--cells", "warm+raw"]) == 1

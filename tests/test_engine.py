@@ -16,7 +16,7 @@ from skimflow.errors import ConfigError, InvalidCustomPlan, NoFilesMatched
 from skimflow.events import analysis_schema
 from skimflow.expr import typecheck_cut, typecheck_projection, typecheck_value
 from skimflow.generator import GeneratorSpec, generate_evt
-from skimflow.storage import BlockInfo, iter_block_range, read_ntu, write_evt
+from skimflow.storage import BlockInfo, iter_block_range, read_evt, read_ntu, write_evt
 from skimflow.storage.evt import EvtIndex
 from skimflow.storage.ntu import NtuWriter
 from skimflow.timing import PhaseTimers
@@ -35,6 +35,11 @@ def fake_index(path, block_sizes, events_per_block=10):
 
 def mc_descriptor(glob, label="mc"):
     return DatasetDescriptor(glob=glob, kind="mc", label=label, xsec_pb=10.0)
+
+
+def total(ds, text, **kwargs):
+    """map_reduce of the numeric expression `text` over the dataset."""
+    return map_reduce(ds, typecheck_value(text, ds.schema), **kwargs)
 
 
 # -- descriptor validation ------------------------------------------------------
@@ -139,7 +144,7 @@ def test_single_small_file_single_partition(tmp_path):
 def test_map_reduce_empty_dataset(tmp_path, schema):
     write_evt(tmp_path / "empty.evt", [], schema)
     ds = open_dataset(mc_descriptor(str(tmp_path / "*.evt")))
-    assert map_reduce(ds, lambda ev: ev["genInfo"]["weight"]) == 0.0
+    assert total(ds, "genInfo.weight") == 0.0
 
 
 def test_map_reduce_small_values(tmp_path, schema):
@@ -148,15 +153,13 @@ def test_map_reduce_small_values(tmp_path, schema):
     events = [make_event(event=i + 1, weight=w) for i, w in enumerate((1.0, -1.0, 2.5))]
     write_evt(tmp_path / "f.evt", events, schema)
     ds = open_dataset(mc_descriptor(str(tmp_path / "*.evt")))
-    assert map_reduce(ds, lambda ev: ev["genInfo"]["weight"]) == 2.5
+    assert total(ds, "genInfo.weight") == 2.5
 
 
 def test_map_reduce_deterministic_across_workers(single_file):
     """Fixed partitioning: bit-identical across worker counts; across
     partitionings: within 1e-12 relative of the serial Kahan oracle."""
     path = str(single_file["path"])
-    from skimflow.storage import read_evt
-
     _, events = read_evt(path)
     oracle = kahan_sum(ev["met"]["pt"] for ev in events)
 
@@ -166,14 +169,14 @@ def test_map_reduce_deterministic_across_workers(single_file):
         for workers in (1, 2, 7, 16):
             ds = open_dataset(mc_descriptor(path), config)
             assert len(ds.partitions) == min(n_parts, len(ds.files[0].blocks))
-            values.append(map_reduce(ds, lambda ev: ev["met"]["pt"], workers=workers))
+            values.append(total(ds, "met.pt", workers=workers))
         assert len(set(values)) == 1  # bit-identical for fixed partitioning
         assert abs(values[0] - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_coverage_every_event_once(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-    assert map_reduce(ds, lambda ev: 1.0) == 2000.0
+    assert total(ds, "1.0") == 2000.0
 
 
 # -- persist / cache -------------------------------------------------------------------
@@ -183,11 +186,11 @@ def test_persist_second_traversal_reads_zero_bytes(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     ds.persist()
     t1 = PhaseTimers()
-    first = map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t1)
+    first = total(ds, "genInfo.weight", timers=t1)
     assert t1.bytes_read > 0
     assert ds.cache_state == "cached"
     t2 = PhaseTimers()
-    second = map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t2)
+    second = total(ds, "genInfo.weight", timers=t2)
     assert t2.bytes_read == 0
     assert t2.cache_hits == len(ds.partitions)
     assert first == second
@@ -197,7 +200,7 @@ def test_persisting_pass_reports_compute(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     ds.persist()
     t = PhaseTimers()
-    map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t)
+    total(ds, "genInfo.weight", timers=t)
     assert t.decode > 0
     assert t.compute > 0
 
@@ -206,11 +209,11 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     config = EngineConfig(cache_budget_bytes=1)
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     ds.persist()
-    first = map_reduce(ds, lambda ev: ev["genInfo"]["weight"])
+    first = total(ds, "genInfo.weight")
     assert ds.warnings and "budget" in ds.warnings[0]
     assert ds.cache_state == "cold"
     t = PhaseTimers()
-    second = map_reduce(ds, lambda ev: ev["genInfo"]["weight"], timers=t)
+    second = total(ds, "genInfo.weight", timers=t)
     assert t.bytes_read > 0  # really cold again
     assert first == second
 
@@ -228,27 +231,22 @@ def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
 
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
     ds.persist()
-    seen = []
-
-    def weight(ev):
-        seen.append((ds.cache_state, ds._cache_bytes))
-        return ev["genInfo"]["weight"]
-
-    map_reduce(ds, weight, workers=1)
-    states = [state for state, _ in seen]
+    seen = spy_partitions(ds)
+    total(ds, "genInfo.weight", workers=1)
+    states = [state for state, _, _ in seen]
     assert states[0] == "warming"
     assert "cold" in states  # the dataset went cold during pass one
-    assert max(held for _, held in seen) <= budget + max(sizes)
+    assert max(held for _, held, _ in seen) <= budget + max(sizes)
     assert ds.warnings and "budget" in ds.warnings[0]
 
 
 def test_cached_equals_cold(small_corpus):
     cold = open_dataset(mc_descriptor(small_corpus["glob"]))
-    cold_value = map_reduce(cold, lambda ev: ev["genInfo"]["weight"])
+    cold_value = total(cold, "genInfo.weight")
     warm = open_dataset(mc_descriptor(small_corpus["glob"]))
     warm.persist()
-    map_reduce(warm, lambda ev: ev["genInfo"]["weight"])
-    warm_value = map_reduce(warm, lambda ev: ev["genInfo"]["weight"])
+    total(warm, "genInfo.weight")
+    warm_value = total(warm, "genInfo.weight")
     assert warm_value == cold_value
 
 
@@ -327,38 +325,50 @@ def test_row_finalize_applied(small_corpus, tmp_path):
     assert list(doubled) == [v * 2.0 for v in plain]
 
 
-class SpyCut:
-    """A compiled cut that passes nothing and records the events it sees."""
+def spy_partitions(ds):
+    """Record (cache state, cached bytes, events) each time a traversal
+    takes a partition's events."""
+    seen = []
+    take = ds._partition_events
 
-    def __init__(self, leaves):
-        self.leaves = frozenset(leaves)
-        self.seen = []
+    def spy(part, timers, codec):
+        events = list(take(part, timers, codec))
+        seen.append((ds.cache_state, ds._cache_bytes, events))
+        return events
 
-    def evaluate(self, ev):
-        self.seen.append(ev)
-        return False
+    ds._partition_events = spy
+    return seen
 
 
 def test_only_cached_partitions_decode_every_leaf(small_corpus, tmp_path):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    cut = typecheck_cut("met.pt > 1e9", ds.schema)
     proj = typecheck_projection([("njets", "size(jets)")], ds.schema)
-    cold = SpyCut({("met", "pt")})
-    filter_map_write(ds, cold, proj, sink=NtuWriter(tmp_path / "a.ntu", proj.columns))
-    assert len(cold.seen) == 2000
-    assert all(ev.keys() == {"met", "jets"} and isinstance(ev["jets"], range) for ev in cold.seen)
+    seen = spy_partitions(ds)
+    filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "a.ntu", proj.columns))
+    cold = [ev for _, _, events in seen for ev in events]
+    assert len(cold) == 2000
+    assert all(ev.keys() == {"met", "jets"} and isinstance(ev["jets"], range) for ev in cold)
 
     ds.persist()
-    admitted = SpyCut({("met", "pt")})
-    filter_map_write(ds, admitted, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
+    seen.clear()
+    filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
     assert ds.cache_state == "cached"
-    assert all(len(ev) == 10 for ev in admitted.seen)
+    assert sum(len(events) for _, _, events in seen) == 2000
+    assert all(len(ev) == 10 for _, _, events in seen for ev in events)
 
 
 def test_map_reduce_compiled_value_equals_callable(small_corpus):
-    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-    compiled = map_reduce(ds, typecheck_value("met.pt * genInfo.weight", ds.schema))
-    plain = map_reduce(ds, lambda ev: ev["met"]["pt"] * ev["genInfo"]["weight"])
-    assert compiled == plain
+    ds = open_dataset(
+        mc_descriptor(small_corpus["glob"]),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 1}),
+    )
+    assert len(ds.partitions) == 2
+    partials = [
+        kahan_sum(ev["met"]["pt"] * ev["genInfo"]["weight"] for ev in read_evt(path)[1])
+        for path in sorted(small_corpus["paths"])
+    ]
+    assert total(ds, "met.pt * genInfo.weight") == partials[0] + partials[1]
 
 
 def test_decode_errors_identify_partition(tmp_path, schema):
@@ -378,7 +388,7 @@ def test_decode_errors_identify_partition(tmp_path, schema):
         EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
     )
     with pytest.raises(CrcMismatch, match=r"partition 2 .*block"):
-        map_reduce(ds, lambda ev: 1.0, workers=2)
+        total(ds, "1.0", workers=2)
 
 
 def test_sink_aborted_on_failure(small_corpus, tmp_path):

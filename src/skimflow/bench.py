@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import canonical
@@ -58,6 +58,9 @@ class BenchCell:
 
 @dataclass(frozen=True)
 class PhaseSample:
+    """One repetition: the `PhaseTimers.as_dict()` fields, the wall time
+    and the rows written."""
+
     read_s: float
     decode_s: float
     compute_s: float
@@ -88,18 +91,11 @@ class PhaseSample:
 
 
 def _median_sample(samples: list[PhaseSample]) -> PhaseSample:
-    med = lambda key: statistics.median(getattr(s, key) for s in samples)  # noqa: E731
-    return PhaseSample(
-        read_s=med("read_s"),
-        decode_s=med("decode_s"),
-        compute_s=med("compute_s"),
-        write_s=med("write_s"),
-        total_s=med("total_s"),
-        bytes_read=int(med("bytes_read")),
-        bytes_decoded=int(med("bytes_decoded")),
-        cache_hits=int(med("cache_hits")),
-        rows_out=int(med("rows_out")),
-    )
+    def med(f):
+        value = statistics.median(getattr(s, f.name) for s in samples)
+        return value if f.type == "float" else int(value)
+
+    return PhaseSample(**{f.name: med(f) for f in fields(PhaseSample)})
 
 
 @dataclass(frozen=True)
@@ -215,17 +211,7 @@ def run_benchmark(
         warnings += [w for w in ds.warnings if w not in warnings]
         if corpus is None:
             corpus = (len(ds.files), ds.n_events, ds.n_bytes)
-        sample = PhaseSample(
-            read_s=timers.read,
-            decode_s=timers.decode,
-            compute_s=timers.compute,
-            write_s=timers.write,
-            total_s=total,
-            bytes_read=timers.bytes_read,
-            bytes_decoded=timers.bytes_decoded,
-            cache_hits=timers.cache_hits,
-            rows_out=result.n_output,
-        )
+        sample = PhaseSample(**timers.as_dict(), total_s=total, rows_out=result.n_output)
         sha = _sha256_file(out_path)
         if output_sha is None:
             output_sha = sha

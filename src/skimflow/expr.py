@@ -31,8 +31,8 @@ compiled form; evaluation holds no mutable state and never raises on a
 schema-conforming event.
 
 Compiling writes Python source, not a tree of closures, and compiles it
-once with `exec`, as the codec does for its decoders. Each compiled
-form's `evaluate` is a generated one-event function, and
+once with `exec`, as the codec does. Each compiled form's `evaluate` is
+a generated one-event function, compiled on its first call, and
 `compile_kernel` writes one loop per skim: for each event it adds the
 weight to a Kahan sum, tests the cut's top-level `and` clauses in source
 order up to the first that fails, and appends the projected row. A field
@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
@@ -664,7 +665,8 @@ def _row(srcs: list[str]) -> str:
 # `compile_kernel` writes a skim's loop, and carries `leaves`, the schema
 # paths its evaluation reads. A path that ends at a collection reads only
 # its size; `count(jets, it.pt > 30.0)` reads ("jets", "pt"). `evaluate`
-# is a generated one-event function from the same code generator.
+# is a generated one-event function from the same code generator,
+# compiled on its first call: a skim runs only the kernel.
 
 @dataclass(frozen=True)
 class TypedCut:
@@ -674,7 +676,11 @@ class TypedCut:
     node: Expr
     schema: Schema
     leaves: frozenset[tuple[str, ...]]
-    _fn: Callable[[dict], bool] = field(repr=False, compare=False)
+
+    @cached_property
+    def _fn(self) -> Callable[[dict], bool]:
+        checker = _Checker(self.schema)
+        return _function(checker, "cut", "ev", _cut_body(checker, self.node))
 
     def evaluate(self, event: dict) -> bool:
         return self._fn(event)
@@ -688,7 +694,12 @@ class TypedValue:
     node: Expr
     schema: Schema
     leaves: frozenset[tuple[str, ...]]
-    _fn: Callable[[dict], object] = field(repr=False, compare=False)
+
+    @cached_property
+    def _fn(self) -> Callable[[dict], object]:
+        checker = _Checker(self.schema)
+        src, _ = checker.compile(self.node)
+        return _function(checker, "value", "ev", checker.prelude() + [f"return {src}"])
 
     def evaluate(self, event: dict):
         return self._fn(event)
@@ -702,10 +713,22 @@ class TypedProjection:
     nodes: tuple[Expr, ...]
     schema: Schema
     leaves: frozenset[tuple[str, ...]]
-    _fn: Callable[[dict], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def _fn(self) -> Callable[[dict], tuple]:
+        checker = _Checker(self.schema)
+        srcs = [checker.compile(node)[0] for node in self.nodes]
+        return _function(checker, "row", "ev", checker.prelude() + [f"return {_row(srcs)}"])
 
     def evaluate(self, event: dict) -> tuple:
         return self._fn(event)
+
+
+def _cut_body(checker: _Checker, node: Expr) -> list[str]:
+    body = []
+    for prelude, test in checker.clauses(node):
+        body += prelude + [f"if not {test}:", "    return False"]
+    return body + ["return True"]
 
 
 _PROJECTION_NODES = (Const, Field, Arith, Neg, Size, Count, Reduce)
@@ -715,12 +738,9 @@ def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     """Type-check a cut against a schema and compile it for evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
-    body = []
-    for prelude, test in checker.clauses(node):
-        body += prelude + [f"if not {test}:", "    return False"]
-    fn = _function(checker, "cut", "ev", body + ["return True"])
+    _cut_body(checker, node)
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedCut(source, node, schema, checker.leaves, fn)
+    return TypedCut(source, node, schema, checker.leaves)
 
 
 def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
@@ -728,12 +748,11 @@ def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
     evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
-    src, kind = checker.compile(node)
+    _, kind = checker.compile(node)
     if kind not in NUMERIC_KINDS:
         raise TypeMismatch(f"value must be numeric, got {kind}")
-    fn = _function(checker, "value", "ev", checker.prelude() + [f"return {src}"])
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedValue(source, node, schema, checker.leaves, fn)
+    return TypedValue(source, node, schema, checker.leaves)
 
 
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:
@@ -747,21 +766,18 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
     names: list[str] = []
     kinds: list[str] = []
     nodes: list[Expr] = []
-    srcs: list[str] = []
     for name, expr in columns:
         if name in names:
             raise NonScalarProjection(f"duplicate projection column {name!r}")
         node = parse_expr(expr) if isinstance(expr, str) else expr
         _reject_non_scalar(node, name)
-        src, kind = checker.compile(node)
+        _, kind = checker.compile(node)
         if kind == "bool":
             raise NonScalarProjection(f"column {name!r} is boolean, not a scalar value")
         names.append(name)
         kinds.append(kind)
         nodes.append(node)
-        srcs.append(src)
-    fn = _function(checker, "row", "ev", checker.prelude() + [f"return {_row(srcs)}"])
-    return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, checker.leaves, fn)
+    return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, checker.leaves)
 
 
 def _reject_non_scalar(node: Expr, column: str) -> None:

@@ -14,7 +14,7 @@ from .evt import (
     scan_evt,
     write_evt,
 )
-from .flatten import FlattenRules, flatten_paths, flatten_schema
+from .flatten import flatten_paths, flatten_schema
 from .ntu import (
     DEFAULT_GROUP_ROWS,
     NtuData,
@@ -31,7 +31,6 @@ __all__ = [
     "BlockInfo",
     "EventCodec",
     "EvtIndex",
-    "FlattenRules",
     "NtuData",
     "NtuWriteStats",
     "NtuWriter",

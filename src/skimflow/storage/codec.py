@@ -7,9 +7,18 @@ Encoding rules, little-endian throughout:
     record -> fields back-to-back in schema order
     array  -> u32 element count, then elements back-to-back
 
-The codec is compiled once per schema and leaf set. Encoding always
-covers the whole event, through closures in which runs of fixed-width
-fields collapse into single struct calls.
+One code generator serves both directions: it writes the Python source
+of a function from the schema and compiles it once with `exec`. Field
+names enter that source only as the `repr()` of names the schema has
+checked.
+
+Encoding covers the whole event and reads every field, so an event that
+lacks one, or holds a value its struct format rejects, raises
+SchemaViolation. The encoder of a codec is compiled on its first encode.
+Each run of fixed-width fields becomes one struct call, and each array
+its u32 count followed by a loop over its elements. An array whose
+elements take no bytes (records without scalar fields) writes only its
+count, and its elements are not checked.
 
 Decoding reads only the leaves the codec was compiled for. A leaf is a
 path of field names from the root, where the names after an array's name
@@ -19,18 +28,16 @@ address fields of its elements:
     a path ending at an array                 -> its length only, as range(n)
     leaves=None                               -> every field (the full decode)
 
-A decoded event holds only the fields read. One compiler serves every
-leaf set: it writes the Python source of a loop that decodes a block's
-events and compiles it once. Runs of fixed-width fields become one
+A decoded event holds only the fields read. The decoder of a leaf set is
+a loop over a block's events. Runs of fixed-width fields become one
 struct call, in which the fields not read are pad bytes; arrays of
 fixed-width elements decode through one `iter_unpack` per array into
 dict displays, which build faster than `dict(zip(...))`. Arrays that are
 not read are skipped by count x width, or walked without being built
 when their elements vary in width. Every payload byte is still walked,
 and an array count that would run past the payload is rejected before
-anything of that size is built. (Elements that take no bytes, records
-without scalar fields, cannot run past it: read in full, their count is
-trusted.)
+anything of that size is built. (Elements that take no bytes cannot run
+past it: read in full, their count is trusted.)
 
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
@@ -39,6 +46,7 @@ only for values already representable in f32.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from struct import Struct
 from typing import Callable, Iterable
 
@@ -53,133 +61,6 @@ _U32 = Struct("<I")
 # for an array, _SIZE for an array whose length alone is read, and None
 # (or absence from the parent record's dict) for a node that is skipped.
 _SIZE = object()
-
-
-# -- encoding -------------------------------------------------------------------
-
-
-def _fixed_info(node: SchemaNode):
-    """For subtrees without arrays: (fmt, flatten(value, out)), where
-    `flatten` appends the value's scalars to `out` in schema order."""
-    if isinstance(node, Primitive):
-        def flatten(v, out):
-            out.append(v)
-
-        return _FMT[node.kind], flatten
-    if isinstance(node, Record):
-        parts = []
-        fmt = ""
-        for name, child in node.fields:
-            info = _fixed_info(child)
-            if info is None:
-                return None
-            fmt += info[0]
-            parts.append((name, info[1]))
-        if all(isinstance(child, Primitive) for _, child in node.fields):
-            names = node.names()
-
-            def flatten(v, out, ns=names):
-                for n in ns:
-                    out.append(v[n])
-
-            return fmt, flatten
-
-        parts = tuple(parts)
-
-        def flatten(v, out, ps=parts):
-            for name, cflat in ps:
-                cflat(v[name], out)
-
-        return fmt, flatten
-    return None
-
-
-def _compile_encoder(node: SchemaNode) -> Callable:
-    """Return encode(buf, value)."""
-    info = _fixed_info(node)
-    if info is not None:
-        fmt, flatten = info
-        stru = Struct("<" + fmt)
-
-        def enc(buf, v, s=stru, fl=flatten):
-            out = []
-            fl(v, out)
-            buf += s.pack(*out)
-
-        return enc
-
-    if isinstance(node, Array):
-        elem_info = _fixed_info(node.element)
-        if elem_info is not None and Struct("<" + elem_info[0]).size == 0:
-            # zero-width element (records with no scalar fields): only the
-            # count carries information
-            def enc(buf, v):
-                buf += _U32.pack(len(v))
-
-            return enc
-        if elem_info is not None:
-            efmt, eflat = elem_info
-            packs: dict[int, Struct] = {}
-
-            def enc(buf, v, fl=eflat, fmt=efmt, cache=packs):
-                n = len(v)
-                buf += _U32.pack(n)
-                if n:
-                    out = []
-                    for item in v:
-                        fl(item, out)
-                    s = cache.get(n)
-                    if s is None:
-                        s = cache[n] = Struct("<" + fmt * n)
-                    buf += s.pack(*out)
-
-            return enc
-
-        eenc = _compile_encoder(node.element)
-
-        def enc(buf, v, e=eenc):
-            buf += _U32.pack(len(v))
-            for item in v:
-                e(buf, item)
-
-        return enc
-
-    # record containing at least one array: encode stepwise, folding
-    # consecutive fixed fields into one struct
-    assert isinstance(node, Record)
-    steps: list[Callable] = []
-    pending: list[tuple[str, SchemaNode]] = []
-
-    def flush_pending():
-        if not pending:
-            return
-        fmt, flatten = _fixed_info(Record(tuple(pending)))
-
-        def step(buf, v, s=Struct("<" + fmt), fl=flatten):
-            out = []
-            fl(v, out)
-            buf += s.pack(*out)
-
-        steps.append(step)
-        pending.clear()
-
-    for name, child in node.fields:
-        if _fixed_info(child) is not None:
-            pending.append((name, child))
-            continue
-        flush_pending()
-
-        def step(buf, v, n=name, e=_compile_encoder(child)):
-            e(buf, v[n])
-
-        steps.append(step)
-    flush_pending()
-
-    def enc(buf, v, steps=tuple(steps)):
-        for step in steps:
-            step(buf, v)
-
-    return enc
 
 
 # -- leaf selection ---------------------------------------------------------------
@@ -213,12 +94,23 @@ def _select(node: SchemaNode, paths: set[tuple[str, ...]]):
     return sel
 
 
-# -- decoding -------------------------------------------------------------------------
+# -- code generation --------------------------------------------------------------
+
+
+def _fixed_fmt(node: SchemaNode) -> str | None:
+    """The struct format of a subtree without arrays, in schema order;
+    None for a subtree that holds an array."""
+    if isinstance(node, Primitive):
+        return _FMT[node.kind]
+    if isinstance(node, Array):
+        return None
+    fmts = [_fixed_fmt(child) for _, child in node.fields]
+    return None if None in fmts else "".join(fmts)
 
 
 def _width(node: SchemaNode) -> int:
     """Byte width of a subtree without arrays."""
-    return struct.calcsize("<" + _fixed_info(node)[0])
+    return struct.calcsize("<" + _fixed_fmt(node))
 
 
 def _overrun(n: int, need: int, left: int) -> ValueError:
@@ -253,17 +145,45 @@ def _dict_source(pairs) -> str:
     return "{" + ", ".join(f"{name!r}: {expr}" for name, expr in pairs if expr is not None) + "}"
 
 
-class _DecoderSource:
-    """Writes the Python source of one decoder. Each method emits the
-    lines that read one value at `off` and move `off` past it, and returns
-    the source expression for the value (None for a skipped node). Every
-    variable name is unique, so an expression stays valid while later
-    lines run."""
+class _CodecSource:
+    """Writes the Python source of one encoder or decoder and compiles it
+    once. Every variable name is unique, so an expression stays valid
+    while later lines run."""
 
     def __init__(self):
         self.lines: list[str] = []
-        self.consts: dict[str, object] = {"U32": _U32.unpack_from, "overrun": _overrun}
+        self.consts: dict[str, object] = {
+            "U32": _U32.unpack_from, "pack_u32": _U32.pack, "overrun": _overrun,
+        }
         self.k = 0
+
+    @classmethod
+    def decoder(cls, root: Record, sel) -> Callable:
+        """`decode(mv, count) -> (events, off)`, which decodes `count`
+        events from the start of `mv`."""
+        gen = cls()
+        event = gen.decode_record(root, sel, 2)
+        return gen.compile("decode", "mv, count", [
+            "    size = len(mv)",
+            "    off = 0",
+            "    events = []",
+            "    for _ in range(count):",
+            *gen.lines,
+            f"        events.append({event})",
+            "    return events, off",
+        ])
+
+    @classmethod
+    def encoder(cls, root: Record) -> Callable:
+        """`encode(buf, ev)`, which appends the bytes of event `ev` to `buf`."""
+        gen = cls()
+        gen.encode_record(root, "ev", 1)
+        return gen.compile("encode", "buf, ev", gen.lines or ["    pass"])
+
+    def compile(self, name: str, args: str, body: list[str]) -> Callable:
+        namespace = dict(self.consts)
+        exec("\n".join([f"def {name}({args}):", *body, ""]), namespace)
+        return namespace[name]
 
     def fresh(self, prefix: str) -> str:
         self.k += 1
@@ -277,15 +197,19 @@ class _DecoderSource:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
-    def node(self, node: SchemaNode, sel, depth: int) -> str | None:
-        if _fixed_info(node) is not None:
-            pairs = self.fixed([(None, node, sel)], depth)
+    # Decoding: each method emits the lines that read one value at `off`
+    # and move `off` past it, and returns the source expression for the
+    # value (None for a skipped node).
+
+    def decode_node(self, node: SchemaNode, sel, depth: int) -> str | None:
+        if _fixed_fmt(node) is not None:
+            pairs = self.decode_fixed([(None, node, sel)], depth)
             return pairs[0][1] if pairs else None
         if isinstance(node, Array):
-            return self.array(node, sel, depth)
-        return self.record(node, sel, depth)
+            return self.decode_array(node, sel, depth)
+        return self.decode_record(node, sel, depth)
 
-    def fixed(self, fields, depth: int) -> list:
+    def decode_fixed(self, fields, depth: int) -> list:
         """Read fields without arrays in one struct call; returns their
         (name, expr) pairs."""
         var = self.fresh("v")
@@ -297,29 +221,29 @@ class _DecoderSource:
             self.emit(depth, f"off += {width}")
         return pairs
 
-    def record(self, node: Record, sel, depth: int) -> str | None:
+    def decode_record(self, node: Record, sel, depth: int) -> str | None:
         pairs: list = []
         run: list = []
         for name, child in node.fields:
             csel = None if sel is None else sel.get(name)
-            if _fixed_info(child) is not None:
+            if _fixed_fmt(child) is not None:
                 run.append((name, child, csel))
                 continue
             if run:
-                pairs += self.fixed(run, depth)
+                pairs += self.decode_fixed(run, depth)
                 run = []
-            pairs.append((name, self.node(child, csel, depth)))
+            pairs.append((name, self.decode_node(child, csel, depth)))
         if run:
-            pairs += self.fixed(run, depth)
+            pairs += self.decode_fixed(run, depth)
         return None if sel is None else _dict_source(pairs)
 
-    def array(self, node: Array, sel, depth: int) -> str | None:
+    def decode_array(self, node: Array, sel, depth: int) -> str | None:
         n, end, out = self.fresh("n"), self.fresh("end"), self.fresh("a")
         elem = node.element
         build = sel is not None and sel is not _SIZE
         self.emit(depth, f"{n} = U32(mv, off)[0]")
         self.emit(depth, "off += 4")
-        if _fixed_info(elem) is not None:
+        if _fixed_fmt(elem) is not None:
             width = _width(elem)
             self.emit(depth, f"{end} = off + {n} * {width}")
             self.emit(depth, f"if {end} > size: raise overrun({n}, {end} - off, size - off)")
@@ -338,33 +262,70 @@ class _DecoderSource:
             if build:
                 self.emit(depth, f"{out} = []")
             self.emit(depth, f"for _ in range({n}):")
-            item = self.node(elem, sel if build else None, depth + 1)
+            item = self.decode_node(elem, sel if build else None, depth + 1)
             if build:
                 self.emit(depth + 1, f"{out}.append({item})")
         if sel is None:
             return None
         return out if build else f"range({n})"
 
+    # Encoding: each method emits the lines that append to `buf` the bytes
+    # of the value that the source expression `expr` reads. Every field is
+    # read, so a missing one raises.
 
-def _compile_decoder(root: Record, sel) -> Callable:
-    """Compile `decode(mv, count) -> (events, off)`, which decodes `count`
-    events from the start of `mv`."""
-    gen = _DecoderSource()
-    event = gen.record(root, sel, 2)
-    source = "\n".join([
-        "def decode(mv, count):",
-        "    size = len(mv)",
-        "    off = 0",
-        "    events = []",
-        "    for _ in range(count):",
-        *gen.lines,
-        f"        events.append({event})",
-        "    return events, off",
-        "",
-    ])
-    namespace = dict(gen.consts)
-    exec(source, namespace)
-    return namespace["decode"]
+    def encode_node(self, node: SchemaNode, expr: str, depth: int) -> None:
+        if _fixed_fmt(node) is not None:
+            self.encode_fixed([(node, expr)], depth)
+        elif isinstance(node, Array):
+            self.encode_array(node, expr, depth)
+        else:
+            self.encode_record(node, expr, depth)
+
+    def encode_fixed(self, fields, depth: int) -> None:
+        """Write (node, expr) fields without arrays in one struct call."""
+        fmt = ""
+        values: list[str] = []
+
+        def walk(node, expr):
+            nonlocal fmt
+            if isinstance(node, Primitive):
+                fmt += _FMT[node.kind]
+                values.append(expr)
+            elif node.fields:
+                for name, child in node.fields:
+                    walk(child, f"{expr}[{name!r}]")
+            else:  # a record without fields writes nothing, but must be there
+                self.emit(depth, expr)
+
+        for node, expr in fields:
+            walk(node, expr)
+        if values:
+            self.emit(depth, f"buf += {self.struct(fmt)}.pack({', '.join(values)})")
+
+    def encode_record(self, node: Record, expr: str, depth: int) -> None:
+        run: list = []
+        for name, child in node.fields:
+            cexpr = f"{expr}[{name!r}]"
+            if _fixed_fmt(child) is not None:
+                run.append((child, cexpr))
+                continue
+            self.encode_fixed(run, depth)
+            run = []
+            self.encode_node(child, cexpr, depth)
+        self.encode_fixed(run, depth)
+
+    def encode_array(self, node: Array, expr: str, depth: int) -> None:
+        if _fixed_fmt(node.element) == "":
+            # elements that take no bytes: only the count is written
+            self.emit(depth, f"buf += pack_u32(len({expr}))")
+            return
+        arr, item = expr, self.fresh("e")
+        if not arr.isidentifier():
+            arr = self.fresh("a")
+            self.emit(depth, f"{arr} = {expr}")
+        self.emit(depth, f"buf += pack_u32(len({arr}))")
+        self.emit(depth, f"for {item} in {arr}:")
+        self.encode_node(node.element, item, depth + 1)
 
 
 class EventCodec:
@@ -375,12 +336,16 @@ class EventCodec:
     def __init__(self, schema: Schema, leaves: Iterable[tuple[str, ...]] | None = None):
         self.schema = schema
         self.leaves = None if leaves is None else frozenset(leaves)
-        self._enc = _compile_encoder(schema.root)
         if self.leaves is None:
             sel = _select_all(schema.root)
         else:
             sel = _select(schema.root, set(self.leaves))
-        self._decode = _compile_decoder(schema.root, sel)
+        self._decode = _CodecSource.decoder(schema.root, sel)
+
+    @cached_property
+    def _encode(self) -> Callable:
+        # compiled on the first encode, so a codec that only reads has none
+        return _CodecSource.encoder(self.schema.root)
 
     def encode(self, event: dict) -> bytes:
         buf = bytearray()
@@ -389,7 +354,7 @@ class EventCodec:
 
     def encode_into(self, buf: bytearray, event: dict) -> None:
         try:
-            self._enc(buf, event)
+            self._encode(buf, event)
         except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
             raise SchemaViolation(f"event does not conform to schema: {exc!r}") from exc
 

@@ -1,64 +1,55 @@
 """Flattening nested record schemas to flat column lists.
 
-Nested record paths join with a separator (met.pt -> met_pt). Arrays are
+Nested record paths join with SEPARATOR (met.pt -> met_pt). Arrays are
 never auto-flattened; collection contents reach ntuples only through
 projection expressions (size/count/max/min/sum).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import NameCollision
-from ..schema import Array, Primitive, Record, Schema
+from ..schema import Primitive, Record, Schema
+
+SEPARATOR = "_"
 
 
-@dataclass(frozen=True)
-class FlattenRules:
-    separator: str = "_"
+def _leaves(schema: Schema) -> list[tuple[str, str, str]]:
+    """[(column name, dotted source path, primitive kind), ...] for every
+    scalar leaf outside arrays.
+
+    Raises NameCollision when two distinct paths flatten to the same name.
+    """
+    out: list[tuple[str, str, str]] = []
+    seen: dict[str, str] = {}
+
+    def walk(node, column: str, dotted: str) -> None:
+        if isinstance(node, Primitive):
+            if column in seen:
+                raise NameCollision(
+                    f"column {column!r} produced by both {seen[column]!r} and {dotted!r}"
+                )
+            seen[column] = dotted
+            out.append((column, dotted, node.kind))
+        elif isinstance(node, Record):
+            for name, child in node.fields:
+                walk(
+                    child,
+                    name if not column else column + SEPARATOR + name,
+                    name if not dotted else dotted + "." + name,
+                )
+
+    walk(schema.root, "", "")
+    return out
 
 
-def flatten_schema(schema: Schema, rules: FlattenRules = FlattenRules()) -> list[tuple[str, str]]:
+def flatten_schema(schema: Schema) -> list[tuple[str, str]]:
     """Return [(column name, primitive kind), ...] for every scalar leaf.
 
     Raises NameCollision when two distinct paths flatten to the same name.
     """
-    out: list[tuple[str, str]] = []
-    seen: dict[str, str] = {}
-
-    def walk(node, prefix: str, dotted: str) -> None:
-        if isinstance(node, Primitive):
-            if prefix in seen:
-                raise NameCollision(
-                    f"column {prefix!r} produced by both {seen[prefix]!r} and {dotted!r}"
-                )
-            seen[prefix] = dotted
-            out.append((prefix, node.kind))
-        elif isinstance(node, Array):
-            return
-        elif isinstance(node, Record):
-            for name, child in node.fields:
-                sub = name if not prefix else prefix + rules.separator + name
-                subdot = name if not dotted else dotted + "." + name
-                walk(child, sub, subdot)
-
-    walk(schema.root, "", "")
-    return out
+    return [(column, kind) for column, _, kind in _leaves(schema)]
 
 
-def flatten_paths(schema: Schema, rules: FlattenRules = FlattenRules()) -> list[tuple[str, str]]:
+def flatten_paths(schema: Schema) -> list[tuple[str, str]]:
     """Like flatten_schema but returns [(column name, dotted source path)]."""
-    out: list[tuple[str, str]] = []
-
-    def walk(node, prefix: str, dotted: str) -> None:
-        if isinstance(node, Primitive):
-            out.append((prefix, dotted))
-        elif isinstance(node, Record):
-            for name, child in node.fields:
-                sub = name if not prefix else prefix + rules.separator + name
-                subdot = name if not dotted else dotted + "." + name
-                walk(child, sub, subdot)
-
-    flatten_schema(schema, rules)  # reuse collision/structure validation
-    walk(schema.root, "", "")
-    return out
+    return [(column, dotted) for column, dotted, _ in _leaves(schema)]

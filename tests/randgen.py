@@ -3,7 +3,8 @@
 Used directly (with random.Random) by the acceptance suite's fixed-count
 loops, and wrapped into hypothesis strategies by the unit tests. f32 values
 are rounded to single precision up front so encode/decode round trips are
-exact; NaN is excluded because it breaks equality comparison.
+exact; NaN is excluded because it breaks equality comparison. `hostile`
+renames fields to names that are not identifiers, for the code generators.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import struct as _struct
 from skimflow.schema import Array, Primitive, Record, Schema
 
 KINDS = ("f64", "f32", "i64", "i32", "bool")
+# not identifiers, or spelled like locals of the generated code
+HOSTILE_NAMES = ('a"] + b #', "x'y", "ev", "v1", "total", "def", "a b", "\\", "é")
 
 
 def f32_exact(x: float) -> float:
@@ -56,3 +59,20 @@ def random_value(rng: random.Random, node, max_items: int = 4):
 
 def random_events(rng: random.Random, schema: Schema, n: int) -> list[dict]:
     return [random_value(rng, schema.root) for _ in range(n)]
+
+
+def hostile(rng: random.Random, schema: Schema) -> Schema:
+    """The schema with about half its field names replaced by hostile ones."""
+
+    def node(n):
+        if isinstance(n, Array):
+            return Array(node(n.element))
+        if isinstance(n, Primitive):
+            return n
+        names = list(HOSTILE_NAMES)
+        rng.shuffle(names)
+        return Record(tuple(
+            (names.pop() if rng.random() < 0.5 else name, node(child)) for name, child in n.fields
+        ))
+
+    return Schema(node(schema.root))

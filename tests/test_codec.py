@@ -1,6 +1,8 @@
-"""Leaf-pruned decoding: equivalence with the full decode and hostile counts."""
+"""The generated encoder against the EVT layout written out by hand, and
+leaf-pruned decoding: equivalence with the full decode and hostile counts."""
 
 import random
+import struct
 import tracemalloc
 import zlib
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randgen import random_events, random_schema
+from randgen import KINDS, hostile, random_events, random_schema
 from skimflow.errors import SchemaError, TruncatedBlock
 from skimflow.events import make_event, make_particle
 from skimflow.schema import Array, Primitive, Record, Schema
@@ -18,6 +20,64 @@ DEFAULT_LEAVES = {
     ("genInfo", "weight"), ("met", "pt"), ("met", "phi"), ("jets", "pt"),
     ("muons",), ("electrons",),
 }
+
+
+# -- encoding ----------------------------------------------------------------------
+
+FMT = {"f64": "<d", "f32": "<f", "i64": "<q", "i32": "<i", "bool": "<?"}
+EMPTY = Record(())
+
+HAND_BUILT = {
+    "zero-width records": Schema(Record((
+        ("x", Primitive("i32")),
+        ("e", EMPTY),
+        ("r", Record((("e", EMPTY), ("f", Primitive("bool")), ("ee", Record((("e", EMPTY),)))))),
+        ("es", Array(EMPTY)),
+        ("ees", Array(Record((("e", EMPTY), ("ee", Record((("e", EMPTY),))))))),
+        ("ex", Array(Record((("e", EMPTY), ("x", Primitive("f32")))))),
+    ))),
+    "arrays of primitives": Schema(Record(tuple((k, Array(Primitive(k))) for k in KINDS))),
+    "arrays of arrays": Schema(Record((
+        ("aa", Array(Array(Primitive("f64")))),
+        ("aaa", Array(Array(Array(Primitive("i32"))))),
+        ("ae", Array(Array(EMPTY))),
+        ("ar", Array(Array(Record((("q", Primitive("i64")), ("h", Array(Primitive("f32")))))))),
+    ))),
+}
+
+
+def reference_encode(node, value) -> bytes:
+    """The EVT layout written out directly: one struct.pack per primitive,
+    a u32 count per array, and record fields in schema order."""
+    if isinstance(node, Primitive):
+        return struct.pack(FMT[node.kind], value)
+    if isinstance(node, Array):
+        return struct.pack("<I", len(value)) + b"".join(
+            reference_encode(node.element, item) for item in value
+        )
+    return b"".join(reference_encode(child, value[name]) for name, child in node.fields)
+
+
+@st.composite
+def schema_and_events(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["randgen", *HAND_BUILT]))
+    schema = random_schema(rng) if shape == "randgen" else HAND_BUILT[shape]
+    if draw(st.booleans()):
+        schema = hostile(rng, schema)
+    return schema, random_events(rng, schema, rng.randint(1, 6))
+
+
+@given(case=schema_and_events())
+@settings(max_examples=300, deadline=None)
+def test_encode_equals_reference_layout(case):
+    schema, events = case
+    codec = EventCodec(schema)
+    for ev in events:
+        assert codec.encode(ev) == reference_encode(schema.root, ev)
+
+
+# -- decoding ----------------------------------------------------------------------
 
 
 def leaf_paths(node, prefix=()):

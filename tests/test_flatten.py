@@ -3,8 +3,7 @@ import pytest
 from skimflow.errors import NameCollision
 from skimflow.events import analysis_schema
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import FlattenRules, flatten_schema
-from skimflow.storage.flatten import flatten_paths
+from skimflow.storage import flatten_paths, flatten_schema
 
 
 def rec(*fields):
@@ -20,6 +19,8 @@ def test_name_collision():
     schema = Schema(rec(("a_b", Primitive("f64")), ("a", rec(("b", Primitive("f64"))))))
     with pytest.raises(NameCollision, match="a_b"):
         flatten_schema(schema)
+    with pytest.raises(NameCollision, match="a_b"):
+        flatten_paths(schema)
 
 
 def test_arrays_are_skipped_full_analysis_schema():
@@ -40,11 +41,6 @@ def test_flatten_paths_gives_dotted_sources():
         ("met_pt", "met.pt"),
         ("met_phi", "met.phi"),
     ]
-
-
-def test_custom_separator():
-    schema = Schema(rec(("met", rec(("pt", Primitive("f64"))))))
-    assert flatten_schema(schema, FlattenRules(separator=".")) == [("met.pt", "f64")]
 
 
 def test_array_inside_record_skipped():

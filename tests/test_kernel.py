@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from interp import interpret
 from oracle import kahan_sum
-from randgen import f32_exact, random_schema
+from randgen import f32_exact, hostile, random_schema
 from skimflow.engine import (
     DatasetDescriptor,
     EngineConfig,
@@ -52,8 +52,6 @@ from skimflow.storage import read_evt, write_evt
 
 NUMERIC = ("f64", "f32", "i64", "i32")
 COMPARE_OPS = ("<", "<=", ">", ">=", "==", "!=")
-# not identifiers, or spelled like locals of the generated code
-HOSTILE_NAMES = ('a"] + b #', "x'y", "ev", "v1", "total", "def", "a b", "\\", "é")
 
 F64_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, 2.0**53, 30.0)
 F32_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e30, 30.0)
@@ -64,23 +62,6 @@ FLOAT_CONSTS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 30.0, 2.0**53, 1e
 
 
 # -- random schemas, events and expressions ------------------------------------------
-
-
-def hostile(rng, schema):
-    """The schema with about half its field names replaced by hostile ones."""
-
-    def node(n):
-        if isinstance(n, Array):
-            return Array(node(n.element))
-        if isinstance(n, Primitive):
-            return n
-        names = list(HOSTILE_NAMES)
-        rng.shuffle(names)
-        return Record(tuple(
-            (names.pop() if rng.random() < 0.5 else name, node(child)) for name, child in n.fields
-        ))
-
-    return Schema(node(schema.root))
 
 
 def value(rng, node):

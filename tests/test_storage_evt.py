@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from skimflow.errors import BadMagic, CrcMismatch, SchemaViolation, TruncatedBlock
 from skimflow.events import make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
+from skimflow.schema import Primitive, Record, Schema
 from skimflow.storage import convert_evt, iter_block_range, read_evt, scan_evt, write_evt
 from skimflow.timing import PhaseTimers
 
@@ -120,6 +121,33 @@ def test_schema_violation_on_write(tmp_path, schema):
         write_evt(tmp_path / "bad.evt", [bad], schema)
     assert not (tmp_path / "bad.evt").exists()
     assert not (tmp_path / "bad.evt.tmp").exists()
+
+
+TAGGED = Schema(Record((("x", Primitive("f64")), ("tag", Record(())))))
+
+
+def _with(**changes):
+    ev = make_event(jets=[make_particle()])
+    for key, value in changes.items():
+        ev[key] = value
+    return ev
+
+
+@pytest.mark.parametrize("malformed_schema, event", [
+    pytest.param(None, {k: v for k, v in make_event().items() if k != "lumi"}, id="missing-field"),
+    pytest.param(TAGGED, {"x": 1.0}, id="missing-zero-width-sub-record"),
+    pytest.param(None, _with(met={"pt": "1.0", "phi": 0.0}), id="str-in-f64"),
+    pytest.param(None, _with(jets=[make_particle(id=1.5)]), id="float-in-i32"),
+    pytest.param(None, _with(jets=[make_particle(id=2**31)]), id="i32-out-of-range"),
+    pytest.param(None, _with(jets=None), id="none-for-array"),
+    pytest.param(None, _with(jets=[{"pt": 1.0, "eta": 0.0, "phi": 0.0, "mass": 0.0}]),
+                 id="missing-element-field"),
+])
+def test_malformed_event_is_rejected_and_leaves_no_file(tmp_path, schema, malformed_schema,
+                                                        event):
+    with pytest.raises(SchemaViolation):
+        write_evt(tmp_path / "bad.evt", [event], malformed_schema or schema)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convert_round_trips_and_recomputes_blocks(tmp_path, schema):

@@ -8,7 +8,9 @@ non-overlapping phases:
     read     raw storage reads
     decode   CRC checks, decompression, deserialization to events
     compute  compiling and running the skim loop (cut, projection and
-             weight sum), weight normalization
+             weight sum), weight normalization, and the one full garbage
+             collection that ends a traversal which filled the cache (it
+             pauses automatic collection while it fills)
     write    ntuple serialization and output writes, freeing the rows
 
 `read_compute` (read + decode + compute) is also reported so runs can be

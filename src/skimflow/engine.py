@@ -25,6 +25,10 @@ cache past it instead drops the whole cache, records a warning, and the
 dataset falls back to cold reads, so the cache never holds more than the
 budget. The budget counts decoded EVT payload bytes, not resident memory;
 the Python objects built from a payload take about ten times its size.
+A traversal that can admit partitions to the cache pauses automatic
+garbage collection, which would otherwise rescan the growing cache many
+times over, and runs one full collection at its end, charged to compute.
+Traversals that fill nothing leave the collector alone.
 
 Each traversal derives from the compiled expressions it is given the
 schema leaves they read (`expr` records them, `storage.codec` compiles a
@@ -38,11 +42,13 @@ state alone. `bytes_decoded` counts every payload byte walked either way.
 
 from __future__ import annotations
 
+import gc
 import glob as globmod
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -252,11 +258,12 @@ class PartitionedDataset:
     # -- per-partition event access -----------------------------------------
 
     def _partition_events(
-        self, part: Partition, timers: PhaseTimers, codec: EventCodec
+        self, part: Partition, timers: PhaseTimers, codec: EventCodec | None
     ) -> Iterable[dict]:
         """The partition's events: from the cache, else decoded with the
         full codec when the partition is to be admitted to the cache, and
-        with `codec` (which may read only some leaves) when it is not."""
+        with `codec` (which may read only some leaves; None for the full
+        codec) when it is not."""
         cached = self._cache.get(part.index)
         if cached is not None:
             timers.cache_hits += 1
@@ -264,7 +271,7 @@ class PartitionedDataset:
         index = self.files[part.file_index]
         if not self._want_cache:
             return iter_block_range(
-                index, part.block_lo, part.block_hi, timers=timers, codec=codec
+                index, part.block_lo, part.block_hi, timers=timers, codec=codec or self.codec
             )
         before = timers.bytes_decoded
         events = list(iter_block_range(
@@ -346,6 +353,34 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
         yield from pool.map(wrapped, ds.partitions)
 
 
+# Traversals that fill a cache pause the cyclic collector; concurrent and
+# nested ones share it, and the last one out restores the state the first
+# one found.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_restore = False
+
+
+@contextmanager
+def _collector_paused():
+    """Pause automatic garbage collection for the block, and yield whether
+    the collector was enabled when the block was entered."""
+    global _gc_depth, _gc_restore
+    with _gc_lock:
+        enabled = gc.isenabled()
+        if _gc_depth == 0:
+            _gc_restore = enabled
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield enabled
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_restore:
+                gc.enable()
+
+
 def _traverse(
     ds: PartitionedDataset,
     cut: TypedCut | None,
@@ -358,13 +393,25 @@ def _traverse(
     and return each partition's (selected rows, Kahan partial of the
     weight) in partition order, merging its phase timers into `timers`.
     A partition outside the cache is decoded only in the union of the
-    leaves the three read. Compute is the time to compile the kernel and
-    that decoder, plus each partition's wall time, event access included,
-    less the read and decode time spent inside it."""
+    leaves the three read; when every partition is cached, no decoder is
+    built. Compute is the time to compile the kernel and that decoder,
+    plus each partition's wall time, event access included, less the read
+    and decode time spent inside it, plus the one full collection that
+    ends a traversal which filled the cache.
+
+    A traversal that can admit partitions to the cache runs with
+    automatic garbage collection paused. It allocates only acyclic
+    objects (decoded events and row tuples), so a collection during it
+    could free nothing it made, yet each one would rescan the growing
+    cache. If it leaves partitions in the cache and found the collector
+    enabled, it runs one `gc.collect()` at its end instead."""
     t0 = time.perf_counter()
     kernel = compile_kernel(cut, projection, weight)
-    parts = [e for e in (cut, projection, weight) if e is not None]
-    codec = EventCodec(ds.schema, frozenset().union(*(e.leaves for e in parts)))
+    missing = any(part.index not in ds._cache for part in ds.partitions)
+    codec = None
+    if missing:
+        parts = [e for e in (cut, projection, weight) if e is not None]
+        codec = EventCodec(ds.schema, frozenset().union(*(e.leaves for e in parts)))
     timers.compute += time.perf_counter() - t0
 
     def task(part: Partition):
@@ -375,10 +422,18 @@ def _traverse(
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
         return (rows, partial), t
 
+    fills = missing and ds._want_cache
     results = []
-    for result, t in _run_partitions(ds, task, workers):
-        timers.merge(t)
-        results.append(result)
+    with _collector_paused() if fills else nullcontext(False) as enabled:
+        for result, t in _run_partitions(ds, task, workers):
+            timers.merge(t)
+            results.append(result)
+        if enabled and ds._cache:
+            # before the collector resumes, whose first automatic pass
+            # would otherwise scan every object the traversal made
+            t0 = time.perf_counter()
+            gc.collect()
+            timers.compute += time.perf_counter() - t0
     return results
 
 

@@ -1,8 +1,10 @@
 """The generated encoder against the EVT layout written out by hand, and
-leaf-pruned decoding: equivalence with the full decode and hostile counts."""
+leaf-pruned decoding: equivalence with the full decode, hostile counts
+and malformed payloads."""
 
 import random
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -11,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import KINDS, hostile, random_events, random_schema
-from skimflow.errors import SchemaError, TruncatedBlock
-from skimflow.events import make_event, make_particle
+from skimflow.errors import DataError, SchemaError, TruncatedBlock
+from skimflow.events import analysis_schema, make_event, make_particle
+from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import EventCodec, iter_block_range, scan_evt, write_evt
+from skimflow.storage import EventCodec, evt, iter_block_range, scan_evt, write_evt
 
 DEFAULT_LEAVES = {
     ("genInfo", "weight"), ("met", "pt"), ("met", "phi"), ("jets", "pt"),
@@ -213,3 +216,82 @@ def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_nam
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- malformed payloads ---------------------------------------------------------------
+
+FUZZ_SCHEMA = analysis_schema()
+FUZZ_PAYLOAD = b"".join(
+    EventCodec(FUZZ_SCHEMA).encode(ev) for ev in generate_events(GeneratorSpec(seed=9, n_events=8))
+)
+FUZZ_PEAK_BYTES = 16 << 20
+FUZZ_SECONDS = 2.0
+
+_position = st.integers(0, 1 << 16)
+_mutation = st.one_of(
+    st.tuples(st.just("xor"), _position, st.integers(1, 255)),
+    st.tuples(st.just("u32"), _position, st.integers(0, (1 << 32) - 1)),
+    st.tuples(st.just("insert"), _position, st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("delete"), _position, st.integers(1, 16)),
+    st.tuples(st.just("truncate"), _position, st.just(None)),
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for kind, pos, arg in mutations:
+        pos %= len(out) + 1
+        if kind == "xor" and pos < len(out):
+            out[pos] ^= arg
+        elif kind == "u32":
+            out[pos:pos + 4] = arg.to_bytes(4, "little")
+        elif kind == "insert":
+            out[pos:pos] = arg
+        elif kind == "delete":
+            del out[pos:pos + arg]
+        elif kind == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(
+    compress=st.booleans(),
+    mutate_stored=st.booleans(),
+    mutations=st.lists(_mutation, min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
+                                                        mutations):
+    """Mutate the event bytes of an analysis-schema block, or for a deflate
+    block its stored stream, and store it with its CRC as `write_evt`
+    does. Every outcome, with the full and with a pruned codec, is events
+    or a DataError, in bounded memory and time."""
+    if compress and mutate_stored:
+        stored = mutate(evt._deflate(FUZZ_PAYLOAD), mutations)
+    else:
+        stored = mutate(FUZZ_PAYLOAD, mutations)
+        if compress:
+            stored = evt._deflate(stored)
+    path = fuzz_dir / "fuzz.evt"
+    write_evt(path, [], FUZZ_SCHEMA, compress=compress)
+    with open(path, "ab") as f:
+        f.write(evt._BLOCK_HDR.pack(8, len(stored)) + stored + evt._U32.pack(zlib.crc32(stored)))
+    index = scan_evt(path)
+    for codec in (EventCodec(FUZZ_SCHEMA), EventCodec(FUZZ_SCHEMA, DEFAULT_LEAVES)):
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            events = list(iter_block_range(index, 0, 1, codec=codec))
+            assert len(events) == 8
+        except DataError:
+            pass
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < FUZZ_PEAK_BYTES
+        assert time.perf_counter() - t0 < FUZZ_SECONDS

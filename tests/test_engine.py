@@ -1,9 +1,14 @@
+import gc
 import hashlib
+import sys
+import threading
+import zlib
 from dataclasses import replace
 
 import pytest
 
 from oracle import kahan_sum
+from skimflow import engine
 from skimflow.engine import (
     DatasetDescriptor,
     EngineConfig,
@@ -12,11 +17,19 @@ from skimflow.engine import (
     open_dataset,
     plan_partitions,
 )
-from skimflow.errors import ConfigError, InvalidCustomPlan, NoFilesMatched
+from skimflow.errors import ConfigError, DataError, InvalidCustomPlan, NoFilesMatched
 from skimflow.events import analysis_schema
 from skimflow.expr import typecheck_cut, typecheck_projection, typecheck_value
-from skimflow.generator import GeneratorSpec, generate_evt
-from skimflow.storage import BlockInfo, iter_block_range, read_evt, read_ntu, write_evt
+from skimflow.generator import GeneratorSpec, generate_corpus, generate_evt
+from skimflow.storage import (
+    BlockInfo,
+    EventCodec,
+    iter_block_range,
+    read_evt,
+    read_ntu,
+    scan_evt,
+    write_evt,
+)
 from skimflow.storage.evt import EvtIndex
 from skimflow.storage.ntu import NtuWriter
 from skimflow.timing import PhaseTimers
@@ -404,3 +417,185 @@ def test_sink_aborted_on_failure(small_corpus, tmp_path):
     with pytest.raises(RuntimeError):
         filter_map_write(ds, cut, proj, sink=sink, finalize=lambda _: explode)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the cyclic collector ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gc_corpus(tmp_path_factory):
+    """20,000 mc events in 2 files: enough allocation that a fill with the
+    collector running triggers collections of every generation."""
+    root = tmp_path_factory.mktemp("gc_corpus")
+    generate_corpus(GeneratorSpec(seed=5, n_events=20000, kind="mc", weight_dist="signed"), root, 2)
+    return str(root / "*.evt")
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state and callbacks after the test."""
+    enabled = gc.isenabled()
+    callbacks = list(gc.callbacks)
+    try:
+        yield
+    finally:
+        gc.callbacks[:] = callbacks
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def collections():
+    """Append the generation of every collection that starts from now on
+    to the returned list."""
+    seen = []
+    gc.callbacks.append(lambda phase, info: phase == "start" and seen.append(info["generation"]))
+    return seen
+
+
+def weighted_skim(ds, out, workers=None):
+    """A skim that sums the generator weight, as `run_skim` does for mc."""
+    cut = typecheck_cut("met.pt > 100.0", ds.schema)
+    proj = typecheck_projection([("met_pt", "met.pt"), ("ht", "sum(jets, it.pt)")], ds.schema)
+    weight = typecheck_value("genInfo.weight", ds.schema)
+    sink = NtuWriter(out, proj.columns)
+    return filter_map_write(ds, cut, proj, sink=sink, weight=weight, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cache_fill_runs_one_full_collection(gc_corpus, tmp_path, collector, workers):
+    ds = open_dataset(mc_descriptor(gc_corpus)).persist()
+    gc.enable()
+    gc.collect()
+    seen = collections()
+    weighted_skim(ds, tmp_path / "a.ntu", workers)
+    assert ds.cache_state == "cached"
+    assert seen == [2]
+    assert gc.isenabled()
+
+    seen.clear()
+    weighted_skim(ds, tmp_path / "b.ntu", workers)
+    assert 2 not in seen  # the cached skim rescans nothing old
+
+
+def test_collector_paused_only_while_the_cache_fills(gc_corpus, tmp_path, collector):
+    ds = open_dataset(mc_descriptor(gc_corpus))
+    gc.enable()
+    enabled = []
+    take = ds._partition_events
+
+    def spy(part, timers, codec):
+        enabled.append(gc.isenabled())
+        return take(part, timers, codec)
+
+    ds._partition_events = spy
+    weighted_skim(ds, tmp_path / "cold.ntu")
+    assert enabled and all(enabled)
+
+    ds.persist()
+    enabled.clear()
+    weighted_skim(ds, tmp_path / "fill.ntu")
+    assert enabled and not any(enabled)
+    assert gc.isenabled()
+
+    enabled.clear()
+    weighted_skim(ds, tmp_path / "cached.ntu")
+    assert enabled and all(enabled)
+
+
+def test_disabled_collector_stays_disabled(gc_corpus, tmp_path, collector):
+    ds = open_dataset(mc_descriptor(gc_corpus)).persist()
+    gc.disable()
+    seen = collections()
+    weighted_skim(ds, tmp_path / "a.ntu", workers=2)
+    assert ds.cache_state == "cached"
+    assert not gc.isenabled()
+    assert seen == []
+
+
+def test_concurrent_filling_skims_restore_the_collector(gc_corpus, small_corpus, tmp_path,
+                                                        collector):
+    globs = {"big": gc_corpus, "small": small_corpus["glob"]}
+    expected = {}
+    for name, glob in globs.items():
+        out = tmp_path / f"{name}-sequential.ntu"
+        weighted_skim(open_dataset(mc_descriptor(glob)).persist(), out, workers=2)
+        expected[name] = out.read_bytes()
+
+    gc.enable()
+    errors = []
+
+    def skim(name):
+        try:
+            ds = open_dataset(mc_descriptor(globs[name])).persist()
+            weighted_skim(ds, tmp_path / f"{name}-threaded.ntu", workers=3)
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=skim, args=(name,)) for name in globs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert gc.isenabled()
+    for name in globs:
+        assert (tmp_path / f"{name}-threaded.ntu").read_bytes() == expected[name]
+
+
+def test_fully_cached_skim_builds_no_decoder(small_corpus, tmp_path, monkeypatch):
+    built = []
+
+    class Spy(EventCodec):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "EventCodec", Spy)
+    cold = open_dataset(mc_descriptor(small_corpus["glob"]))
+    weighted_skim(cold, tmp_path / "cold.ntu")
+    ds = open_dataset(mc_descriptor(small_corpus["glob"])).persist()
+    weighted_skim(ds, tmp_path / "fill.ntu")
+    assert ds.cache_state == "cached"
+    built.clear()
+    weighted_skim(ds, tmp_path / "cached.ntu")
+    assert built == []
+    cold_bytes = (tmp_path / "cold.ntu").read_bytes()
+    assert (tmp_path / "fill.ntu").read_bytes() == cold_bytes
+    assert (tmp_path / "cached.ntu").read_bytes() == cold_bytes
+
+
+def test_corrupt_block_in_a_filling_skim_restores_the_collector(tmp_path, collector):
+    """A block whose CRC is valid but whose jets count overruns the
+    payload fails the filling traversal with a DataError that names the
+    partition, and the collector resumes."""
+    path = tmp_path / "f.evt"
+    generate_evt(GeneratorSpec(seed=3, n_events=400), path, block_target=100)
+    block = scan_evt(path).blocks[1]
+    raw = bytearray(path.read_bytes())
+    start = block.offset + 8
+    jets = start + 48 + 4 * 4  # the first event's jets count
+    raw[jets:jets + 4] = (0xFFFF).to_bytes(4, "little")
+    payload = bytes(raw[start:start + block.payload_len])
+    raw[start + block.payload_len:start + block.payload_len + 4] = (
+        zlib.crc32(payload).to_bytes(4, "little")
+    )
+    path.write_bytes(bytes(raw))
+
+    ds = open_dataset(
+        mc_descriptor(str(tmp_path / "*.evt")),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+    ).persist()
+    gc.enable()
+    with pytest.raises(DataError, match=r"partition 1 .*block 1"):
+        weighted_skim(ds, tmp_path / "out.ntu", workers=2)
+    assert gc.isenabled()
+    assert not (tmp_path / "out.ntu").exists()

@@ -1,9 +1,9 @@
 """The physics-facing skim/slim workflow.
 
-For mc datasets one traversal selects events, projects them to flat rows
-and, in the same loop, sums the generator weights of every event (the
-normalization denominator). Once it ends, each row gets a `weight`
-column holding
+For mc datasets one traversal selects events, projects them to flat
+columns and, in the same loop, sums the generator weights of every event
+(the normalization denominator). Once it ends, the `weight` column is
+rewritten to hold
 
     weight = genWeight * xsec_pb * luminosity_invpb / sum_of_weights
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -53,7 +54,7 @@ from .engine import (
     filter_map_write,
     map_reduce,
 )
-from .errors import ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
+from .errors import ArityMismatch, ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
 from .expr import typecheck_cut, typecheck_projection, typecheck_value
 from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Schema
@@ -309,12 +310,12 @@ def run_skim(
     """Run the full skim/slim for one dataset and write its ntuple.
 
     Both kinds make one traversal. mc sums the generator weights of every
-    event in the same loop as the selection and normalizes the selected
-    rows' weights once it ends; data rows carry unit weights. The weight
-    is the compiled `genInfo.weight`, so the engine learns every leaf the
-    skim reads from the cut, the projection and the weight. `persist`
-    overrides the config's choice of keeping an mc dataset's decoded
-    events in memory for later traversals.
+    event in the same loop as the selection and, once it ends, normalizes
+    each partition's weight column in one pass; data rows carry unit
+    weights. The weight is the compiled `genInfo.weight`, so the engine
+    learns every leaf the skim reads from the cut, the projection and the
+    weight. `persist` overrides the config's choice of keeping an mc
+    dataset's decoded events in memory for later traversals.
     """
     descriptor = ds.descriptor
     schema = ds.schema
@@ -339,7 +340,15 @@ def run_skim(
                 raise ZeroSumOfWeights(
                     f"dataset {descriptor.label!r}: generator weights sum to zero"
                 )
-            return lambda row: row[:-1] + (normalize_weight(row[-1], xsec, lumi, sumw),)
+
+            def normalize(columns):
+                # normalize_weight's order, ((w * xsec) * lumi) / sumw, per value
+                gen = columns[-1]
+                try:
+                    columns[-1] = array(gen.typecode, [w * xsec * lumi / sumw for w in gen])
+                except (TypeError, OverflowError) as exc:
+                    raise ArityMismatch(f"weight value does not match column kind: {exc}") from exc
+            return normalize
     else:
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, "1.0")], schema

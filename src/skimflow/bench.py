@@ -11,7 +11,8 @@ non-overlapping phases:
              weight sum), weight normalization, and the one full garbage
              collection that ends a traversal which filled the cache (it
              pauses automatic collection while it fills)
-    write    ntuple serialization and output writes, freeing the rows
+    write    writing each partition's column arrays into the ntuple's row
+             groups, and freeing them once written
 
 `read_compute` (read + decode + compute) is also reported so runs can be
 compared against harnesses that cannot separate decoding from reading.

@@ -9,12 +9,14 @@ scheduling order.
 
 `filter_map_write` is the only traversal a skim makes. Each partition
 runs one loop generated from the skim's compiled cut, projection and
-weight (`expr.compile_kernel`), over cached and decoded events alike.
-Given a weight, as for an mc dataset, that loop sums the weights as it
-selects, so every event is read and decoded once. The selected rows are
-then held until the traversal ends, because an mc row's normalised
-weight needs the sum over the whole dataset. `map_reduce` is the same
-loop with no cut and no projection.
+weight (`expr.compile_kernel`), over cached and decoded events alike,
+which appends the selected events' projected values to one typed
+`array` per column; no row is built. Given a weight, as for an mc
+dataset, that loop sums the weights as it selects, so every event is
+read and decoded once. Each partition's columns are then held until the
+traversal ends, because an mc event's normalised weight needs the sum
+over the whole dataset, and the writer takes them as they are.
+`map_reduce` is the same loop with no cut and no projection.
 
 An explicit in-memory cache ("persist") retains each partition's decoded
 events after the first full traversal; later traversals then read zero
@@ -47,6 +49,7 @@ import glob as globmod
 import os
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -63,7 +66,7 @@ from .errors import (
 from .expr import TypedCut, TypedProjection, TypedValue, compile_kernel
 from .schema import Schema
 from .storage import EventCodec, EvtIndex, iter_block_range, scan_evt
-from .storage.ntu import NtuWriter
+from .storage.ntu import KIND_INFO, NtuWriter
 from .timing import PhaseTimers
 
 DEFAULT_PARTITION_TARGET_BYTES = 4 * 1024 * 1024
@@ -388,10 +391,11 @@ def _traverse(
     weight: TypedValue | None,
     workers: int | None,
     timers: PhaseTimers,
-) -> list[tuple[list[tuple], float]]:
+) -> list[tuple[list[array], int, float]]:
     """Run the skim kernel of (cut, projection, weight) on every partition
-    and return each partition's (selected rows, Kahan partial of the
-    weight) in partition order, merging its phase timers into `timers`.
+    and return each partition's (one fresh array per projection column,
+    the number of selected events, Kahan partial of the weight) in
+    partition order, merging its phase timers into `timers`.
     A partition outside the cache is decoded only in the union of the
     leaves the three read; when every partition is cached, no decoder is
     built. Compute is the time to compile the kernel and that decoder,
@@ -401,12 +405,13 @@ def _traverse(
 
     A traversal that can admit partitions to the cache runs with
     automatic garbage collection paused. It allocates only acyclic
-    objects (decoded events and row tuples), so a collection during it
+    objects (decoded events and column arrays), so a collection during it
     could free nothing it made, yet each one would rescan the growing
     cache. If it leaves partitions in the cache and found the collector
     enabled, it runs one `gc.collect()` at its end instead."""
     t0 = time.perf_counter()
     kernel = compile_kernel(cut, projection, weight)
+    typecodes = [] if projection is None else [KIND_INFO[k][0] for _, k in projection.columns]
     missing = any(part.index not in ds._cache for part in ds.partitions)
     codec = None
     if missing:
@@ -417,10 +422,10 @@ def _traverse(
     def task(part: Partition):
         t = PhaseTimers()
         t0 = time.perf_counter()
-        rows: list[tuple] = []
-        partial = kernel(ds._partition_events(part, t, codec), rows)
+        columns = [array(typecode) for typecode in typecodes]
+        partial, n = kernel(ds._partition_events(part, t, codec), columns)
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
-        return (rows, partial), t
+        return (columns, n, partial), t
 
     fills = missing and ds._want_cache
     results = []
@@ -468,7 +473,7 @@ def map_reduce(
     bit-identical for any worker count over a fixed partition plan.
     """
     results = _traverse(ds, None, None, value, workers, timers or PhaseTimers())
-    return _pairwise_sum([partial for _, partial in results])
+    return _pairwise_sum([partial for _, _, partial in results])
 
 
 def filter_map_write(
@@ -478,23 +483,26 @@ def filter_map_write(
     *,
     sink: NtuWriter,
     weight: TypedValue | None = None,
-    finalize: Callable[[float | None], Callable[[tuple], tuple]] | None = None,
+    finalize: Callable[[float | None], Callable[[list[array]], None]] | None = None,
     workers: int | None = None,
     timers: PhaseTimers | None = None,
 ) -> tuple[int, float | None]:
-    """Select events, project them to rows, and write the sink in partition
-    order (input order within each partition), in one traversal. Consumes
-    the sink: it is closed on success and aborted (partial file removed) on
-    failure.
+    """Select events, project them to columns, and write the sink in
+    partition order (input order within each partition), in one
+    traversal. Consumes the sink: it is closed on success and aborted
+    (partial file removed) on failure.
 
     Each partition runs one generated loop (`expr.compile_kernel`) over
-    its events, cached or decoded. With `weight`, that loop also sums the
-    weight of every event, selected or not, as `map_reduce` does, so the
-    sum is bit-identical to `map_reduce(ds, weight)`. `finalize`, if
-    given, is called once after the traversal and before any row is
-    written, with that sum (None without `weight`), and returns the
-    function applied to every row; an exception it raises aborts the
-    sink.
+    its events, cached or decoded, that appends each selected event's
+    projected values to one typed array per column. With `weight`, that
+    loop also sums the weight of every event, selected or not, as
+    `map_reduce` does, so the sum is bit-identical to
+    `map_reduce(ds, weight)`. `finalize`, if given, is called once after
+    the traversal and before anything is written, with that sum (None
+    without `weight`), and returns a function that rewrites one
+    partition's column list in place, called on every partition's list;
+    an exception either raises aborts the sink. The sink then takes each
+    partition's columns (`NtuWriter.append_columns`) in partition order.
 
     Partitions that do not go into the cache are decoded only in the
     union of the leaves that the cut, the projection and the weight read.
@@ -504,24 +512,22 @@ def filter_map_write(
     timers = timers or PhaseTimers()
     count = 0
     try:
-        # drain all partitions before writing: a row's final value may need
-        # the sum over every partition, and an exclusive write keeps the
-        # write phase free of GIL contention with worker decode/compute
+        # drain all partitions before writing: a final value may need the
+        # sum over every partition, and an exclusive write keeps the write
+        # phase free of GIL contention with worker decode/compute
         results = _traverse(ds, cut, projection, weight, workers, timers)
-        sumw = None if weight is None else _pairwise_sum([partial for _, partial in results])
+        sumw = None if weight is None else _pairwise_sum([partial for _, _, partial in results])
         if finalize is not None:
             t0 = time.perf_counter()
-            row_fn = finalize(sumw)
-            for rows, _ in results:
-                # in place, so a projected row is freed as its final row replaces it
-                for i, row in enumerate(rows):
-                    rows[i] = row_fn(row)
+            finish = finalize(sumw)
+            for columns, _, _ in results:
+                finish(columns)
             timers.compute += time.perf_counter() - t0
         t0 = time.perf_counter()
-        for rows, _ in results:
-            sink.append_rows(rows)
-            count += len(rows)
-            rows.clear()  # the sink holds the values: free the rows as written
+        for columns, n, _ in results:
+            sink.append_columns(columns, n)
+            count += n
+            columns.clear()  # free each partition's arrays once written
         sink.close()
         timers.write += time.perf_counter() - t0
     except BaseException:

@@ -35,12 +35,12 @@ once with `exec`, as the codec does. Each compiled form's `evaluate` is
 a generated one-event function, compiled on its first call, and
 `compile_kernel` writes one loop per skim: for each event it adds the
 weight to a Kahan sum, tests the cut's top-level `and` clauses in source
-order up to the first that fails, and appends the projected row. A field
-is read once into a local and shared by every clause and column that
-reads it, as is an aggregate; the aggregates over one collection share
-one loop. User text enters that source only as the `repr()` of a parsed
-constant or of a field name the schema has checked, and every local name
-is generated.
+order up to the first that fails, and appends each projected value to
+its column's typed `array`, building no row. A field is read once into
+a local and shared by every clause and column that reads it, as is an
+aggregate; the aggregates over one collection share one loop. User text
+enters that source only as the `repr()` of a parsed constant or of a
+field name the schema has checked, and every local name is generated.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Union
 
-from .errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
+from .errors import ArityMismatch, NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from .schema import Array, Primitive, Record, Schema
 
 NUMERIC_KINDS = frozenset({"f64", "f32", "i64", "i32"})
@@ -799,15 +799,19 @@ def compile_kernel(
     cut: TypedCut | None = None,
     projection: TypedProjection | None = None,
     weight: TypedValue | None = None,
-) -> Callable[[Iterable[dict], list], float]:
-    """Write and compile one skim's loop: `kernel(events, rows)` returns
-    the Kahan-compensated sum of `weight` over every event (0.0 without a
-    weight) and appends the projected row of every event that passes the
-    cut to `rows`. For each event it first adds the weight, then tests the
-    cut's top-level `and` clauses in source order, each computing only
-    what it reads and stopping at the first that fails, and then builds
-    the row from what the clauses already read plus the rest. No cut
-    passes every event; no projection appends nothing."""
+) -> Callable[[Iterable[dict], list], tuple[float, int]]:
+    """Write and compile one skim's loop: `kernel(events, columns)` returns
+    (the Kahan-compensated sum of `weight` over every event, 0.0 without
+    a weight; the number of events that pass the cut) and appends each
+    projected value of every event that passes the cut to its column in
+    `columns`, one `array` per projection column in projection order, of
+    the column's NTU typecode. For each event it first adds the weight,
+    then tests the cut's top-level `and` clauses in source order, each
+    computing only what it reads and stopping at the first that fails,
+    and then appends the projected values, computed from what the clauses
+    already read plus the rest. No cut passes every event; no projection
+    appends nothing. A value that its column cannot hold (an integer
+    constant beyond i64, say) raises `ArityMismatch`, as `NtuWriter` does."""
     parts = [part for part in (cut, projection, weight) if part is not None]
     if not parts:
         raise TypeMismatch("a kernel needs a cut, a projection or a weight")
@@ -815,6 +819,7 @@ def compile_kernel(
     if any(part.schema != schema for part in parts):
         raise TypeMismatch("the cut, projection and weight were compiled against different schemas")
     checker = _Checker(schema)
+    setup = ["total = 0.0", "comp = 0.0", "n = 0"]
     body: list[str] = []
     if weight is not None:
         src, _ = checker.compile(weight.node)
@@ -823,14 +828,29 @@ def compile_kernel(
     if cut is not None:
         for prelude, test in checker.clauses(cut.node):
             body += prelude + [f"if not {test}:", "    continue"]
-    if projection is not None:
+    body.append("n += 1")
+    if projection is not None and projection.nodes:
         srcs = [checker.compile(node)[0] for node in projection.nodes]
-        body += checker.prelude() + [f"append({_row(srcs)})"]
-    return _function(checker, "kernel", "events, rows", [
-        "total = 0.0",
-        "comp = 0.0",
-        "append = rows.append",
+        body += checker.prelude()
+        appends = []
+        for i, (node, src) in enumerate(zip(projection.nodes, srcs)):
+            setup.append(f"put{i} = columns[{i}].append")
+            if isinstance(node, (Arith, Neg)):
+                # computed before the appends: only arithmetic can raise
+                # while computing a value, and that error stays its own
+                body.append(f"p{i} = {src}")
+                src = f"p{i}"
+            appends.append(f"put{i}({src})")
+        body += [
+            "try:",
+            *("    " + line for line in appends),
+            "except (TypeError, OverflowError) as exc:",
+            "    raise ArityMismatch(f'row value does not match column kind: {exc}') from exc",
+        ]
+        checker.consts["ArityMismatch"] = ArityMismatch
+    return _function(checker, "kernel", "events, columns", [
+        *setup,
         "for ev in events:",
-        *("    " + line for line in body or ["pass"]),
-        "return total",
+        *("    " + line for line in body),
+        "return total, n",
     ])

@@ -42,11 +42,13 @@ KIND_INFO = {"f64": ("d", 8), "f32": ("f", 4), "i64": ("q", 8), "i32": ("i", 4),
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _tobytes(arr: array) -> bytes:
+def _tobytes(arr: array) -> array:
+    """The array's values as little-endian bytes: the array itself, without
+    a copy, on a little-endian host."""
     if _BIG_ENDIAN:
         arr = array(arr.typecode, arr)
         arr.byteswap()
-    return arr.tobytes()
+    return arr
 
 
 def _frombytes(typecode: str, data: bytes) -> array:
@@ -66,11 +68,14 @@ class NtuWriteStats:
 
 
 class NtuWriter:
-    """Buffers rows and flushes column-wise row groups.
+    """Writes column-wise row groups of `group_target` rows (the last one
+    may be shorter), from one typed array per column (`append_columns`)
+    or from rows (`append`, `append_rows`), buffered until a group fills.
 
     Writes to `<path>.tmp` and renames on close(); abort() removes the
-    partial file. Deterministic: identical rows and group target produce
-    byte-identical files.
+    partial file. Deterministic: the same rows and group target produce
+    byte-identical files, however they are split into calls and whether
+    they come as rows or as columns.
     """
 
     def __init__(self, path, columns: Sequence[tuple[str, str]], *, group_target: int = DEFAULT_GROUP_ROWS):
@@ -120,6 +125,27 @@ class NtuWriter:
     def append_rows(self, rows: Iterable[Sequence]) -> None:
         for row in rows:
             self.append(row)
+
+    def append_columns(self, columns: Sequence[array], n_rows: int) -> None:
+        """Append `n_rows` rows given as one array per column, in header
+        order, each of its column's typecode and `n_rows` long."""
+        if len(columns) != self._ncols:
+            raise ArityMismatch(f"{len(columns)} columns, expected {self._ncols}")
+        for (name, _), typecode, col in zip(self.columns, self._typecodes, columns):
+            if not isinstance(col, array) or col.typecode != typecode:
+                raise ArityMismatch(f"column {name!r} is not an array of typecode {typecode!r}")
+            if len(col) != n_rows:
+                raise ArityMismatch(f"column {name!r} has {len(col)} values, expected {n_rows}")
+        start = 0
+        while start < n_rows:
+            stop = min(n_rows, start + self.group_target - self._pending)
+            for buf, col in zip(self._buffers, columns):
+                buf.extend(col[start:stop])
+            self._pending += stop - start
+            if self._pending >= self.group_target:
+                self._flush_group()
+            start = stop
+        self._n_rows += n_rows
 
     def _unwind_partial_row(self) -> None:
         for buf in self._buffers:

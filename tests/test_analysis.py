@@ -1,9 +1,12 @@
 import json
+import random
+from array import array
 from dataclasses import replace
 
 import pytest
 
 import oracle
+from randgen import f32_exact
 from skimflow.analysis import (
     DEFAULT_HISTOGRAMS,
     DEFAULT_PROJECTION,
@@ -20,9 +23,10 @@ from skimflow.analysis import (
     sum_of_weights,
 )
 from skimflow.engine import DatasetDescriptor, EngineConfig, open_dataset
-from skimflow.errors import ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
+from skimflow.errors import ArityMismatch, ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
 from skimflow.events import make_event
 from skimflow.histogram import Histogram, HistogramSpec
+from skimflow.schema import Primitive, Record, Schema
 from skimflow.storage import inspect_evt, read_ntu, write_evt
 from skimflow.timing import PhaseTimers
 
@@ -442,3 +446,58 @@ def test_config_engine_keys():
         partition_mode="custom",
         partition_custom={"per_file": 3},
     )
+
+
+@pytest.mark.parametrize("kind", ["f32", "f64"])
+def test_weight_column_is_bitwise_the_row_formula(tmp_path, kind):
+    # the weight column takes the generator weight's kind; with f32, each
+    # value is the row formula rounded to f32 on write
+    schema = Schema(Record((
+        ("x", Primitive("f64")),
+        ("genInfo", Record((("weight", Primitive(kind)),))),
+    )))
+    rng = random.Random(5)
+    events = [
+        {"x": rng.uniform(-1.0, 1.0),
+         "genInfo": {"weight": f32_exact(rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0))}}
+        for _ in range(3000)
+    ]
+    write_evt(tmp_path / "f.evt", events, schema, block_target=100)
+    config = base_config(
+        [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
+        selection="x > 0.0", projection=(("x", "x"),),
+        engine=EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+    )
+    ds = open_dataset(config.datasets[0], config.engine)
+    result = run_skim(config, ds, tmp_path / "out.ntu", workers=2)
+
+    got = read_ntu(tmp_path / "out.ntu")
+    assert got.kinds["weight"] == kind
+    typecode = "f" if kind == "f32" else "d"
+    gen = [ev["genInfo"]["weight"] for ev in events if ev["x"] > 0.0]
+    want = array(typecode, [normalize_weight(w, 7.3, 1000.0, result.sum_weights) for w in gen])
+    assert got.columns["weight"].tobytes() == want.tobytes()
+    assert got.columns["weight"] != array(typecode, gen)
+
+
+@pytest.mark.parametrize("kind", ["i32", "i64"])
+def test_integer_generator_weight_raises_arity_mismatch(tmp_path, kind):
+    # the weight column takes the generator weight's integer kind, which
+    # cannot hold the normalized weight
+    schema = Schema(Record((
+        ("x", Primitive("f64")),
+        ("genInfo", Record((("weight", Primitive(kind)),))),
+    )))
+    events = [{"x": float(i), "genInfo": {"weight": 1 + i % 3}} for i in range(50)]
+    write_evt(tmp_path / "f.evt", events, schema)
+    config = base_config(
+        [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
+        selection="x > 10.0", projection=(("x", "x"),),
+    )
+    out = tmp_path / "out.ntu"
+    out.write_bytes(b"an earlier skim")
+    ds = open_dataset(config.datasets[0], config.engine)
+    with pytest.raises(ArityMismatch):
+        run_skim(config, ds, out)
+    assert out.read_bytes() == b"an earlier skim"
+    assert not (tmp_path / "out.ntu.tmp").exists()

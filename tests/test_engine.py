@@ -3,6 +3,7 @@ import hashlib
 import sys
 import threading
 import zlib
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -325,10 +326,22 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
     assert len(digests) == 1
 
 
+def rowwise(row_fn):
+    """A finaliser's per-partition function that applies `row_fn` to every
+    row of the partition's columns: transposed to rows, mapped, and
+    transposed back in place."""
+    def finish(columns):
+        rows = [row_fn(row) for row in zip(*columns)]
+        if rows:
+            columns[:] = [array(col.typecode, values) for col, values in zip(columns, zip(*rows))]
+    return finish
+
+
 def test_row_finalize_applied(small_corpus, tmp_path):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     count = run_filter(
-        ds, "true", tmp_path / "fin.ntu", finalize=lambda _: lambda row: (row[0] * 2.0, row[1])
+        ds, "true", tmp_path / "fin.ntu",
+        finalize=lambda _: rowwise(lambda row: (row[0] * 2.0, row[1])),
     )
     assert count == 2000
     doubled = read_ntu(tmp_path / "fin.ntu").columns["met_pt"]
@@ -415,7 +428,7 @@ def test_sink_aborted_on_failure(small_corpus, tmp_path):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError):
-        filter_map_write(ds, cut, proj, sink=sink, finalize=lambda _: explode)
+        filter_map_write(ds, cut, proj, sink=sink, finalize=lambda _: rowwise(explode))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -599,3 +612,37 @@ def test_corrupt_block_in_a_filling_skim_restores_the_collector(tmp_path, collec
         weighted_skim(ds, tmp_path / "out.ntu", workers=2)
     assert gc.isenabled()
     assert not (tmp_path / "out.ntu").exists()
+
+
+def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_path):
+    from oracle import iter_all_events
+
+    ds = open_dataset(
+        mc_descriptor(small_corpus["glob"]),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 3}),
+    )
+    cut = typecheck_cut("met.pt > 100.0", ds.schema)
+    proj = typecheck_projection([], ds.schema)
+    sink = NtuWriter(tmp_path / "none.ntu", proj.columns, group_target=64)
+    count, _ = filter_map_write(ds, cut, proj, sink=sink, workers=2)
+    want = sum(ev["met"]["pt"] > 100.0 for ev in iter_all_events(small_corpus["paths"]))
+    assert 0 < count == want < 2000
+    data = read_ntu(tmp_path / "none.ntu")
+    assert data.n_rows == count and data.all_columns == ()
+    assert data.n_groups == -(-count // 64)  # groups span partitions, as rows do
+
+
+def test_a_value_its_column_cannot_hold_aborts_the_sink(small_corpus, tmp_path):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    cut = typecheck_cut("met.pt > 100.0", ds.schema)
+    proj = typecheck_projection([("met_pt", "met.pt"), ("big", str(2**64))], ds.schema)
+    assert proj.columns[1] == ("big", "i64")
+    sink = NtuWriter(tmp_path / "big.ntu", proj.columns)
+    with pytest.raises(DataError, match="partition 0 .*does not match column kind"):
+        filter_map_write(ds, cut, proj, sink=sink, workers=2)
+    assert list(tmp_path.iterdir()) == []
+    # an error while computing a value stays its own, before any append
+    proj = typecheck_projection([("big", str(2**64)), ("s", "met.pt + " + "9" * 400)], ds.schema)
+    with pytest.raises(OverflowError):
+        filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "s.ntu", proj.columns))
+    assert list(tmp_path.iterdir()) == []

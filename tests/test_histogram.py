@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from array import array
 
 import pytest
 
@@ -111,3 +113,44 @@ def test_fill_histogram_errors():
 def test_edges():
     spec = HistogramSpec("x", 4, 0.0, 2.0)
     assert spec.edges() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def _filled_one_by_one(values, weights, spec):
+    hist = Histogram(spec)
+    for v, w in zip(values, weights):
+        hist.fill(v, w)
+    return hist
+
+
+def _bits(hist):
+    """`to_dict()` with every float as its IEEE-754 bit pattern."""
+    def bits(x):
+        return struct.pack("<d", x) if isinstance(x, float) else x
+    return {k: [bits(x) for x in v] if isinstance(v, list) else bits(v)
+            for k, v in hist.to_dict().items()}
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.5, 2.5), (0, 1000), (-3.0, 0.1)])
+def test_fill_histogram_is_bitwise_repeated_fill(lo, hi):
+    spec = HistogramSpec("x", 7, lo, hi)
+    below_hi = math.nextafter(float(hi), -math.inf)
+    edges = [math.nan, math.inf, -math.inf, float(lo), float(hi), below_hi, -0.0, 0.1]
+    rng = random.Random(11)
+    floats = edges + [rng.uniform(lo - 1.0, hi + 1.0) for _ in range(400)]
+    weights = [rng.choice((1.0, -0.7, 2.5, -1e-3, 0.0, 1e300)) for _ in floats]
+    ints = [2**53 + 1, -(2**53) - 3, 2**63 - 1, -(2**63), 0, 1, -1, 3] + [
+        rng.randint(-(2**62), 2**62) >> rng.randint(0, 62) for _ in range(200)
+    ]
+    cases = [
+        (array("d", floats), array("d", weights)),
+        (array("f", floats), array("f", [w if abs(w) < 1e30 else 1.0 for w in weights])),
+        (floats, weights),  # plain lists
+        (array("q", ints), array("d", weights[:len(ints)])),
+        (array("i", [2**31 - 1, -(2**31), 0, 5]), array("q", [3, -2, 2**53 + 1, 7])),
+        (array("b", [0, 1, 1, 0]), [1, -1, 2, 0]),
+    ]
+    for values, w in cases:
+        got = fill_histogram({"x": values, "weight": w}, spec)
+        want = _filled_one_by_one(values, w, spec)
+        assert _bits(got) == _bits(want)
+        assert got.n_fills == len(values)

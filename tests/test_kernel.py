@@ -13,6 +13,7 @@ import math
 import random
 import struct
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from skimflow.engine import (
     map_reduce,
     open_dataset,
 )
-from skimflow.errors import TypeMismatch
+from skimflow.errors import ArityMismatch, TypeMismatch
 from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.expr import (
     Arith,
@@ -49,6 +50,7 @@ from skimflow.expr import (
 )
 from skimflow.schema import Array, Primitive, Record, Schema
 from skimflow.storage import read_evt, write_evt
+from skimflow.storage.ntu import KIND_INFO
 
 NUMERIC = ("f64", "f32", "i64", "i32")
 COMPARE_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -205,13 +207,16 @@ def pairwise(values):
 
 
 class RowSink:
-    """Keeps the rows `filter_map_write` writes, as they are."""
+    """Keeps what `filter_map_write` writes, transposed from its columns
+    back to rows."""
 
     def __init__(self):
         self.rows = []
         self.closed = False
 
-    def append_rows(self, rows):
+    def append_columns(self, columns, n_rows):
+        rows = list(zip(*columns)) if columns else [()] * n_rows
+        assert len(rows) == n_rows
         self.rows.extend(rows)
 
     def close(self):
@@ -270,25 +275,44 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
             [interpret(node, ev) for _, node in columns] for ev in decoded if interpret(cut, ev)
         ]
 
+        projection = typecheck_projection(columns, schema)
         sink = RowSink()
-        n, sumw = filter_map_write(
-            ds, typecheck_cut(cut, schema), typecheck_projection(columns, schema),
-            sink=sink, weight=typed_weight, workers=workers,
-        )
-        assert sink.closed and n == len(want_rows) == len(sink.rows)
-        for got, want in zip(sink.rows, want_rows):
-            assert_same(got, want)
-        assert_same([sumw], [want_sum])
+
+        def run():
+            return filter_map_write(
+                ds, typecheck_cut(cut, schema), projection,
+                sink=sink, weight=typed_weight, workers=workers,
+            )
+
+        kinds = [kind for _, kind in projection.columns]
+        if all(fits(kind, v) for row in want_rows for kind, v in zip(kinds, row)):
+            n, sumw = run()
+            assert sink.closed and n == len(want_rows) == len(sink.rows)
+            for got, want in zip(sink.rows, want_rows):
+                assert_same(got, want)
+            assert_same([sumw], [want_sum])
+        else:  # a selected value its column's typed array cannot hold
+            with pytest.raises(ArityMismatch, match="does not match column kind"):
+                run()
+            assert not sink.closed
         assert_same([map_reduce(ds, typed_weight, workers=workers)], [want_sum])
 
 
 # -- pinned cases --------------------------------------------------------------------------
 
 
+def fits(kind, value):
+    """Whether a projected value fits a column of `kind`: only an integer
+    constant can fall outside its i64 column."""
+    return kind != "i64" or -(2**63) <= value < 2**63
+
+
 def kernel_rows(cut, projection, events):
-    rows = []
-    compile_kernel(cut, projection)(events, rows)
-    return rows
+    """The rows the skim kernel selects, transposed from the typed columns
+    it appends to."""
+    columns = [array(KIND_INFO[kind][0]) for _, kind in projection.columns]
+    compile_kernel(cut, projection)(events, columns)
+    return list(zip(*columns))
 
 
 def test_i64_beyond_2_53_compares_after_widening(schema):

@@ -1,5 +1,6 @@
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from skimflow.errors import ArityMismatch, BadMagic, FooterMismatch, UnknownColumn
 from skimflow.storage import NtuWriter, read_ntu, write_ntu
+from skimflow.storage.ntu import KIND_INFO
 
 from randgen import f32_exact
 
@@ -152,3 +154,75 @@ def test_random_transpose_identity(tmp_path_factory, case, group_target):
     data = read_ntu(path)
     assert data.rows() == [_normalize(r) for r in rows]
     assert data.n_rows == len(rows)
+
+
+@st.composite
+def columns_rows_and_chunks(draw):
+    """Random columns and rows of every kind, and a split of the rows into
+    consecutive chunks, empty ones included."""
+    columns, rows = draw(columns_and_rows())
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=6)))
+    bounds = [0, *cuts, len(rows)]
+    return columns, rows, list(zip(bounds, bounds[1:]))
+
+
+@given(case=columns_rows_and_chunks(), group_target=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_append_columns_writes_the_bytes_append_rows_writes(tmp_path_factory, case, group_target):
+    columns, rows, chunks = case
+    root = tmp_path_factory.mktemp("ntu")
+    write_ntu(root / "rows.ntu", rows, columns, group_target=group_target)
+    writer = NtuWriter(root / "cols.ntu", columns, group_target=group_target)
+    for lo, hi in chunks:
+        writer.append_columns(
+            [array(KIND_INFO[kind][0], [row[i] for row in rows[lo:hi]])
+             for i, (_, kind) in enumerate(columns)],
+            hi - lo,
+        )
+    stats = writer.close()
+    assert stats.n_rows == len(rows)
+    assert (root / "cols.ntu").read_bytes() == (root / "rows.ntu").read_bytes()
+
+
+def test_append_columns_after_rows_continues_the_group(tmp_path):
+    rows = [(float(i), i, i % 3 == 0) for i in range(11)]
+    write_ntu(tmp_path / "rows.ntu", rows, COLS3, group_target=4)
+    writer = NtuWriter(tmp_path / "mixed.ntu", COLS3, group_target=4)
+    writer.append_rows(rows[:3])
+    writer.append_columns(
+        [array("d", [r[0] for r in rows[3:9]]), array("q", [r[1] for r in rows[3:9]]),
+         array("b", [r[2] for r in rows[3:9]])],
+        6,
+    )
+    writer.append_rows(rows[9:])
+    writer.close()
+    assert (tmp_path / "mixed.ntu").read_bytes() == (tmp_path / "rows.ntu").read_bytes()
+
+
+@pytest.mark.parametrize("columns, n_rows", [
+    ([array("d", [1.0]), array("q", [1])], 1),  # a column missing
+    ([array("d", [1.0]), array("q", [1]), array("b", [1]), array("d", [2.0])], 1),  # one too many
+    ([array("d", [1.0, 2.0]), array("q", [1]), array("b", [1])], 1),  # ragged
+    ([array("d", [1.0]), array("q", [1, 2]), array("b", [1, 0])], 2),  # ragged
+    ([array("d", [1.0]), array("i", [1]), array("b", [1])], 1),  # i32 typecode for i64
+    ([array("f", [1.0]), array("q", [1]), array("b", [1])], 1),  # f32 typecode for f64
+    ([[1.0], array("q", [1]), array("b", [1])], 1),  # a list, not an array
+])
+def test_append_columns_rejects_a_mismatch(tmp_path, columns, n_rows):
+    writer = NtuWriter(tmp_path / "f.ntu", COLS3)
+    with pytest.raises(ArityMismatch):
+        writer.append_columns(columns, n_rows)
+    writer.append_columns([array("d", [1.0]), array("q", [2]), array("b", [1])], 1)
+    assert writer.close().n_rows == 1
+    assert read_ntu(tmp_path / "f.ntu").rows() == [(1.0, 2, 1)]
+
+
+def test_zero_columns_count_rows(tmp_path):
+    write_ntu(tmp_path / "rows.ntu", [()] * 5, [], group_target=2)
+    writer = NtuWriter(tmp_path / "cols.ntu", [], group_target=2)
+    writer.append_columns([], 3)
+    writer.append_columns([], 0)
+    writer.append_columns([], 2)
+    assert writer.close().n_rows == 5
+    assert (tmp_path / "cols.ntu").read_bytes() == (tmp_path / "rows.ntu").read_bytes()
+    assert read_ntu(tmp_path / "cols.ntu").n_groups == 3

@@ -390,52 +390,31 @@ def build_plot_bundle(
     into a single series. The result is a plain dict that serializes to
     canonical JSON deterministically.
     """
-    mc_labels = [d.label for d in config.datasets if d.kind == "mc" and d.label in hists_by_label]
-    data_labels = [
-        d.label for d in config.datasets if d.kind == "data" and d.label in hists_by_label
-    ]
     out_hists = []
     for spec in config.histograms:
-        components = []
-        stack = None
-        stack_sumw2 = None
-        for label in mc_labels:
-            hist = hists_by_label[label].get(spec.variable)
+        pairs = {"mc": [], "data": []}  # kind -> [(label, histogram)], config order
+        for d in config.datasets:
+            hist = hists_by_label.get(d.label, {}).get(spec.variable)
             if hist is None:
                 continue
             if hist.spec != spec:
                 raise SpecMismatch(
-                    f"{label}/{spec.variable}: histogram spec differs from config"
+                    f"{d.label}/{spec.variable}: histogram spec differs from config"
                 )
-            components.append(
-                {
-                    "label": label,
-                    "contents": list(hist.contents),
-                    "sumw2": list(hist.sumw2),
-                    "errors": [math.sqrt(s) for s in hist.sumw2],
-                    "underflow": hist.underflow,
-                    "overflow": hist.overflow,
-                }
-            )
-            if stack is None:
-                stack = list(hist.contents)
-                stack_sumw2 = list(hist.sumw2)
-            else:
-                for i in range(spec.nbins):
-                    stack[i] += hist.contents[i]
-                    stack_sumw2[i] += hist.sumw2[i]
-        data_hist = None
-        for label in data_labels:
-            hist = hists_by_label[label].get(spec.variable)
-            if hist is None:
-                continue
-            if hist.spec != spec:
-                raise SpecMismatch(
-                    f"{label}/{spec.variable}: histogram spec differs from config"
-                )
-            if data_hist is None:
-                data_hist = Histogram(spec)
-            data_hist.merge(hist)
+            pairs[d.kind].append((d.label, hist))
+        components = [
+            {
+                "label": label,
+                "contents": list(hist.contents),
+                "sumw2": list(hist.sumw2),
+                "errors": [math.sqrt(s) for s in hist.sumw2],
+                "underflow": hist.underflow,
+                "overflow": hist.overflow,
+            }
+            for label, hist in pairs["mc"]
+        ]
+        stack = _merged(spec, pairs["mc"])
+        data_hist = _merged(spec, pairs["data"])
         entry = {
             "variable": spec.variable,
             "nbins": spec.nbins,
@@ -447,8 +426,8 @@ def build_plot_bundle(
         }
         if stack is not None:
             entry["stack"] = {
-                "contents": stack,
-                "errors": [math.sqrt(s) for s in stack_sumw2],
+                "contents": list(stack.contents),
+                "errors": [math.sqrt(s) for s in stack.sumw2],
             }
         if data_hist is not None:
             entry["data"] = {
@@ -462,6 +441,17 @@ def build_plot_bundle(
         "luminosity_invpb": config.luminosity_invpb,
         "histograms": out_hists,
     }
+
+
+def _merged(spec: HistogramSpec, pairs) -> Histogram | None:
+    """The sum of the pairs' histograms, bin by bin from 0.0 in the pairs'
+    order, or None without any."""
+    if not pairs:
+        return None
+    total = Histogram(spec)
+    for _, hist in pairs:
+        total.merge(hist)
+    return total
 
 
 def bundle_to_json(bundle: dict) -> str:

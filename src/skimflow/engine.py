@@ -119,7 +119,6 @@ class Partition:
     block_lo: int
     block_hi: int
     n_events: int
-    n_bytes: int
 
 
 def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Partition]:
@@ -146,7 +145,6 @@ def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Par
                     block_lo=lo,
                     block_hi=hi,
                     n_events=sum(b.n_events for b in blocks),
-                    n_bytes=sum(12 + b.payload_len for b in blocks),
                 )
             )
     return partitions

@@ -31,9 +31,9 @@ compiled form; evaluation holds no mutable state and never raises on a
 schema-conforming event.
 
 Compiling writes Python source, not a tree of closures, and compiles it
-once with `exec`, as the codec does. Each compiled form's `evaluate` is
-a generated one-event function, compiled on its first call, and
-`compile_kernel` writes one loop per skim: for each event it adds the
+once with `exec`, as the codec does. `compile_kernel` writes one loop
+per skim, and each compiled form's `evaluate` runs that loop over one
+event, compiled on its first call. For each event the loop adds the
 weight to a Kahan sum, tests the cut's top-level `and` clauses in source
 order up to the first that fails, and appends each projected value to
 its column's typed `array`, building no row. A field is read once into
@@ -655,18 +655,13 @@ def _function(checker: _Checker, name: str, args: str, body: list[str]) -> Calla
     return namespace[name]
 
 
-def _row(srcs: list[str]) -> str:
-    return "(" + "".join(f"{src}, " for src in srcs) + ")"
-
-
 # -- compiled, shareable forms ---------------------------------------------------
 
 # Each compiled form keeps its syntax tree and schema, from which
 # `compile_kernel` writes a skim's loop, and carries `leaves`, the schema
 # paths its evaluation reads. A path that ends at a collection reads only
 # its size; `count(jets, it.pt > 30.0)` reads ("jets", "pt"). `evaluate`
-# is a generated one-event function from the same code generator,
-# compiled on its first call: a skim runs only the kernel.
+# runs the same kernel over one event, compiled on its first call.
 
 @dataclass(frozen=True)
 class TypedCut:
@@ -678,12 +673,11 @@ class TypedCut:
     leaves: frozenset[tuple[str, ...]]
 
     @cached_property
-    def _fn(self) -> Callable[[dict], bool]:
-        checker = _Checker(self.schema)
-        return _function(checker, "cut", "ev", _cut_body(checker, self.node))
+    def _kernel(self) -> Callable:
+        return compile_kernel(cut=self)
 
     def evaluate(self, event: dict) -> bool:
-        return self._fn(event)
+        return self._kernel((event,), ())[1] == 1
 
 
 @dataclass(frozen=True)
@@ -696,13 +690,15 @@ class TypedValue:
     leaves: frozenset[tuple[str, ...]]
 
     @cached_property
-    def _fn(self) -> Callable[[dict], object]:
-        checker = _Checker(self.schema)
-        src, _ = checker.compile(self.node)
-        return _function(checker, "value", "ev", checker.prelude() + [f"return {src}"])
+    def _kernel(self) -> Callable:
+        # a one-column projection: the weight path's Kahan sum would turn
+        # an int into a float and -0.0 into 0.0
+        return compile_kernel(projection=typecheck_projection([("value", self.node)], self.schema))
 
     def evaluate(self, event: dict):
-        return self._fn(event)
+        column = []
+        self._kernel((event,), (column,))
+        return column[0]
 
 
 @dataclass(frozen=True)
@@ -715,30 +711,21 @@ class TypedProjection:
     leaves: frozenset[tuple[str, ...]]
 
     @cached_property
-    def _fn(self) -> Callable[[dict], tuple]:
-        checker = _Checker(self.schema)
-        srcs = [checker.compile(node)[0] for node in self.nodes]
-        return _function(checker, "row", "ev", checker.prelude() + [f"return {_row(srcs)}"])
+    def _kernel(self) -> Callable:
+        return compile_kernel(projection=self)
 
     def evaluate(self, event: dict) -> tuple:
-        return self._fn(event)
-
-
-def _cut_body(checker: _Checker, node: Expr) -> list[str]:
-    body = []
-    for prelude, test in checker.clauses(node):
-        body += prelude + [f"if not {test}:", "    return False"]
-    return body + ["return True"]
-
-
-_PROJECTION_NODES = (Const, Field, Arith, Neg, Size, Count, Reduce)
+        # plain lists take every value as it is computed, uncoerced
+        columns = [[] for _ in self.nodes]
+        self._kernel((event,), columns)
+        return tuple(column[0] for column in columns)
 
 
 def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     """Type-check a cut against a schema and compile it for evaluation."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
-    _cut_body(checker, node)
+    checker.clauses(node)
     source = expr if isinstance(expr, str) else repr(expr)
     return TypedCut(source, node, schema, checker.leaves)
 
@@ -758,9 +745,8 @@ def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:
     """Type-check projection columns [(name, expr), ...] against a schema.
 
-    Only scalar-valued expression forms are allowed (field paths, numeric
-    constants, arithmetic, and collection aggregates); comparisons and
-    boolean operators are rejected.
+    Only numeric columns are allowed: a boolean column raises
+    `NonScalarProjection`, and a boolean inside arithmetic `TypeMismatch`.
     """
     checker = _Checker(schema)
     names: list[str] = []
@@ -770,7 +756,6 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
         if name in names:
             raise NonScalarProjection(f"duplicate projection column {name!r}")
         node = parse_expr(expr) if isinstance(expr, str) else expr
-        _reject_non_scalar(node, name)
         _, kind = checker.compile(node)
         if kind == "bool":
             raise NonScalarProjection(f"column {name!r} is boolean, not a scalar value")
@@ -778,18 +763,6 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
         kinds.append(kind)
         nodes.append(node)
     return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, checker.leaves)
-
-
-def _reject_non_scalar(node: Expr, column: str) -> None:
-    if not isinstance(node, _PROJECTION_NODES):
-        raise NonScalarProjection(
-            f"column {column!r}: {type(node).__name__.lower()} expressions are not "
-            "scalar-valued"
-        )
-    if isinstance(node, (Arith, Neg)):
-        children = (node.left, node.right) if isinstance(node, Arith) else (node.item,)
-        for child in children:
-            _reject_non_scalar(child, column)
 
 
 # -- the skim kernel -----------------------------------------------------------------

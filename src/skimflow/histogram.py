@@ -111,18 +111,15 @@ class Histogram:
         )
 
 
-def fill_histogram(
-    columns: Mapping[str, Sequence],
-    spec: HistogramSpec,
-    weight_column: str = "weight",
-) -> Histogram:
-    """Fill one histogram from ntuple columns using per-row weights."""
+def fill_histogram(columns: Mapping[str, Sequence], spec: HistogramSpec) -> Histogram:
+    """Fill one histogram from ntuple columns using the per-row weights of
+    the `weight` column."""
     if spec.variable not in columns:
         raise UnknownColumn(f"no column {spec.variable!r} for histogram")
-    if weight_column not in columns:
-        raise UnknownColumn(f"no weight column {weight_column!r}")
+    if "weight" not in columns:
+        raise UnknownColumn("no weight column 'weight'")
     values = columns[spec.variable]
-    weights = columns[weight_column]
+    weights = columns["weight"]
     if len(values) != len(weights):
         raise LengthMismatch(
             f"column {spec.variable!r} has {len(values)} rows, weights {len(weights)}"

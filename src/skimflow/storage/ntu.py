@@ -22,6 +22,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from struct import Struct
 from typing import Iterable, Sequence
@@ -69,8 +70,9 @@ class NtuWriteStats:
 
 class NtuWriter:
     """Writes column-wise row groups of `group_target` rows (the last one
-    may be shorter), from one typed array per column (`append_columns`)
-    or from rows (`append`, `append_rows`), buffered until a group fills.
+    may be shorter), from one typed array per column (`append_columns`),
+    buffered until a group fills. Rows (`append`, `append_rows`) are
+    transposed into such arrays and appended the same way.
 
     Writes to `<path>.tmp` and renames on close(); abort() removes the
     partial file. Deterministic: the same rows and group target produce
@@ -109,22 +111,23 @@ class NtuWriter:
             raise
 
     def append(self, row: Sequence) -> None:
-        if len(row) != self._ncols:
-            raise ArityMismatch(f"row has {len(row)} values, expected {self._ncols}")
-        try:
-            for buf, value in zip(self._buffers, row):
-                buf.append(value)
-        except (TypeError, OverflowError) as exc:
-            self._unwind_partial_row()
-            raise ArityMismatch(f"row value does not match column kind: {exc}") from exc
-        self._pending += 1
-        self._n_rows += 1
-        if self._pending >= self.group_target:
-            self._flush_group()
+        self.append_rows((row,))
 
     def append_rows(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            self.append(row)
+        """Append rows of values in header order, transposed into columns
+        `group_target` rows at a time. A row of the wrong length, or with a
+        value its column cannot hold, raises `ArityMismatch` before any row
+        of its batch is buffered."""
+        rows = iter(rows)
+        while batch := list(islice(rows, self.group_target)):
+            for row in batch:
+                if len(row) != self._ncols:
+                    raise ArityMismatch(f"row has {len(row)} values, expected {self._ncols}")
+            try:
+                columns = [array(tc, values) for tc, values in zip(self._typecodes, zip(*batch))]
+            except (TypeError, OverflowError) as exc:
+                raise ArityMismatch(f"row value does not match column kind: {exc}") from exc
+            self.append_columns(columns, len(batch))
 
     def append_columns(self, columns: Sequence[array], n_rows: int) -> None:
         """Append `n_rows` rows given as one array per column, in header
@@ -146,10 +149,6 @@ class NtuWriter:
                 self._flush_group()
             start = stop
         self._n_rows += n_rows
-
-    def _unwind_partial_row(self) -> None:
-        for buf in self._buffers:
-            del buf[self._pending:]
 
     def _flush_group(self) -> None:
         if self._pending == 0:

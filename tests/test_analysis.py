@@ -335,6 +335,14 @@ def test_bundle_spec_mismatch_rejected():
     config = base_config([mc_descriptor("x", label="a")], histograms=(spec,))
     with pytest.raises(SpecMismatch):
         build_plot_bundle(config, {"a": {"met_pt": hist_with(other, [1.0, 1.0, 1.0])}})
+    # with several mismatches, the first in configuration order is reported
+    config = base_config(
+        [DatasetDescriptor(glob="z", kind="data", label="d"), mc_descriptor("x", label="a")],
+        histograms=(spec,),
+    )
+    bad = {label: {"met_pt": hist_with(other, [1.0, 1.0, 1.0])} for label in ("a", "d")}
+    with pytest.raises(SpecMismatch, match="^d/met_pt"):
+        build_plot_bundle(config, bad)
 
 
 def test_bundle_json_deterministic_and_csv_shape():

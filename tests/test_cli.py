@@ -136,6 +136,14 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     assert main(["skim", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])
+def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"),
+                       projection=[{"name": "x", "expr": expr}])
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(corpus / "out")]) == 1
+    assert "bool" in capsys.readouterr().err
+
+
 def test_hist_requires_skim_outputs(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
     assert main(["hist", "--config", str(cfg), "--out-dir", str(corpus / "empty_out")]) == 2

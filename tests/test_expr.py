@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skimflow.errors import NonScalarProjection, ParseError, TypeMismatch, UnknownField
+from skimflow.errors import (
+    ConfigError, NonScalarProjection, ParseError, TypeMismatch, UnknownField,
+)
 from skimflow.events import make_event, make_particle
 from skimflow.expr import parse_expr, typecheck_cut, typecheck_projection, typecheck_value
 from skimflow.generator import GeneratorSpec, generate_events
@@ -78,6 +80,9 @@ def test_projection_rejects_boolean_columns(schema):
         typecheck_projection([("flag", "met.pt > 1.0")], schema)
     with pytest.raises(NonScalarProjection):
         typecheck_projection([("flag", "true")], schema)
+    for text in ("met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"):  # a boolean operand
+        with pytest.raises(ConfigError, match=r"got (f64/)?bool$"):
+            typecheck_projection([("x", text)], schema)
 
 
 def test_projection_rejects_duplicates(schema):

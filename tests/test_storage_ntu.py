@@ -1,3 +1,4 @@
+import json
 import random
 import struct
 from array import array
@@ -13,6 +14,25 @@ from skimflow.storage.ntu import KIND_INFO
 from randgen import f32_exact
 
 COLS3 = [("x", "f64"), ("n", "i64"), ("flag", "bool")]
+
+_PACK = {"f64": "d", "f32": "f", "i64": "q", "i32": "i", "bool": "?"}
+
+
+def reference_ntu(rows, columns, group_target):
+    """The bytes of an NTU file holding `rows`, written from the layout in
+    the `ntu` module docstring alone: magic, the header's length and
+    compact JSON, groups of `group_target` rows (the last one shorter),
+    each its row count and then every column's values packed, and the
+    footer's total row count and group count."""
+    header = json.dumps({"columns": [[n, k] for n, k in columns]}, separators=(",", ":")).encode()
+    out = [b"NTU1", struct.pack("<I", len(header)), header]
+    groups = [rows[i:i + group_target] for i in range(0, len(rows), group_target)]
+    for group in groups:
+        out.append(struct.pack("<I", len(group)))
+        for i, (_, kind) in enumerate(columns):
+            out.append(struct.pack(f"<{len(group)}{_PACK[kind]}", *(row[i] for row in group)))
+    out.append(struct.pack("<QI", len(rows), len(groups)))
+    return b"".join(out)
 
 
 def test_empty_file(tmp_path):
@@ -105,6 +125,18 @@ def test_arity_and_kind_mismatch(tmp_path):
     data = read_ntu(tmp_path / "f.ntu")
     assert data.rows() == [(1.0, 2, 1)]
 
+    # a bad row in the middle of a batch leaves nothing of its batch behind
+    good = [(float(i), i, i % 2 == 0) for i in range(7)]
+    for bad in [(1.0, 2), (1.0, 2.5, True), (1.0, 2**63, True)]:  # short; float in i64; beyond i64
+        path = tmp_path / "rows.ntu"
+        writer = NtuWriter(path, COLS3, group_target=4)
+        writer.append_rows(good[:2])
+        with pytest.raises(ArityMismatch):
+            writer.append_rows([good[2], bad, good[3]])
+        writer.append_rows(good[4:])
+        assert writer.close().n_rows == 5
+        assert path.read_bytes() == reference_ntu(good[:2] + good[4:], COLS3, 4)
+
 
 def test_abort_removes_partial_file(tmp_path):
     writer = NtuWriter(tmp_path / "f.ntu", COLS3)
@@ -166,37 +198,33 @@ def columns_rows_and_chunks(draw):
     return columns, rows, list(zip(bounds, bounds[1:]))
 
 
+def _column_arrays(rows, columns):
+    return [array(KIND_INFO[kind][0], [row[i] for row in rows]) for i, (_, kind) in enumerate(columns)]
+
+
 @given(case=columns_rows_and_chunks(), group_target=st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
-def test_append_columns_writes_the_bytes_append_rows_writes(tmp_path_factory, case, group_target):
+def test_writer_matches_the_layout_reference(tmp_path_factory, case, group_target):
     columns, rows, chunks = case
+    want = reference_ntu(rows, columns, group_target)
     root = tmp_path_factory.mktemp("ntu")
-    write_ntu(root / "rows.ntu", rows, columns, group_target=group_target)
     writer = NtuWriter(root / "cols.ntu", columns, group_target=group_target)
     for lo, hi in chunks:
-        writer.append_columns(
-            [array(KIND_INFO[kind][0], [row[i] for row in rows[lo:hi]])
-             for i, (_, kind) in enumerate(columns)],
-            hi - lo,
-        )
-    stats = writer.close()
-    assert stats.n_rows == len(rows)
-    assert (root / "cols.ntu").read_bytes() == (root / "rows.ntu").read_bytes()
+        writer.append_columns(_column_arrays(rows[lo:hi], columns), hi - lo)
+    assert writer.close().n_rows == len(rows)
+    assert (root / "cols.ntu").read_bytes() == want
+    write_ntu(root / "rows.ntu", rows, columns, group_target=group_target)
+    assert (root / "rows.ntu").read_bytes() == want
 
 
 def test_append_columns_after_rows_continues_the_group(tmp_path):
     rows = [(float(i), i, i % 3 == 0) for i in range(11)]
-    write_ntu(tmp_path / "rows.ntu", rows, COLS3, group_target=4)
     writer = NtuWriter(tmp_path / "mixed.ntu", COLS3, group_target=4)
     writer.append_rows(rows[:3])
-    writer.append_columns(
-        [array("d", [r[0] for r in rows[3:9]]), array("q", [r[1] for r in rows[3:9]]),
-         array("b", [r[2] for r in rows[3:9]])],
-        6,
-    )
+    writer.append_columns(_column_arrays(rows[3:9], COLS3), 6)
     writer.append_rows(rows[9:])
     writer.close()
-    assert (tmp_path / "mixed.ntu").read_bytes() == (tmp_path / "rows.ntu").read_bytes()
+    assert (tmp_path / "mixed.ntu").read_bytes() == reference_ntu(rows, COLS3, 4)
 
 
 @pytest.mark.parametrize("columns, n_rows", [
@@ -218,11 +246,13 @@ def test_append_columns_rejects_a_mismatch(tmp_path, columns, n_rows):
 
 
 def test_zero_columns_count_rows(tmp_path):
+    want = reference_ntu([()] * 5, [], 2)
     write_ntu(tmp_path / "rows.ntu", [()] * 5, [], group_target=2)
     writer = NtuWriter(tmp_path / "cols.ntu", [], group_target=2)
     writer.append_columns([], 3)
     writer.append_columns([], 0)
     writer.append_columns([], 2)
     assert writer.close().n_rows == 5
-    assert (tmp_path / "cols.ntu").read_bytes() == (tmp_path / "rows.ntu").read_bytes()
+    assert (tmp_path / "cols.ntu").read_bytes() == want
+    assert (tmp_path / "rows.ntu").read_bytes() == want
     assert read_ntu(tmp_path / "cols.ntu").n_groups == 3

@@ -1,10 +1,11 @@
 """Schema type system for event files.
 
 A schema is a finite tree of nodes: primitives (f64, f32, i64, i32, bool),
-arrays of a single element node, and records with named, ordered fields.
-The root is always a record. Schemas are immutable and hashable, safe to
-share across worker threads, and serialize to a canonical JSON text that is
-embedded in file headers:
+arrays of a single element node, and records with one or more named,
+ordered fields. The root is always a record. Since no record is empty,
+every value takes at least one byte in the EVT codec. Schemas are
+immutable and hashable, safe to share across worker threads, and
+serialize to a canonical JSON text that is embedded in file headers:
 
     primitive  ->  "f64"
     array      ->  {"array": <node>}
@@ -72,20 +73,7 @@ class Schema:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"schema is not valid JSON: {exc}") from exc
-        root = _node_from_obj(obj)
-        if not isinstance(root, Record):
-            raise SchemaError("schema root must be a record")
-        return Schema(root)
-
-    def resolve(self, path: tuple[str, ...]) -> SchemaNode:
-        """Walk a dotted field path through records; raises KeyError on a
-        missing name and TypeError when the walk hits a non-record early."""
-        node: SchemaNode = self.root
-        for part in path:
-            if not isinstance(node, Record):
-                raise TypeError(".".join(path))
-            node = node.field(part)
-        return node
+        return Schema(_node_from_obj(obj))
 
 
 def _validate(node: SchemaNode, depth: int) -> None:
@@ -97,6 +85,8 @@ def _validate(node: SchemaNode, depth: int) -> None:
     elif isinstance(node, Array):
         _validate(node.element, depth + 1)
     elif isinstance(node, Record):
+        if not node.fields:
+            raise SchemaError("a record must have at least one field")
         seen = set()
         for name, child in node.fields:
             if not name or not isinstance(name, str):

@@ -16,9 +16,7 @@ Encoding covers the whole event and reads every field, so an event that
 lacks one, or holds a value its struct format rejects, raises
 SchemaViolation. The encoder of a codec is compiled on its first encode.
 Each run of fixed-width fields becomes one struct call, and each array
-its u32 count followed by a loop over its elements. An array whose
-elements take no bytes (records without scalar fields) writes only its
-count, and its elements are not checked.
+its u32 count followed by a loop over its elements.
 
 Decoding reads only the leaves the codec was compiled for. A leaf is a
 path of field names from the root, where the names after an array's name
@@ -36,8 +34,9 @@ dict displays, which build faster than `dict(zip(...))`. Arrays that are
 not read are skipped by count x width, or walked without being built
 when their elements vary in width. Every payload byte is still walked,
 and an array count that would run past the payload is rejected before
-anything of that size is built. (Elements that take no bytes cannot run
-past it: read in full, their count is trusted.)
+anything of that size is built. Since a schema has no record without
+fields, every element takes at least one byte, so that check bounds
+every count by the bytes left.
 
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
@@ -178,7 +177,7 @@ class _CodecSource:
         """`encode(buf, ev)`, which appends the bytes of event `ev` to `buf`."""
         gen = cls()
         gen.encode_record(root, "ev", 1)
-        return gen.compile("encode", "buf, ev", gen.lines or ["    pass"])
+        return gen.compile("encode", "buf, ev", gen.lines)
 
     def compile(self, name: str, args: str, body: list[str]) -> Callable:
         namespace = dict(self.consts)
@@ -202,9 +201,7 @@ class _CodecSource:
     # value (None for a skipped node).
 
     def decode_node(self, node: SchemaNode, sel, depth: int) -> str | None:
-        if _fixed_fmt(node) is not None:
-            pairs = self.decode_fixed([(None, node, sel)], depth)
-            return pairs[0][1] if pairs else None
+        """Read an array, or a record that holds one."""
         if isinstance(node, Array):
             return self.decode_array(node, sel, depth)
         return self.decode_record(node, sel, depth)
@@ -216,9 +213,7 @@ class _CodecSource:
         fmt, pairs, n_values = _fixed_source(fields, var)
         if n_values:
             self.emit(depth, f"{var} = {self.struct(fmt)}.unpack_from(mv, off)")
-        width = struct.calcsize("<" + fmt)
-        if width:
-            self.emit(depth, f"off += {width}")
+        self.emit(depth, f"off += {struct.calcsize('<' + fmt)}")
         return pairs
 
     def decode_record(self, node: Record, sel, depth: int) -> str | None:
@@ -248,12 +243,9 @@ class _CodecSource:
             self.emit(depth, f"{end} = off + {n} * {width}")
             self.emit(depth, f"if {end} > size: raise overrun({n}, {end} - off, size - off)")
             if build:
-                fmt, ((_, item),), n_values = _fixed_source([(None, elem, sel)], "t")
-                if n_values:
-                    rows = f"{self.struct(fmt)}.iter_unpack(mv[off:{end}])"
-                    self.emit(depth, f"{out} = [{item} for t in {rows}]")
-                else:  # records read only for their empty sub-records
-                    self.emit(depth, f"{out} = [{item} for _ in range({n})]")
+                fmt, ((_, item),), _ = _fixed_source([(None, elem, sel)], "t")
+                rows = f"{self.struct(fmt)}.iter_unpack(mv[off:{end}])"
+                self.emit(depth, f"{out} = [{item} for t in {rows}]")
             self.emit(depth, f"off = {end}")
         else:
             # each element holds an array, so takes at least its 4-byte count
@@ -291,11 +283,9 @@ class _CodecSource:
             if isinstance(node, Primitive):
                 fmt += _FMT[node.kind]
                 values.append(expr)
-            elif node.fields:
+            else:
                 for name, child in node.fields:
                     walk(child, f"{expr}[{name!r}]")
-            else:  # a record without fields writes nothing, but must be there
-                self.emit(depth, expr)
 
         for node, expr in fields:
             walk(node, expr)
@@ -315,10 +305,6 @@ class _CodecSource:
         self.encode_fixed(run, depth)
 
     def encode_array(self, node: Array, expr: str, depth: int) -> None:
-        if _fixed_fmt(node.element) == "":
-            # elements that take no bytes: only the count is written
-            self.emit(depth, f"buf += pack_u32(len({expr}))")
-            return
         arr, item = expr, self.fresh("e")
         if not arr.isidentifier():
             arr = self.fresh("a")

@@ -10,10 +10,10 @@ Byte layout (all integers little-endian):
                 back-to-back as fixed-width little-endian primitives
     footer  u64 total row count, u32 group count
 
-Column kinds are f64/f32/i64/i32/bool with widths 8/4/8/4/1 bytes, so the
-offset of any column within a group is computable from the row count alone;
-reading a column subset seeks over the others and the bytes read stay
-proportional to the columns requested.
+Column kinds are f64/f32/i64/i32/bool with widths 8/4/8/4/1 bytes (a bool
+is 0 or 1), so the offset of any column within a group is computable from
+the row count alone; reading a column subset seeks over the others and the
+bytes read stay proportional to the columns requested.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class NtuWriter:
 
     def append_columns(self, columns: Sequence[array], n_rows: int) -> None:
         """Append `n_rows` rows given as one array per column, in header
-        order, each of its column's typecode and `n_rows` long."""
+        order, each of its column's typecode and `n_rows` long; a bool
+        column holds only 0 and 1."""
         if len(columns) != self._ncols:
             raise ArityMismatch(f"{len(columns)} columns, expected {self._ncols}")
         for (name, _), typecode, col in zip(self.columns, self._typecodes, columns):
@@ -139,6 +140,8 @@ class NtuWriter:
                 raise ArityMismatch(f"column {name!r} is not an array of typecode {typecode!r}")
             if len(col) != n_rows:
                 raise ArityMismatch(f"column {name!r} has {len(col)} values, expected {n_rows}")
+            if typecode == "b" and col.count(0) + col.count(1) != n_rows:
+                raise ArityMismatch(f"bool column {name!r} holds a value other than 0 or 1")
         start = 0
         while start < n_rows:
             stop = min(n_rows, start + self.group_target - self._pending)

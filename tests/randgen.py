@@ -36,7 +36,7 @@ def random_schema(rng: random.Random, max_depth: int = 4, max_fields: int = 5) -
             return Primitive(rng.choice(KINDS))
         if roll < 0.8:
             return Array(node(depth + 1))
-        return Record(tuple((name(), node(depth + 1)) for _ in range(rng.randint(0, max_fields))))
+        return Record(tuple((name(), node(depth + 1)) for _ in range(rng.randint(1, max_fields))))
 
     fields = tuple((name(), node(2)) for _ in range(rng.randint(1, max_fields)))
     return Schema(Record(fields))

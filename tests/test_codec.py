@@ -28,25 +28,42 @@ DEFAULT_LEAVES = {
 # -- encoding ----------------------------------------------------------------------
 
 FMT = {"f64": "<d", "f32": "<f", "i64": "<q", "i32": "<i", "bool": "<?"}
-EMPTY = Record(())
 
 HAND_BUILT = {
-    "zero-width records": Schema(Record((
-        ("x", Primitive("i32")),
-        ("e", EMPTY),
-        ("r", Record((("e", EMPTY), ("f", Primitive("bool")), ("ee", Record((("e", EMPTY),)))))),
-        ("es", Array(EMPTY)),
-        ("ees", Array(Record((("e", EMPTY), ("ee", Record((("e", EMPTY),))))))),
-        ("ex", Array(Record((("e", EMPTY), ("x", Primitive("f32")))))),
-    ))),
     "arrays of primitives": Schema(Record(tuple((k, Array(Primitive(k))) for k in KINDS))),
     "arrays of arrays": Schema(Record((
         ("aa", Array(Array(Primitive("f64")))),
         ("aaa", Array(Array(Array(Primitive("i32"))))),
-        ("ae", Array(Array(EMPTY))),
         ("ar", Array(Array(Record((("q", Primitive("i64")), ("h", Array(Primitive("f32")))))))),
     ))),
 }
+
+EMPTY = Record(())
+
+
+@pytest.mark.parametrize("root, text", [
+    pytest.param(EMPTY, '{"record":[]}', id="empty-root"),
+    pytest.param(Record((("x", Primitive("i32")), ("e", EMPTY))),
+                 '{"record":[["x","i32"],["e",{"record":[]}]]}', id="empty-sub-record"),
+    pytest.param(Record((("es", Array(EMPTY)),)),
+                 '{"record":[["es",{"array":{"record":[]}}]]}', id="array-of-empty-records"),
+    pytest.param(Record((("ae", Array(Array(EMPTY))),)),
+                 '{"record":[["ae",{"array":{"array":{"record":[]}}}]]}',
+                 id="array-of-arrays-of-empty-records"),
+    pytest.param(Record((("x", Primitive("f64")), ("r", Record((("e", EMPTY),))))),
+                 '{"record":[["x","f64"],["r",{"record":[["e",{"record":[]}]]}]]}',
+                 id="record-of-an-empty-record"),
+    pytest.param(Record((("ex", Array(Record((("e", EMPTY), ("x", Primitive("f32")))))),)),
+                 '{"record":[["ex",{"array":{"record":[["e",{"record":[]}],["x","f32"]]}}]]}',
+                 id="array-of-records-holding-an-empty-record"),
+])
+def test_record_without_fields_rejected(root, text):
+    """Every value takes at least one byte, so that the payload bounds
+    every array count: a record without fields is no schema."""
+    with pytest.raises(SchemaError, match="at least one field"):
+        Schema(root)
+    with pytest.raises(SchemaError, match="at least one field"):
+        Schema.from_json(text)
 
 
 def reference_encode(node, value) -> bytes:
@@ -259,6 +276,39 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def store_mutated(payload: bytes, mutations, compress: bool, mutate_stored: bool) -> bytes:
+    """The block payload as stored, with the mutations applied to the
+    event bytes or, for a deflate block, to its stored stream."""
+    if compress and mutate_stored:
+        return mutate(evt._deflate(payload), mutations)
+    stored = mutate(payload, mutations)
+    return evt._deflate(stored) if compress else stored
+
+
+def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
+    """Store `stored` as one block of `n_events` events with its CRC, as
+    `write_evt` does. Every outcome, with each codec, is `n_events` events
+    or a DataError, in bounded memory and time."""
+    write_evt(path, [], schema, compress=compress)
+    with open(path, "ab") as f:
+        f.write(evt._BLOCK_HDR.pack(n_events, len(stored)) + stored
+                + evt._U32.pack(zlib.crc32(stored)))
+    index = scan_evt(path)
+    for codec in codecs:
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            events = list(iter_block_range(index, 0, 1, codec=codec))
+            assert len(events) == n_events
+        except DataError:
+            pass
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < FUZZ_PEAK_BYTES
+        assert time.perf_counter() - t0 < FUZZ_SECONDS
+
+
 @given(
     compress=st.booleans(),
     mutate_stored=st.booleans(),
@@ -267,31 +317,33 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
                                                         mutations):
-    """Mutate the event bytes of an analysis-schema block, or for a deflate
-    block its stored stream, and store it with its CRC as `write_evt`
-    does. Every outcome, with the full and with a pruned codec, is events
-    or a DataError, in bounded memory and time."""
-    if compress and mutate_stored:
-        stored = mutate(evt._deflate(FUZZ_PAYLOAD), mutations)
-    else:
-        stored = mutate(FUZZ_PAYLOAD, mutations)
-        if compress:
-            stored = evt._deflate(stored)
-    path = fuzz_dir / "fuzz.evt"
-    write_evt(path, [], FUZZ_SCHEMA, compress=compress)
-    with open(path, "ab") as f:
-        f.write(evt._BLOCK_HDR.pack(8, len(stored)) + stored + evt._U32.pack(zlib.crc32(stored)))
-    index = scan_evt(path)
-    for codec in (EventCodec(FUZZ_SCHEMA), EventCodec(FUZZ_SCHEMA, DEFAULT_LEAVES)):
-        t0 = time.perf_counter()
-        tracemalloc.start()
-        try:
-            events = list(iter_block_range(index, 0, 1, codec=codec))
-            assert len(events) == 8
-        except DataError:
-            pass
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        assert peak < FUZZ_PEAK_BYTES
-        assert time.perf_counter() - t0 < FUZZ_SECONDS
+    """Mutated analysis-schema blocks, with the full and a pruned codec."""
+    stored = store_mutated(FUZZ_PAYLOAD, mutations, compress, mutate_stored)
+    codecs = (EventCodec(FUZZ_SCHEMA), EventCodec(FUZZ_SCHEMA, DEFAULT_LEAVES))
+    assert_decodes_or_raises(fuzz_dir / "fuzz.evt", FUZZ_SCHEMA, stored, 8, compress, codecs)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    renamed=st.booleans(),
+    compress=st.booleans(),
+    mutate_stored=st.booleans(),
+    mutations=st.lists(_mutation, min_size=1, max_size=4),
+)
+@settings(max_examples=500, deadline=None)
+def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress,
+                                               mutate_stored, mutations):
+    """Mutated blocks of random schemas, half of them with hostile field
+    names, with the full codec and one pruned to a random leaf set."""
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    if renamed:
+        schema = hostile(rng, schema)
+    events = random_events(rng, schema, rng.randint(1, 6))
+    full = EventCodec(schema)
+    payload = b"".join(full.encode(ev) for ev in events)
+    paths = leaf_paths(schema.root)
+    pruned = EventCodec(schema, rng.sample(paths, rng.randint(0, len(paths))))
+    stored = store_mutated(payload, mutations, compress, mutate_stored)
+    assert_decodes_or_raises(fuzz_dir / "fuzz.evt", schema, stored, len(events), compress,
+                             (full, pruned))

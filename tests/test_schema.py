@@ -40,21 +40,29 @@ def test_nesting_depth_limit():
         Schema(node)
 
 
-def test_resolve_walks_records():
-    schema = analysis_schema()
-    assert schema.resolve(("met", "pt")) == Primitive("f64")
-    assert isinstance(schema.resolve(("jets",)), Array)
-    with pytest.raises(KeyError):
-        schema.resolve(("met", "nope"))
+@pytest.mark.parametrize("root", [
+    rec(("", Primitive("f64"))),  # an empty field name
+    rec((7, Primitive("f64"))),  # a field name that is not a string
+    rec(("x", Array("f64"))),  # an element that is not a schema node
+])
+def test_invalid_nodes_rejected(root):
+    with pytest.raises(SchemaError):
+        Schema(root)
 
 
 def test_from_json_rejects_garbage():
-    with pytest.raises(SchemaError):
-        Schema.from_json("not json")
-    with pytest.raises(SchemaError):
-        Schema.from_json('{"record": [["x", "u16"]]}')
-    with pytest.raises(SchemaError):
-        Schema.from_json('"f64"')
+    for text in [
+        "not json",
+        '{"record": [["x", "u16"]]}',
+        '"f64"',
+        '{"record": {"x": "f64"}}',  # fields not a list
+        '{"record": [["x", "f64", "i32"]]}',  # a field of three entries
+        '{"record": [[1, "f64"]]}',  # a field name that is not a string
+        '{"record": [["x", 8]]}',  # a node that is neither text nor an object
+        '{"record": [["x", {"array": "f64", "n": 2}]]}',  # an object with extra keys
+    ]:
+        with pytest.raises(SchemaError):
+            Schema.from_json(text)
 
 
 def test_validate_event_accepts_generated_shape():

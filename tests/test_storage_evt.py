@@ -1,13 +1,14 @@
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skimflow.errors import BadMagic, CrcMismatch, SchemaViolation, TruncatedBlock
+from skimflow.cli import main
+from skimflow.errors import BadMagic, CorruptHeader, CrcMismatch, SchemaViolation, TruncatedBlock
 from skimflow.events import make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
-from skimflow.schema import Primitive, Record, Schema
 from skimflow.storage import convert_evt, iter_block_range, read_evt, scan_evt, write_evt
 from skimflow.timing import PhaseTimers
 
@@ -84,6 +85,46 @@ def test_bad_magic(tmp_path):
         read_evt(path)
 
 
+def _header(text: bytes, flags: bytes = b"\x00") -> bytes:
+    return b"EVT1" + len(text).to_bytes(4, "little") + text + flags
+
+
+VALID_HEADER_TEXT = b'{"record":[["x","f64"]]}'
+# an array of records without fields, then one block of one event whose
+# 4-byte payload is that array's count, 200,000, under a valid CRC
+_COUNT = (200_000).to_bytes(4, "little")
+EMPTY_RECORDS_FILE = (
+    _header(b'{"record":[["f1",{"array":{"record":[]}}]]}')
+    + (1).to_bytes(4, "little") + (4).to_bytes(4, "little") + _COUNT
+    + zlib.crc32(_COUNT).to_bytes(4, "little")
+)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"EVT1\x10\x00", id="truncated-length"),
+    pytest.param(b"EVT1" + (16 * 1024 * 1024 + 1).to_bytes(4, "little"), id="length-over-16-MiB"),
+    pytest.param(b"EVT1" + (100).to_bytes(4, "little") + b'{"record"', id="truncated-text"),
+    pytest.param(_header(b'{"record":[["x",'), id="invalid-json"),
+    pytest.param(EMPTY_RECORDS_FILE, id="record-without-fields"),
+    pytest.param(_header(VALID_HEADER_TEXT, flags=b""), id="missing-flags-byte"),
+    pytest.param(_header(VALID_HEADER_TEXT, flags=b"\x02"), id="unknown-flag-bits"),
+])
+def test_malformed_header_raises_corrupt_header(tmp_path, data):
+    path = tmp_path / "bad.evt"
+    path.write_bytes(data)
+    with pytest.raises(CorruptHeader):
+        scan_evt(path)
+    with pytest.raises(CorruptHeader):
+        read_evt(path)
+
+
+def test_inspect_of_a_record_without_fields_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty-records.evt"
+    path.write_bytes(EMPTY_RECORDS_FILE)
+    assert main(["inspect", str(path)]) == 2
+    assert "at least one field" in capsys.readouterr().err
+
+
 def test_flipped_payload_bit_is_caught_with_block_index(tmp_path, schema):
     events = list(generate_events(GeneratorSpec(seed=5, n_events=300)))
     path = tmp_path / "f.evt"
@@ -123,9 +164,6 @@ def test_schema_violation_on_write(tmp_path, schema):
     assert not (tmp_path / "bad.evt.tmp").exists()
 
 
-TAGGED = Schema(Record((("x", Primitive("f64")), ("tag", Record(())))))
-
-
 def _with(**changes):
     ev = make_event(jets=[make_particle()])
     for key, value in changes.items():
@@ -135,7 +173,6 @@ def _with(**changes):
 
 @pytest.mark.parametrize("malformed_schema, event", [
     pytest.param(None, {k: v for k, v in make_event().items() if k != "lumi"}, id="missing-field"),
-    pytest.param(TAGGED, {"x": 1.0}, id="missing-zero-width-sub-record"),
     pytest.param(None, _with(met={"pt": "1.0", "phi": 0.0}), id="str-in-f64"),
     pytest.param(None, _with(jets=[make_particle(id=1.5)]), id="float-in-i32"),
     pytest.param(None, _with(jets=[make_particle(id=2**31)]), id="i32-out-of-range"),

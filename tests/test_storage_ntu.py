@@ -127,7 +127,8 @@ def test_arity_and_kind_mismatch(tmp_path):
 
     # a bad row in the middle of a batch leaves nothing of its batch behind
     good = [(float(i), i, i % 2 == 0) for i in range(7)]
-    for bad in [(1.0, 2), (1.0, 2.5, True), (1.0, 2**63, True)]:  # short; float in i64; beyond i64
+    # short; float in i64; beyond i64; bools other than 0 and 1
+    for bad in [(1.0, 2), (1.0, 2.5, True), (1.0, 2**63, True), (1.0, 2, 5), (1.0, 2, -1)]:
         path = tmp_path / "rows.ntu"
         writer = NtuWriter(path, COLS3, group_target=4)
         writer.append_rows(good[:2])
@@ -235,6 +236,7 @@ def test_append_columns_after_rows_continues_the_group(tmp_path):
     ([array("d", [1.0]), array("i", [1]), array("b", [1])], 1),  # i32 typecode for i64
     ([array("f", [1.0]), array("q", [1]), array("b", [1])], 1),  # f32 typecode for f64
     ([[1.0], array("q", [1]), array("b", [1])], 1),  # a list, not an array
+    ([array("d", [1.0, 2.0]), array("q", [1, 2]), array("b", [0, 2])], 2),  # a bool of 2
 ])
 def test_append_columns_rejects_a_mismatch(tmp_path, columns, n_rows):
     writer = NtuWriter(tmp_path / "f.ntu", COLS3)

@@ -20,17 +20,16 @@ over the whole dataset, and the writer takes them as they are.
 
 An explicit in-memory cache ("persist") retains each partition's decoded
 events after the first full traversal; later traversals then read zero
-storage bytes. The cache map is populated once per partition and read-only
-afterwards, which is the only state workers share. The cache budget is
-checked as each partition is admitted: the partition that would take the
-cache past it instead drops the whole cache, records a warning, and the
-dataset falls back to cold reads, so the cache never holds more than the
-budget. The budget counts decoded EVT payload bytes, not resident memory;
-the Python objects built from a payload take about ten times its size.
-A traversal that can admit partitions to the cache pauses automatic
+storage bytes. Workers only read the cache; the thread that runs the
+traversal admits each partition as its result arrives, in partition
+order, so the cached set is the same for any worker count. A partition
+that would take the cache past its budget drops the whole cache instead,
+records a warning, and the dataset stays cold until `drop_cache()`. The
+budget counts decoded EVT payload bytes, not resident memory; the Python
+objects built from a payload take about ten times its size. Only a
+traversal that can admit partitions to the cache pauses automatic
 garbage collection, which would otherwise rescan the growing cache many
 times over, and runs one full collection at its end, charged to compute.
-Traversals that fill nothing leave the collector alone.
 
 Each traversal derives from the compiled expressions it is given the
 schema leaves they read (`expr` records them, `storage.codec` compiles a
@@ -47,9 +46,9 @@ from __future__ import annotations
 import gc
 import glob as globmod
 import os
-import threading
 import time
 from array import array
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -224,9 +223,9 @@ class PartitionedDataset:
         self.partitions = plan_partitions(files, config)
         self.warnings: list[str] = []
         self._want_cache = False
+        self._overflowed = False
         self._cache: dict[int, list[dict]] = {}
         self._cache_bytes = 0
-        self._lock = threading.Lock()
 
     # -- inventory ---------------------------------------------------------
 
@@ -246,55 +245,55 @@ class PartitionedDataset:
 
     def persist(self) -> "PartitionedDataset":
         """Retain decoded events in memory from the next full traversal on;
-        no-op if already persisted."""
-        self._want_cache = True
+        no-op if already persisted, or if the cache has overflowed its
+        budget since the last `drop_cache()`."""
+        if not self._overflowed:
+            self._want_cache = True
         return self
 
     def drop_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._cache_bytes = 0
-            self._want_cache = False
+        """Empty the cache and stop persisting; a cache-budget overflow is
+        forgotten, so `persist()` takes effect again."""
+        self._cache.clear()
+        self._cache_bytes = 0
+        self._want_cache = False
+        self._overflowed = False
 
     # -- per-partition event access -----------------------------------------
 
     def _partition_events(
-        self, part: Partition, timers: PhaseTimers, codec: EventCodec | None
+        self, part: Partition, timers: PhaseTimers, codec: EventCodec
     ) -> Iterable[dict]:
-        """The partition's events: from the cache, else decoded with the
-        full codec when the partition is to be admitted to the cache, and
-        with `codec` (which may read only some leaves; None for the full
-        codec) when it is not."""
+        """The partition's events: from the cache, else decoded in full, as
+        a list, when the dataset wants a cache, and with `codec` (which may
+        read only some leaves) when it does not. Changes nothing."""
         cached = self._cache.get(part.index)
         if cached is not None:
             timers.cache_hits += 1
             return cached
-        index = self.files[part.file_index]
+        full = self._want_cache
+        events = iter_block_range(self.files[part.file_index], part.block_lo, part.block_hi,
+                                  timers=timers, codec=self.codec if full else codec)
+        return list(events) if full else events
+
+    def _admit(self, part: Partition, events: Iterable[dict], decoded: int) -> None:
+        """Cache a partition's events, which took `decoded` payload bytes to
+        decode, if the dataset wants a cache; past the budget, drop the
+        cache, warn and stay cold instead. A cached partition took none, so
+        admitting it again changes nothing."""
         if not self._want_cache:
-            return iter_block_range(
-                index, part.block_lo, part.block_hi, timers=timers, codec=codec or self.codec
-            )
-        before = timers.bytes_decoded
-        events = list(iter_block_range(
-            index, part.block_lo, part.block_hi, timers=timers, codec=self.codec
-        ))
-        decoded = timers.bytes_decoded - before
+            return
+        total = self._cache_bytes + decoded
         budget = self.config.cache_budget_bytes
-        with self._lock:
-            if not self._want_cache:  # another partition overflowed the budget
-                return events
-            total = self._cache_bytes + decoded
-            if budget is not None and total > budget:
-                self._cache.clear()
-                self._cache_bytes = 0
-                self._want_cache = False
-                self.warnings.append(
-                    f"cache budget exceeded ({total} > {budget} bytes); falling back to cold reads"
-                )
-            else:
-                self._cache[part.index] = events
-                self._cache_bytes = total
-        return events
+        if budget is not None and total > budget:
+            self.drop_cache()
+            self._overflowed = True
+            self.warnings.append(
+                f"cache budget exceeded ({total} > {budget} bytes); falling back to cold reads"
+            )
+        else:
+            self._cache[part.index] = events
+            self._cache_bytes = total
 
 
 def open_dataset(
@@ -328,18 +327,15 @@ def open_dataset(
 # -- deterministic traversal ------------------------------------------------------
 
 
-def _resolve_workers(ds: PartitionedDataset, workers: int | None) -> int:
-    if workers is None:
-        workers = ds.config.workers
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
-
-
 def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None):
     """Run `task(partition)` across the pool, yielding results in ascending
-    partition order regardless of completion order."""
-    n = _resolve_workers(ds, workers)
+    partition order regardless of completion order. At most `workers`
+    partitions are in flight: the next is submitted only once the oldest
+    one's result has been consumed, so at one worker `_traverse` admits
+    each partition before the next one starts."""
+    if workers is None:
+        workers = ds.config.workers or os.cpu_count() or 1
+    n = max(1, workers)
 
     def wrapped(part: Partition):
         try:
@@ -351,35 +347,29 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
             ) from exc
 
     with ThreadPoolExecutor(max_workers=n) as pool:
-        yield from pool.map(wrapped, ds.partitions)
-
-
-# Traversals that fill a cache pause the cyclic collector; concurrent and
-# nested ones share it, and the last one out restores the state the first
-# one found.
-_gc_lock = threading.Lock()
-_gc_depth = 0
-_gc_restore = False
+        pending = deque()
+        for part in ds.partitions:
+            if len(pending) == n:
+                yield pending.popleft().result()
+            pending.append(pool.submit(wrapped, part))
+        while pending:
+            yield pending.popleft().result()
 
 
 @contextmanager
 def _collector_paused():
     """Pause automatic garbage collection for the block, and yield whether
-    the collector was enabled when the block was entered."""
-    global _gc_depth, _gc_restore
-    with _gc_lock:
-        enabled = gc.isenabled()
-        if _gc_depth == 0:
-            _gc_restore = enabled
-            gc.disable()
-        _gc_depth += 1
+    the collector was enabled when the block was entered; leaving it enables
+    the collector again only if it was. Concurrent blocks thus end in the
+    state the first one found, but one that outlasts that first one runs
+    its rest with the collector on, which costs time and changes no result."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         yield enabled
     finally:
-        with _gc_lock:
-            _gc_depth -= 1
-            if _gc_depth == 0 and _gc_restore:
-                gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def _traverse(
@@ -393,7 +383,8 @@ def _traverse(
     """Run the skim kernel of (cut, projection, weight) on every partition
     and return each partition's (one fresh array per projection column,
     the number of selected events, Kahan partial of the weight) in
-    partition order, merging its phase timers into `timers`.
+    partition order, admitting its events to the cache (`ds._admit`) and
+    merging its phase timers into `timers` as it arrives.
     A partition outside the cache is decoded only in the union of the
     leaves the three read; when every partition is cached, no decoder is
     built. Compute is the time to compile the kernel and that decoder,
@@ -411,7 +402,7 @@ def _traverse(
     kernel = compile_kernel(cut, projection, weight)
     typecodes = [] if projection is None else [KIND_INFO[k][0] for _, k in projection.columns]
     missing = any(part.index not in ds._cache for part in ds.partitions)
-    codec = None
+    codec = ds.codec
     if missing:
         parts = [e for e in (cut, projection, weight) if e is not None]
         codec = EventCodec(ds.schema, frozenset().union(*(e.leaves for e in parts)))
@@ -421,16 +412,19 @@ def _traverse(
         t = PhaseTimers()
         t0 = time.perf_counter()
         columns = [array(typecode) for typecode in typecodes]
-        partial, n = kernel(ds._partition_events(part, t, codec), columns)
+        events = ds._partition_events(part, t, codec)
+        partial, n = kernel(events, columns)
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
-        return (columns, n, partial), t
+        return part, (columns, n, partial), events, t
 
     fills = missing and ds._want_cache
     results = []
     with _collector_paused() if fills else nullcontext(False) as enabled:
-        for result, t in _run_partitions(ds, task, workers):
+        for part, result, events, t in _run_partitions(ds, task, workers):
             timers.merge(t)
             results.append(result)
+            ds._admit(part, events, t.bytes_decoded)
+            del events  # not held while the next partition decodes
         if enabled and ds._cache:
             # before the collector resumes, whose first automatic pass
             # would otherwise scan every object the traversal made

@@ -141,6 +141,21 @@ def test_skim_over_cache_budget_decodes_each_block_once(tmp_path, small_corpus):
     assert ds.warnings and "cache budget exceeded" in ds.warnings[0]
 
 
+def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
+    """Each skim asks to persist, but after a budget overflow the dataset
+    stays cold, so a later skim neither overflows again nor warns again."""
+    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
+    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
+                          cache_budget_bytes=payload // 2)
+    config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
+    ds = open_dataset(config.datasets[0], config.engine)
+    run_skim(config, ds, tmp_path / "first.ntu", workers=2)
+    run_skim(config, ds, tmp_path / "second.ntu", workers=2)
+    assert len(ds.warnings) == 1
+    assert ds.cache_state == "cold"
+    assert (tmp_path / "first.ntu").read_bytes() == (tmp_path / "second.ntu").read_bytes()
+
+
 LOOSE_SELECTION = "met.pt > 7.5 and size(taus) <= 1 and count(jets, it.pt > 24.0) >= 1"
 WIDE_PROJECTION = DEFAULT_PROJECTION + (
     ("n_muons", "size(muons)"),

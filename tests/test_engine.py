@@ -2,6 +2,7 @@ import gc
 import hashlib
 import sys
 import threading
+import weakref
 import zlib
 from array import array
 from dataclasses import replace
@@ -18,10 +19,18 @@ from skimflow.engine import (
     open_dataset,
     plan_partitions,
 )
-from skimflow.errors import ConfigError, DataError, InvalidCustomPlan, NoFilesMatched
+from skimflow.errors import (
+    ConfigError,
+    DataError,
+    InvalidCustomPlan,
+    NoFilesMatched,
+    SchemaMismatch,
+    UnreadableFile,
+)
 from skimflow.events import analysis_schema
 from skimflow.expr import typecheck_cut, typecheck_projection, typecheck_value
 from skimflow.generator import GeneratorSpec, generate_corpus, generate_evt
+from skimflow.schema import Primitive, Record, Schema
 from skimflow.storage import (
     BlockInfo,
     EventCodec,
@@ -57,6 +66,13 @@ def total(ds, text, **kwargs):
 
 
 # -- descriptor validation ------------------------------------------------------
+
+
+def test_engine_config_validation():
+    for bad in (dict(workers=0), dict(partition_mode="manual"), dict(partition_target_bytes=0),
+                dict(cache_budget_bytes=-1)):
+        with pytest.raises(ConfigError):
+            EngineConfig(**bad)
 
 
 def test_descriptor_validation():
@@ -121,6 +137,18 @@ def test_custom_plan_overlap_rejected():
         plan_partitions(files, config)
 
 
+@pytest.mark.parametrize("custom, message", [
+    ({"per_file": 0}, "per_file must be a positive integer"),
+    ([[0, 4]], "a mapping of file path to block ranges"),
+    ({"/a.evt": [[0, 2], [2, 2], [2, 4]]}, r"empty range \[2, 2\)"),
+    ({"/a.evt": [[0, 3]]}, "covers 3 of 4 blocks"),
+])
+def test_custom_plan_malformed_rejected(custom, message):
+    files = [fake_index("/a.evt", [10] * 4)]
+    with pytest.raises(InvalidCustomPlan, match=message):
+        plan_partitions(files, EngineConfig(partition_mode="custom", partition_custom=custom))
+
+
 def test_custom_plan_missing_file_rejected():
     files = [fake_index("/a.evt", [10])]
     config = EngineConfig(partition_mode="custom", partition_custom={"/other.evt": [[0, 1]]})
@@ -139,10 +167,24 @@ def test_open_dataset_counts_and_order(small_corpus):
     assert [p.index for p in ds.partitions] == list(range(len(ds.partitions)))
     covered = sum(p.n_events for p in ds.partitions)
     assert covered == 2000
+    assert ds.n_bytes == sum(p.stat().st_size for p in small_corpus["paths"])
 
 
 def test_open_dataset_no_match(tmp_path):
     with pytest.raises(NoFilesMatched):
+        open_dataset(mc_descriptor(str(tmp_path / "*.evt")))
+
+
+def test_open_dataset_unreadable_match(tmp_path):
+    (tmp_path / "dir.evt").mkdir()
+    with pytest.raises(UnreadableFile, match="dir.evt"):
+        open_dataset(mc_descriptor(str(tmp_path / "*.evt")))
+
+
+def test_open_dataset_schema_mismatch(tmp_path, schema):
+    write_evt(tmp_path / "a.evt", [], schema)
+    write_evt(tmp_path / "b.evt", [], Schema(Record((("x", Primitive("f64")),))))
+    with pytest.raises(SchemaMismatch, match="b.evt carries a different schema"):
         open_dataset(mc_descriptor(str(tmp_path / "*.evt")))
 
 
@@ -208,6 +250,11 @@ def test_persist_second_traversal_reads_zero_bytes(small_corpus):
     assert t2.bytes_read == 0
     assert t2.cache_hits == len(ds.partitions)
     assert first == second
+    ds.drop_cache()
+    assert ds.cache_state == "cold" and ds._cache == {} and ds._cache_bytes == 0
+    t3 = PhaseTimers()
+    assert total(ds, "genInfo.weight", timers=t3) == first
+    assert t3.bytes_read > 0 and t3.cache_hits == 0
 
 
 def test_persisting_pass_reports_compute(small_corpus):
@@ -232,15 +279,22 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     assert first == second
 
 
-def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
-    ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
-    assert len(ds.partitions) >= 3
+def decoded_sizes(ds):
+    """Each partition's decoded payload bytes, the amount the cache budget
+    counts."""
     sizes = []
     for part in ds.partitions:
         t = PhaseTimers()
         list(iter_block_range(ds.files[part.file_index], part.block_lo, part.block_hi, timers=t))
         sizes.append(t.bytes_decoded)
+    return sizes
+
+
+def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    assert len(ds.partitions) >= 3
+    sizes = decoded_sizes(ds)
     budget = max(sizes) + 1  # just above one partition's decoded bytes
 
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
@@ -252,6 +306,112 @@ def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
     assert "cold" in states  # the dataset went cold during pass one
     assert max(held for _, held, _ in seen) <= budget + max(sizes)
     assert ds.warnings and "budget" in ds.warnings[0]
+
+
+def test_admission_follows_partition_order(tmp_path):
+    """Partition 0 finishes last, yet the cache admits partitions in
+    partition order, so the overflow and its warning are the serial run's."""
+    path = tmp_path / "f.evt"
+    generate_evt(GeneratorSpec(seed=9, n_events=700), path, block_target=100)
+    config = EngineConfig(
+        partition_mode="custom", partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
+    )
+    sizes = decoded_sizes(open_dataset(mc_descriptor(str(path)), config))
+    config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
+
+    serial = open_dataset(mc_descriptor(str(path)), config).persist()
+    total(serial, "met.pt", workers=1)
+    budget = config.cache_budget_bytes
+    assert serial.warnings == [
+        f"cache budget exceeded ({sizes[0] + sizes[1]} > {budget} bytes); "
+        "falling back to cold reads"
+    ]
+
+    ds = open_dataset(mc_descriptor(str(path)), config).persist()
+    take = ds._partition_events
+    last_started = threading.Event()
+
+    def spy(part, timers, codec):
+        if part.index == 0:
+            assert last_started.wait(10)
+        elif part.index == 2:
+            last_started.set()
+        return take(part, timers, codec)
+
+    ds._partition_events = spy
+    assert total(ds, "met.pt", workers=3) == total(serial, "met.pt")
+    assert ds.warnings == serial.warnings
+    assert ds.cache_state == "cold"
+
+
+def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus, monkeypatch):
+    """At one worker nothing runs ahead: every partition up to the one that
+    overflows sees all before it cached and decodes in full, and every
+    later one sees an empty cache and decodes only the leaves it reads."""
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    sizes = decoded_sizes(ds)
+    assert len(sizes) == 6
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]),
+                      replace(config, cache_budget_bytes=sizes[0] + sizes[1])).persist()
+    cached, full = [], []
+    take = ds._partition_events
+
+    def spy(part, timers, codec):
+        cached.append(len(ds._cache))
+        return take(part, timers, codec)
+
+    def iter_blocks(index, lo, hi, *, codec, **kwargs):
+        full.append(codec is ds.codec)
+        return iter_block_range(index, lo, hi, codec=codec, **kwargs)
+
+    ds._partition_events = spy
+    monkeypatch.setattr(engine, "iter_block_range", iter_blocks)
+    total(ds, "met.pt", workers=1)
+    assert cached == [0, 1, 2, 0, 0, 0]
+    assert full == [True, True, True, False, False, False]
+    assert len(ds.warnings) == 1 and ds.cache_state == "cold"
+
+
+def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_corpus):
+    ds = open_dataset(
+        mc_descriptor(small_corpus["glob"]),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 2},
+                     cache_budget_bytes=1),
+    ).persist()
+
+    class Events(list):
+        """A list that takes weak references."""
+
+    take = ds._partition_events
+    taken = []
+    held = []
+
+    def spy(part, timers, codec):
+        held.append([ref() is not None for ref in taken])
+        events = Events(take(part, timers, codec))
+        taken.append(weakref.ref(events))
+        return events
+
+    ds._partition_events = spy
+    total(ds, "met.pt", workers=1)
+    assert ds.warnings and ds.cache_state == "cold"
+    assert held == [[], [False], [False] * 2, [False] * 3]
+
+
+def test_an_overflow_stays_until_the_cache_is_dropped(small_corpus):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), EngineConfig(cache_budget_bytes=1))
+    ds.persist()
+    total(ds, "met.pt")
+    assert len(ds.warnings) == 1 and ds.cache_state == "cold"
+    assert ds.persist().cache_state == "cold"
+    total(ds, "met.pt")
+    assert ds.cache_state == "cold" and len(ds.warnings) == 1
+
+    ds.drop_cache()
+    assert ds.persist().cache_state == "warming"
+    total(ds, "met.pt")
+    assert len(ds.warnings) == 2 and ds.cache_state == "cold"
 
 
 def test_cached_equals_cold(small_corpus):
@@ -317,13 +477,24 @@ def test_rows_in_serial_order(small_corpus, tmp_path):
 
 
 def test_output_identical_across_worker_counts(small_corpus, tmp_path):
-    digests = set()
-    for workers in (1, 2, 7, 16):
-        ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-        out = tmp_path / f"w{workers}.ntu"
-        run_filter(ds, "met.pt > 100.0", out, workers=workers)
-        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert len(digests) == 1
+    """Cold, and persisted with a cache budget that overflows mid-way: the
+    same ntuple and the same warnings at every worker count."""
+    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
+    overflow = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
+                            cache_budget_bytes=payload // 2)
+    for config, persist in ((EngineConfig(), False), (overflow, True)):
+        digests = set()
+        warnings = set()
+        for workers in (1, 2, 7, 16):
+            ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+            if persist:
+                ds.persist()
+            out = tmp_path / f"w{workers}.ntu"
+            run_filter(ds, "met.pt > 100.0", out, workers=workers)
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+            warnings.add(tuple(ds.warnings))
+        assert len(digests) == 1
+        assert len(warnings) == 1 and len(warnings.pop()) == persist
 
 
 def rowwise(row_fn):

@@ -315,7 +315,7 @@ def run_skim(
     weights. The weight is the compiled `genInfo.weight`, so the engine
     learns every leaf the skim reads from the cut, the projection and the
     weight. `persist` overrides the config's choice of keeping an mc
-    dataset's decoded events in memory for later traversals.
+    dataset's decoded columns in memory for later traversals.
     """
     descriptor = ds.descriptor
     schema = ds.schema

@@ -6,11 +6,9 @@ raw input, and the worker count — and times the full skim of one dataset
 non-overlapping phases:
 
     read     raw storage reads
-    decode   CRC checks, decompression, deserialization to events
+    decode   CRC checks, decompression, deserialization to columns
     compute  compiling and running the skim loop (cut, projection and
-             weight sum), weight normalization, and the one full garbage
-             collection that ends a traversal which filled the cache (it
-             pauses automatic collection while it fills)
+             weight sum) and weight normalization
     write    writing each partition's column arrays into the ntuple's row
              groups, and freeing them once written
 
@@ -71,6 +69,7 @@ class PhaseSample:
     total_s: float
     bytes_read: int
     bytes_decoded: int
+    bytes_cached: int
     cache_hits: int
     rows_out: int
 
@@ -88,6 +87,7 @@ class PhaseSample:
             "total_s": self.total_s,
             "bytes_read": self.bytes_read,
             "bytes_decoded": self.bytes_decoded,
+            "bytes_cached": self.bytes_cached,
             "cache_hits": self.cache_hits,
             "rows_out": self.rows_out,
         }

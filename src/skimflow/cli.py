@@ -242,7 +242,8 @@ def cmd_bench(args) -> int:
         print(
             f"{r.cell.name}: total {m.total_s:.3f}s {sep} read {m.read_s:.3f}s "
             f"+ decode {m.decode_s:.3f}s + compute {m.compute_s:.3f}s "
-            f"+ write {m.write_s:.3f}s (bytes_read {m.bytes_read}, rows {m.rows_out})"
+            f"+ write {m.write_s:.3f}s (bytes_read {m.bytes_read}, rows {m.rows_out}, "
+            f"warm-up bytes_cached {r.warmup.bytes_cached})"
         )
     by_cell = {(r.cell.cached, r.cell.compressed): r for r in reports}
     for compressed in (False, True):

@@ -9,49 +9,49 @@ scheduling order.
 
 `filter_map_write` is the only traversal a skim makes. Each partition
 runs one loop generated from the skim's compiled cut, projection and
-weight (`expr.compile_kernel`), over cached and decoded events alike,
-which appends the selected events' projected values to one typed
-`array` per column; no row is built. Given a weight, as for an mc
-dataset, that loop sums the weights as it selects, so every event is
-read and decoded once. Each partition's columns are then held until the
-traversal ends, because an mc event's normalised weight needs the sum
-over the whole dataset, and the writer takes them as they are.
+weight (`expr.compile_kernel`) over the partition's column sets, cached
+and decoded alike, which appends the selected events' projected values
+to one typed `array` per column; no row is built. Given a weight, as for
+an mc dataset, that loop sums the weights as it selects, so every event
+is read and decoded once. Each partition's columns are then held until
+the traversal ends, because an mc event's normalised weight needs the
+sum over the whole dataset, and the writer takes them as they are.
 `map_reduce` is the same loop with no cut and no projection.
 
-An explicit in-memory cache ("persist") retains each partition's decoded
-events after the first full traversal; later traversals then read zero
+Partitions are decoded by a column codec (`storage.codec`) to one
+`ColumnSet` per block: typed leaf arrays plus collection offsets. An
+explicit in-memory cache ("persist") retains each partition's column
+sets after the first full traversal; later traversals then read zero
 storage bytes. Workers only read the cache; the thread that runs the
 traversal admits each partition as its result arrives, in partition
-order, so the cached set is the same for any worker count. A partition
-that would take the cache past its budget drops the whole cache instead,
-records a warning, and the dataset stays cold until `drop_cache()`. The
-budget counts decoded EVT payload bytes, not resident memory; the Python
-objects built from a payload take about ten times its size. Only a
-traversal that can admit partitions to the cache pauses automatic
-garbage collection, which would otherwise rescan the growing cache many
-times over, and runs one full collection at its end, charged to compute.
+order, so the cached set is the same for any worker count. The budget
+counts the arrays' bytes (itemsize x length), which is what the cache
+holds. A partition that would take the cache past its budget is not
+admitted: the partitions cached before it stay and serve every later
+traversal, a warning is recorded, and the dataset admits nothing more
+until `drop_cache()`.
 
 Each traversal derives from the compiled expressions it is given the
 schema leaves they read (`expr` records them, `storage.codec` compiles a
 decoder for them) and decodes only those leaves in every partition that
 does not go into the cache: every partition of a dataset that is not
-persisted, and every partition after a budget overflow. A partition being
-admitted to the cache is decoded in full, so cached events serve any later
-traversal whatever leaves it reads. The choice follows the dataset's cache
-state alone. `bytes_decoded` counts every payload byte walked either way.
+persisted, and every partition from a budget overflow on. A partition
+being admitted to the cache is decoded in full, so cached columns serve
+any later traversal whatever leaves it reads. The choice follows the
+dataset's cache state alone. `bytes_decoded` counts every payload byte
+walked either way, and `bytes_cached` the column bytes admitted.
 """
 
 from __future__ import annotations
 
-import gc
 import glob as globmod
 import os
 import time
 from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -64,7 +64,7 @@ from .errors import (
 )
 from .expr import TypedCut, TypedProjection, TypedValue, compile_kernel
 from .schema import Schema
-from .storage import EventCodec, EvtIndex, iter_block_range, scan_evt
+from .storage import ColumnSet, EventCodec, EvtIndex, iter_block_range, scan_evt
 from .storage.ntu import KIND_INFO, NtuWriter
 from .timing import PhaseTimers
 
@@ -219,13 +219,18 @@ class PartitionedDataset:
         self.files = files
         self.config = config
         self.schema: Schema = files[0].schema
-        self.codec = EventCodec(self.schema)
         self.partitions = plan_partitions(files, config)
         self.warnings: list[str] = []
         self._want_cache = False
         self._overflowed = False
-        self._cache: dict[int, list[dict]] = {}
+        self._cache: dict[int, list[ColumnSet]] = {}
         self._cache_bytes = 0
+
+    @cached_property
+    def codec(self) -> EventCodec:
+        """The column codec of every leaf, which fills the cache; compiled
+        on first use, so a dataset never persisted has none."""
+        return EventCodec(self.schema, columns=True)
 
     # -- inventory ---------------------------------------------------------
 
@@ -239,12 +244,15 @@ class PartitionedDataset:
 
     @property
     def cache_state(self) -> str:
+        """"cached" when every partition is; "warming" while the dataset
+        admits partitions; "cold" when it admits none, though after a
+        budget overflow the partitions that fit still serve reads."""
         if len(self._cache) == len(self.partitions) and self.partitions and self._want_cache:
             return "cached"
         return "warming" if self._want_cache else "cold"
 
     def persist(self) -> "PartitionedDataset":
-        """Retain decoded events in memory from the next full traversal on;
+        """Retain decoded columns in memory from the next full traversal on;
         no-op if already persisted, or if the cache has overflowed its
         budget since the last `drop_cache()`."""
         if not self._overflowed:
@@ -259,41 +267,44 @@ class PartitionedDataset:
         self._want_cache = False
         self._overflowed = False
 
-    # -- per-partition event access -----------------------------------------
+    # -- per-partition column access ---------------------------------------
 
-    def _partition_events(
-        self, part: Partition, timers: PhaseTimers, codec: EventCodec
-    ) -> Iterable[dict]:
-        """The partition's events: from the cache, else decoded in full, as
-        a list, when the dataset wants a cache, and with `codec` (which may
-        read only some leaves) when it does not. Changes nothing."""
+    def _partition_columns(
+        self, part: Partition, timers: PhaseTimers, codec: EventCodec | None
+    ) -> Iterable[ColumnSet]:
+        """The partition's column sets: from the cache, else decoded in
+        full, as a list, when the dataset wants a cache, and with `codec`
+        (which may read only some leaves) when it does not. Changes
+        nothing."""
         cached = self._cache.get(part.index)
         if cached is not None:
             timers.cache_hits += 1
             return cached
         full = self._want_cache
-        events = iter_block_range(self.files[part.file_index], part.block_lo, part.block_hi,
+        blocks = iter_block_range(self.files[part.file_index], part.block_lo, part.block_hi,
                                   timers=timers, codec=self.codec if full else codec)
-        return list(events) if full else events
+        return list(blocks) if full else blocks
 
-    def _admit(self, part: Partition, events: Iterable[dict], decoded: int) -> None:
-        """Cache a partition's events, which took `decoded` payload bytes to
-        decode, if the dataset wants a cache; past the budget, drop the
-        cache, warn and stay cold instead. A cached partition took none, so
-        admitting it again changes nothing."""
-        if not self._want_cache:
-            return
-        total = self._cache_bytes + decoded
+    def _admit(self, part: Partition, blocks: Iterable[ColumnSet]) -> int:
+        """Cache a partition's column sets if the dataset wants a cache and
+        they fit the budget, and return the bytes cached. Past the budget,
+        keep what is cached, warn, and admit nothing more. A cached
+        partition is not admitted again."""
+        if not self._want_cache or part.index in self._cache:
+            return 0
+        size = sum(cs.nbytes for cs in blocks)
+        total = self._cache_bytes + size
         budget = self.config.cache_budget_bytes
         if budget is not None and total > budget:
-            self.drop_cache()
+            self._want_cache = False
             self._overflowed = True
             self.warnings.append(
                 f"cache budget exceeded ({total} > {budget} bytes); falling back to cold reads"
             )
-        else:
-            self._cache[part.index] = events
-            self._cache_bytes = total
+            return 0
+        self._cache[part.index] = blocks
+        self._cache_bytes = total
+        return size
 
 
 def open_dataset(
@@ -328,11 +339,13 @@ def open_dataset(
 
 
 def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None):
-    """Run `task(partition)` across the pool, yielding results in ascending
-    partition order regardless of completion order. At most `workers`
-    partitions are in flight: the next is submitted only once the oldest
-    one's result has been consumed, so at one worker `_traverse` admits
-    each partition before the next one starts."""
+    """Run `task(partition)` for every partition, yielding results in
+    ascending partition order regardless of completion order. At one
+    worker each task runs on the calling thread when its result is asked
+    for. Otherwise at most `workers` partitions are in flight on a pool:
+    the next is submitted only once the oldest one's result has been
+    consumed. Either way `_traverse` admits partition k before partition
+    k + workers starts."""
     if workers is None:
         workers = ds.config.workers or os.cpu_count() or 1
     n = max(1, workers)
@@ -346,6 +359,10 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
                 f"[{part.block_lo},{part.block_hi})): {exc}"
             ) from exc
 
+    if n == 1:
+        for part in ds.partitions:
+            yield wrapped(part)
+        return
     with ThreadPoolExecutor(max_workers=n) as pool:
         pending = deque()
         for part in ds.partitions:
@@ -354,22 +371,6 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
             pending.append(pool.submit(wrapped, part))
         while pending:
             yield pending.popleft().result()
-
-
-@contextmanager
-def _collector_paused():
-    """Pause automatic garbage collection for the block, and yield whether
-    the collector was enabled when the block was entered; leaving it enables
-    the collector again only if it was. Concurrent blocks thus end in the
-    state the first one found, but one that outlasts that first one runs
-    its rest with the collector on, which costs time and changes no result."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield enabled
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _traverse(
@@ -383,54 +384,38 @@ def _traverse(
     """Run the skim kernel of (cut, projection, weight) on every partition
     and return each partition's (one fresh array per projection column,
     the number of selected events, Kahan partial of the weight) in
-    partition order, admitting its events to the cache (`ds._admit`) and
-    merging its phase timers into `timers` as it arrives.
+    partition order, admitting its column sets to the cache (`ds._admit`)
+    and merging its phase timers into `timers` as it arrives.
     A partition outside the cache is decoded only in the union of the
     leaves the three read; when every partition is cached, no decoder is
     built. Compute is the time to compile the kernel and that decoder,
-    plus each partition's wall time, event access included, less the read
-    and decode time spent inside it, plus the one full collection that
-    ends a traversal which filled the cache.
-
-    A traversal that can admit partitions to the cache runs with
-    automatic garbage collection paused. It allocates only acyclic
-    objects (decoded events and column arrays), so a collection during it
-    could free nothing it made, yet each one would rescan the growing
-    cache. If it leaves partitions in the cache and found the collector
-    enabled, it runs one `gc.collect()` at its end instead."""
+    plus each partition's wall time, column access included, less the
+    read and decode time spent inside it."""
     t0 = time.perf_counter()
     kernel = compile_kernel(cut, projection, weight)
     typecodes = [] if projection is None else [KIND_INFO[k][0] for _, k in projection.columns]
-    missing = any(part.index not in ds._cache for part in ds.partitions)
-    codec = ds.codec
-    if missing:
+    codec = None
+    if any(part.index not in ds._cache for part in ds.partitions):
         parts = [e for e in (cut, projection, weight) if e is not None]
-        codec = EventCodec(ds.schema, frozenset().union(*(e.leaves for e in parts)))
+        leaves = frozenset().union(*(e.leaves for e in parts))
+        codec = EventCodec(ds.schema, leaves, columns=True)
     timers.compute += time.perf_counter() - t0
 
     def task(part: Partition):
         t = PhaseTimers()
         t0 = time.perf_counter()
         columns = [array(typecode) for typecode in typecodes]
-        events = ds._partition_events(part, t, codec)
-        partial, n = kernel(events, columns)
+        blocks = ds._partition_columns(part, t, codec)
+        partial, n = kernel(blocks, columns)
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
-        return part, (columns, n, partial), events, t
+        return part, (columns, n, partial), blocks, t
 
-    fills = missing and ds._want_cache
     results = []
-    with _collector_paused() if fills else nullcontext(False) as enabled:
-        for part, result, events, t in _run_partitions(ds, task, workers):
-            timers.merge(t)
-            results.append(result)
-            ds._admit(part, events, t.bytes_decoded)
-            del events  # not held while the next partition decodes
-        if enabled and ds._cache:
-            # before the collector resumes, whose first automatic pass
-            # would otherwise scan every object the traversal made
-            t0 = time.perf_counter()
-            gc.collect()
-            timers.compute += time.perf_counter() - t0
+    for part, result, blocks, t in _run_partitions(ds, task, workers):
+        timers.merge(t)
+        results.append(result)
+        timers.bytes_cached += ds._admit(part, blocks)
+        del blocks  # not held while the next partition decodes
     return results
 
 
@@ -485,7 +470,7 @@ def filter_map_write(
     (partial file removed) on failure.
 
     Each partition runs one generated loop (`expr.compile_kernel`) over
-    its events, cached or decoded, that appends each selected event's
+    its column sets, cached or decoded, that appends each selected event's
     projected values to one typed array per column. With `weight`, that
     loop also sums the weight of every event, selected or not, as
     `map_reduce` does, so the sum is bit-identical to

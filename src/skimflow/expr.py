@@ -32,15 +32,24 @@ schema-conforming event.
 
 Compiling writes Python source, not a tree of closures, and compiles it
 once with `exec`, as the codec does. `compile_kernel` writes one loop
-per skim, and each compiled form's `evaluate` runs that loop over one
-event, compiled on its first call. For each event the loop adds the
-weight to a Kahan sum, tests the cut's top-level `and` clauses in source
-order up to the first that fails, and appends each projected value to
-its column's typed `array`, building no row. A field is read once into
-a local and shared by every clause and column that reads it, as is an
-aggregate; the aggregates over one collection share one loop. User text
-enters that source only as the `repr()` of a parsed constant or of a
-field name the schema has checked, and every local name is generated.
+per skim over the column sets of a column codec (`storage.codec`): for
+each block, one `zip` over the scalar columns and collection offsets the
+skim reads, so every field is a local bound once per event, and each
+element column it reads turned into a list once. For each event the
+loop adds the weight to a Kahan sum, tests the cut's top-level `and`
+clauses in source order up to the first that fails, and appends each
+projected value to its column's typed `array`, building no row. A
+collection's elements are the slice between adjacent offsets of its
+element columns, and the aggregates over one collection share one loop
+over them. User text enters that source only as the `repr()` of a
+parsed constant or of a field name the schema has checked, and every
+local name is generated.
+
+Each compiled form's `evaluate(event)` runs the same loop over a
+one-event column set, made by encoding the event and decoding it to
+columns, both compiled on its first call. So an event dict that does not
+conform to the whole schema (a missing field, a value of the wrong type)
+raises `SchemaViolation`, even in a field the expression does not read.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from typing import Callable, Iterable, Union
 
 from .errors import ArityMismatch, NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from .schema import Array, Primitive, Record, Schema
+from .storage.codec import ColumnSet, EventCodec
 
 NUMERIC_KINDS = frozenset({"f64", "f32", "i64", "i32"})
 
@@ -327,10 +337,6 @@ _FLOAT_KINDS = frozenset({"f64", "f32"})
 _CONST_TYPES = {"i64": int, "f64": float, "bool": bool}
 
 
-def _keys(path: tuple[str, ...]) -> str:
-    return "".join(f"[{name!r}]" for name in path)
-
-
 def _float_of(value) -> float | None:
     """float(value), or None when that overflows."""
     try:
@@ -340,40 +346,45 @@ def _float_of(value) -> float | None:
 
 
 class _Loop:
-    """One loop over a collection, computing every aggregate of it that a
-    prelude needs."""
+    """One loop over the elements of a collection, computing every
+    aggregate of it that a prelude needs."""
 
-    def __init__(self, coll: str, item: str):
-        self.coll = coll  # the local holding the collection
-        self.item = item  # the loop variable
-        self.reads: dict[tuple[str, ...], str] = {}  # element field path -> local
+    def __init__(self, coll: tuple[str, ...], lo: str, hi: str):
+        self.coll = coll
+        self.lo, self.hi = lo, hi  # the locals holding the element bounds
+        self.reads: dict[str, str] = {}  # element column's list -> loop variable
         self.init: list[str] = []
         self.body: list[str] = []
         self.post: list[str] = []
 
     def lines(self) -> list[str]:
-        reads = [f"{var} = {self.item}{_keys(path)}" for path, var in self.reads.items()]
-        return [
-            *self.init,
-            f"for {self.item} in {self.coll}:",
-            *("    " + line for line in reads + self.body),
-            *self.post,
-        ]
+        lists = [f"{lst}[{self.lo}:{self.hi}]" for lst in self.reads]
+        names = ", ".join(self.reads.values())
+        if not lists:
+            head = f"for _ in range({self.lo}, {self.hi}):"
+        elif len(lists) == 1:
+            head = f"for {names} in {lists[0]}:"
+        else:
+            head = f"for {names} in zip({', '.join(lists)}):"
+        return [*self.init, head, *("    " + line for line in self.body), *self.post]
 
 
 class _Checker:
     """Single pass that type-checks each node and writes the Python source
-    evaluating it; `compile` returns (source expression, result kind).
+    evaluating it over a column set; `compile` returns (source expression,
+    result kind).
 
-    An expression reads locals that statements assign before it: a field
-    is read once into a local, and the aggregates over one collection
-    share one loop. The statements collect in the current prelude, which
-    `prelude()` returns and clears; the caller places them before the
-    expressions compiled since the last call. A local, once assigned,
-    serves every later prelude, so a field or an aggregate that the cut
-    and the projection share is computed once. Every local name is
-    generated; a field name enters the source only as the `repr()` of a
-    name the schema has checked, and a constant only as the `repr()` of
+    An event-level field, and the two bounds of a collection (adjacent
+    offsets), are loop variables of the per-event `zip` over `zipped`
+    (loop variable, column source); an element field is read from a list
+    that `block` makes once per column set. The aggregates over one
+    collection share one loop, whose statements collect in the current
+    prelude, which `prelude()` returns and clears; the caller places them
+    before the expressions compiled since the last call. A local, once
+    assigned, serves every later prelude, so a field or an aggregate that
+    the cut and the projection share is computed once. Every local name
+    is generated; a field name enters the source only as the `repr()` of
+    a name the schema has checked, and a constant only as the `repr()` of
     its parsed value (or, if not finite, by reference).
 
     `element` is the record type of `it` inside count/reduce arguments,
@@ -386,10 +397,13 @@ class _Checker:
         self.schema = schema
         self.paths: set[tuple[str, ...]] = set()
         self.consts: dict[str, object] = {"div": _ieee_div, "ne": _ne}
+        self.zipped: list[tuple[str, str]] = []  # (per-event local, column source)
+        self.block: list[str] = []  # statements run once per column set
         self._coll: tuple[str, ...] = ()  # the collection `it` ranges over
         self._loop: _Loop | None = None  # the loop that binds `it`
         self._memo: dict[object, str] = {}  # field path or aggregate node -> local
-        self._lines: list[str] = []
+        self._offsets: dict[tuple[str, ...], tuple[str, str]] = {}  # collection -> bounds
+        self._lists: dict[tuple[str, ...], str] = {}  # element column key -> list
         self._loops: dict[tuple[str, ...], _Loop] = {}
         self._k = 0
 
@@ -408,10 +422,8 @@ class _Checker:
 
     def prelude(self) -> list[str]:
         """The statements the expressions compiled since the last call need."""
-        lines = self._lines
-        for loop in self._loops.values():
-            lines += loop.lines()
-        self._lines, self._loops = [], {}
+        lines = [line for loop in self._loops.values() for line in loop.lines()]
+        self._loops = {}
         return lines
 
     def clauses(self, node: Expr) -> list[tuple[list[str], str]]:
@@ -443,36 +455,53 @@ class _Checker:
         text = repr(value)
         return f"({text})" if text.startswith("-") else text
 
+    def _column(self, key: tuple[str, ...]) -> str:
+        return f"cs[{key!r}]"
+
     def _field(self, path: tuple[str, ...]) -> str:
-        """The local holding the event's value at `path`."""
+        """The per-event local holding the event's value at `path`."""
         var = self._memo.get(path)
         if var is None:
-            parent = "ev" if len(path) == 1 else self._field(path[:-1])
             var = self._memo[path] = self._fresh("v")
-            self._lines.append(f"{var} = {parent}[{path[-1]!r}]")
+            self.zipped.append((var, self._column(path)))
         return var
 
+    def _bounds(self, coll: tuple[str, ...]) -> tuple[str, str]:
+        """The per-event locals holding the collection's element bounds."""
+        bounds = self._offsets.get(coll)
+        if bounds is None:
+            bounds = self._offsets[coll] = (self._fresh("lo"), self._fresh("hi"))
+            offsets = self._column(coll)
+            self.zipped += [(bounds[0], offsets), (bounds[1], f"{offsets}[1:]")]
+        return bounds
+
     def _read(self, loop: _Loop, path: tuple[str, ...]) -> str:
-        """The local holding the current element's value at `path`."""
-        var = loop.reads.get(path)
+        """The loop variable holding the current element's value at `path`."""
+        key = loop.coll + path
+        lst = self._lists.get(key)
+        if lst is None:
+            lst = self._lists[key] = self._fresh("L")
+            self.block.append(f"{lst} = {self._column(key)}.tolist()")
+        var = loop.reads.get(lst)
         if var is None:
-            var = loop.reads[path] = self._fresh("x")
+            var = loop.reads[lst] = self._fresh("x")
         return var
 
     def _loop_over(self, coll: tuple[str, ...]) -> _Loop:
         loop = self._loops.get(coll)
         if loop is None:
-            loop = self._loops[coll] = _Loop(self._field(coll), self._fresh("e"))
+            loop = self._loops[coll] = _Loop(coll, *self._bounds(coll))
         return loop
 
     def _float(self, node: Expr, src: str, kind: str) -> str:
         """Source of `float(value)` for an operand: a constant folded, and
-        a computed value, always a float already, left as it is."""
+        a float field or computed value, always a float already, left as
+        it is."""
         if isinstance(node, Const):
             value = _float_of(node.value)
             # a constant too large for f64 raises when evaluated, as it always has
             return f"float({src})" if value is None else self._constant(value)
-        if kind in _FLOAT_KINDS and not isinstance(node, Field):
+        if kind in _FLOAT_KINDS:
             return src
         return f"float({src})"
 
@@ -592,7 +621,8 @@ class _Checker:
     def _c_size(self, node: Size, element):
         self._resolve_collection(node.coll, element)
         self.paths.add(node.coll)
-        return f"len({self._field(node.coll)})", "i64"
+        lo, hi = self._bounds(node.coll)
+        return f"({hi} - {lo})", "i64"
 
     def _c_count(self, node: Count, element):
         elem = self._resolve_collection(node.coll, element)
@@ -663,6 +693,19 @@ def _function(checker: _Checker, name: str, args: str, body: list[str]) -> Calla
 # its size; `count(jets, it.pt > 30.0)` reads ("jets", "pt"). `evaluate`
 # runs the same kernel over one event, compiled on its first call.
 
+
+def _evaluator(form, **parts) -> Callable[[dict, list], tuple[float, int]]:
+    """`run(event, columns)`: the kernel of `parts` over the one-event
+    column set of `event`, encoded (which raises SchemaViolation unless it
+    conforms) and decoded to the columns of `form.leaves`."""
+    kernel = compile_kernel(**parts)
+    codec = EventCodec(form.schema, form.leaves, columns=True)
+
+    def run(event: dict, columns: list) -> tuple[float, int]:
+        return kernel((codec.decode_block(codec.encode(event), 1),), columns)
+
+    return run
+
 @dataclass(frozen=True)
 class TypedCut:
     """A boolean expression compiled against a schema."""
@@ -674,10 +717,10 @@ class TypedCut:
 
     @cached_property
     def _kernel(self) -> Callable:
-        return compile_kernel(cut=self)
+        return _evaluator(self, cut=self)
 
     def evaluate(self, event: dict) -> bool:
-        return self._kernel((event,), ())[1] == 1
+        return self._kernel(event, ())[1] == 1
 
 
 @dataclass(frozen=True)
@@ -693,11 +736,11 @@ class TypedValue:
     def _kernel(self) -> Callable:
         # a one-column projection: the weight path's Kahan sum would turn
         # an int into a float and -0.0 into 0.0
-        return compile_kernel(projection=typecheck_projection([("value", self.node)], self.schema))
+        return _evaluator(self, projection=typecheck_projection([("value", self.node)], self.schema))
 
     def evaluate(self, event: dict):
         column = []
-        self._kernel((event,), (column,))
+        self._kernel(event, (column,))
         return column[0]
 
 
@@ -712,12 +755,12 @@ class TypedProjection:
 
     @cached_property
     def _kernel(self) -> Callable:
-        return compile_kernel(projection=self)
+        return _evaluator(self, projection=self)
 
     def evaluate(self, event: dict) -> tuple:
         # plain lists take every value as it is computed, uncoerced
         columns = [[] for _ in self.nodes]
-        self._kernel((event,), columns)
+        self._kernel(event, columns)
         return tuple(column[0] for column in columns)
 
 
@@ -772,8 +815,10 @@ def compile_kernel(
     cut: TypedCut | None = None,
     projection: TypedProjection | None = None,
     weight: TypedValue | None = None,
-) -> Callable[[Iterable[dict], list], tuple[float, int]]:
-    """Write and compile one skim's loop: `kernel(events, columns)` returns
+) -> Callable[[Iterable[ColumnSet], list], tuple[float, int]]:
+    """Write and compile one skim's loop: `kernel(blocks, columns)` runs
+    over the events of `blocks`, column sets that hold at least the
+    columns of the leaves the three read (`storage.codec`), and returns
     (the Kahan-compensated sum of `weight` over every event, 0.0 without
     a weight; the number of events that pass the cut) and appends each
     projected value of every event that passes the cut to its column in
@@ -821,9 +866,18 @@ def compile_kernel(
             "    raise ArityMismatch(f'row value does not match column kind: {exc}') from exc",
         ]
         checker.consts["ArityMismatch"] = ArityMismatch
-    return _function(checker, "kernel", "events, columns", [
+    names = [var for var, _ in checker.zipped]
+    if not names:
+        head = "for _ in range(cs.count):"
+    elif len(names) == 1:
+        head = f"for {names[0]} in {checker.zipped[0][1]}:"
+    else:
+        head = f"for {', '.join(names)} in zip({', '.join(src for _, src in checker.zipped)}):"
+    return _function(checker, "kernel", "blocks, columns", [
         *setup,
-        "for ev in events:",
-        *("    " + line for line in body),
+        "for cs in blocks:",
+        *("    " + line for line in checker.block),
+        "    " + head,
+        *("        " + line for line in body),
         "return total, n",
     ])

@@ -1,7 +1,7 @@
 """On-disk formats: the EVT row-wise event container and the NTU columnar
 ntuple, plus schema flattening."""
 
-from .codec import EventCodec
+from .codec import ColumnSet, EventCodec
 from .evt import (
     DEFAULT_BLOCK_EVENTS,
     BlockInfo,
@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_BLOCK_EVENTS",
     "DEFAULT_GROUP_ROWS",
     "BlockInfo",
+    "ColumnSet",
     "EventCodec",
     "EvtIndex",
     "NtuData",

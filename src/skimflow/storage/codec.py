@@ -38,6 +38,25 @@ anything of that size is built. Since a schema has no record without
 fields, every element takes at least one byte, so that check bounds
 every count by the bytes left.
 
+A column codec (`columns=True`) decodes the same leaves to one
+`ColumnSet` per block instead: one typed `array` per primitive leaf read,
+of the leaf's NTU typecode (`ntu.KIND_INFO`), and one `array('q')` of n+1
+offsets per array read, whose element k spans [offsets[k], offsets[k+1])
+of its element columns. Columns are keyed by path, where the fields of an
+array's record elements follow the array's name, as in a leaf path, and
+an element that is not a record is named "", which no field can be:
+
+    ("met", "pt")      f64 values, one per event
+    ("jets",)          offsets, n_events + 1 of them
+    ("jets", "pt")     f64 values, one per jet of the block
+    ("xs", "")         the values of an array of primitives ("xs",)
+
+A size-only array keeps only its offsets. Each run of fixed-width fields
+is one struct call whose values extend one flat list, and an array of
+fixed-width elements is one struct call of n repetitions of the element
+format (cached for small n); at the end of the block each column is a
+strided slice of its list. The same bounds hold as in the dict decoder.
+
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
 """
@@ -45,12 +64,15 @@ only for values already representable in f32.
 from __future__ import annotations
 
 import struct
+from array import array
 from functools import cached_property
+from itertools import accumulate
 from struct import Struct
 from typing import Callable, Iterable
 
 from ..errors import SchemaError, SchemaViolation, TruncatedBlock
 from ..schema import Array, Primitive, Record, Schema, SchemaNode
+from .ntu import KIND_INFO
 
 _FMT = {"f64": "d", "f32": "f", "i64": "q", "i32": "i", "bool": "?"}
 _U32 = Struct("<I")
@@ -144,6 +166,54 @@ def _dict_source(pairs) -> str:
     return "{" + ", ".join(f"{name!r}: {expr}" for name, expr in pairs if expr is not None) + "}"
 
 
+def _column_fields(node: SchemaNode, sel, path: tuple) -> tuple[str, list]:
+    """For a subtree without arrays at `path`: (fmt, keys), where `fmt`
+    unpacks its selected primitives, the rest being pad bytes, and `keys`
+    holds the (column key, kind) of each in order."""
+    if sel is None:
+        return f"{_width(node)}x", []
+    if isinstance(node, Primitive):
+        return _FMT[node.kind], [(path, node.kind)]
+    fmt, keys = "", []
+    for name, child in node.fields:
+        f, k = _column_fields(child, sel.get(name), path + (name,))
+        fmt += f
+        keys += k
+    return fmt, keys
+
+
+class ColumnSet(dict):
+    """One block's events as columns: column key -> typed array (see the
+    module docstring), for `count` events."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int, columns: dict):
+        super().__init__(columns)
+        self.count = count
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the arrays hold: itemsize x length, summed."""
+        return sum(a.itemsize * len(a) for a in self.values())
+
+
+class _Repeat(dict):
+    """n -> the Struct of n repetitions of one element format, made on
+    first use and kept for small n only, so that a large count costs its
+    format's memory only while it is decoded."""
+
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, n: int) -> Struct:
+        s = Struct("<" + self.fmt * n)
+        if n <= 64:
+            self[n] = s
+        return s
+
+
 class _CodecSource:
     """Writes the Python source of one encoder or decoder and compiles it
     once. Every variable name is unique, so an expression stays valid
@@ -155,6 +225,8 @@ class _CodecSource:
             "U32": _U32.unpack_from, "pack_u32": _U32.pack, "overrun": _overrun,
         }
         self.k = 0
+        self.setup: list[str] = []  # column decoding: the accumulators
+        self.outs: list[tuple[tuple, str]] = []  # column decoding: (key, array source)
 
     @classmethod
     def decoder(cls, root: Record, sel) -> Callable:
@@ -170,6 +242,23 @@ class _CodecSource:
             *gen.lines,
             f"        events.append({event})",
             "    return events, off",
+        ])
+
+    @classmethod
+    def column_decoder(cls, root: Record, sel) -> Callable:
+        """`decode(mv, count) -> (ColumnSet, off)`, which decodes `count`
+        events from the start of `mv` to columns."""
+        gen = cls()
+        gen.consts.update(array=array, accumulate=accumulate, ColumnSet=ColumnSet)
+        gen.columns_record(root, sel, (), 2)
+        columns = ", ".join(f"{key!r}: {src}" for key, src in gen.outs)
+        return gen.compile("decode", "mv, count", [
+            "    size = len(mv)",
+            "    off = 0",
+            *("    " + line for line in gen.setup),
+            "    for _ in range(count):",
+            *gen.lines,
+            f"    return ColumnSet(count, {{{columns}}}), off",
         ])
 
     @classmethod
@@ -261,6 +350,82 @@ class _CodecSource:
             return None
         return out if build else f"range({n})"
 
+    # Decoding to columns: each method emits the lines that read one value
+    # at `off`, extend the accumulators of the columns it selects and move
+    # `off` past it; `path` is the value's column key.
+
+    def flat(self, fmt: str, keys: list) -> str:
+        """A flat list that values unpacked by `fmt` extend, and the
+        output columns of its `keys`, each a strided slice of it."""
+        var = self.fresh("F")
+        self.setup.append(f"{var} = []")
+        for i, (key, kind) in enumerate(keys):
+            src = var if len(keys) == 1 else f"{var}[{i}::{len(keys)}]"
+            self.outs.append((key, f"array({KIND_INFO[kind][0]!r}, {src})"))
+        return var
+
+    def columns_node(self, node: SchemaNode, sel, path: tuple, depth: int) -> None:
+        if isinstance(node, Array):
+            self.columns_array(node, sel, path, depth)
+        else:
+            self.columns_record(node, sel, path, depth)
+
+    def columns_fixed(self, fields, depth: int) -> None:
+        """Read (path, node, selection) fields without arrays in one struct call."""
+        fmt, keys = "", []
+        for path, node, sel in fields:
+            f, k = _column_fields(node, sel, path)
+            fmt += f
+            keys += k
+        if keys:
+            self.emit(depth, f"{self.flat(fmt, keys)} += {self.struct(fmt)}.unpack_from(mv, off)")
+        self.emit(depth, f"off += {struct.calcsize('<' + fmt)}")
+
+    def columns_record(self, node: Record, sel, path: tuple, depth: int) -> None:
+        run: list = []
+        for name, child in node.fields:
+            csel = None if sel is None else sel.get(name)
+            if _fixed_fmt(child) is not None:
+                run.append((path + (name,), child, csel))
+                continue
+            if run:
+                self.columns_fixed(run, depth)
+                run = []
+            self.columns_node(child, csel, path + (name,), depth)
+        if run:
+            self.columns_fixed(run, depth)
+
+    def columns_array(self, node: Array, sel, path: tuple, depth: int) -> None:
+        n, end = self.fresh("n"), self.fresh("end")
+        elem = node.element
+        epath = path if isinstance(elem, Record) else path + ("",)
+        build = sel is not None and sel is not _SIZE
+        self.emit(depth, f"{n} = U32(mv, off)[0]")
+        self.emit(depth, "off += 4")
+        if sel is not None:
+            counts = self.fresh("C")
+            self.setup.append(f"{counts} = []")
+            self.setup.append(f"{counts}_append = {counts}.append")
+            self.emit(depth, f"{counts}_append({n})")
+            # from a list, so the array holds no spare capacity past its length
+            self.outs.append((path, f"array('q', list(accumulate({counts}, initial=0)))"))
+        if _fixed_fmt(elem) is not None:
+            width = _width(elem)
+            self.emit(depth, f"{end} = off + {n} * {width}")
+            self.emit(depth, f"if {end} > size: raise overrun({n}, {end} - off, size - off)")
+            fmt, keys = _column_fields(elem, sel, epath) if build else ("", [])
+            if keys:
+                repeat = self.fresh("R")
+                self.consts[repeat] = _Repeat(fmt)
+                self.emit(depth, f"if {n}: {self.flat(fmt, keys)} += {repeat}[{n}].unpack_from(mv, off)")
+            self.emit(depth, f"off = {end}")
+        else:
+            # each element holds an array, so takes at least its 4-byte count
+            need = f"{n} * 4"
+            self.emit(depth, f"if off + {need} > size: raise overrun({n}, {need}, size - off)")
+            self.emit(depth, f"for _ in range({n}):")
+            self.columns_node(elem, sel if build else None, epath, depth + 1)
+
     # Encoding: each method emits the lines that append to `buf` the bytes
     # of the value that the source expression `expr` reads. Every field is
     # read, so a missing one raises.
@@ -317,16 +482,25 @@ class _CodecSource:
 class EventCodec:
     """Encoder/decoder for events of one schema. `leaves` names the leaf
     paths decoding reads (see the module docstring); None reads every
-    field."""
+    field. A column codec decodes a block to a `ColumnSet`, any other to
+    a list of event dicts."""
 
-    def __init__(self, schema: Schema, leaves: Iterable[tuple[str, ...]] | None = None):
+    def __init__(
+        self,
+        schema: Schema,
+        leaves: Iterable[tuple[str, ...]] | None = None,
+        *,
+        columns: bool = False,
+    ):
         self.schema = schema
         self.leaves = None if leaves is None else frozenset(leaves)
+        self.columns = columns
         if self.leaves is None:
             sel = _select_all(schema.root)
         else:
             sel = _select(schema.root, set(self.leaves))
-        self._decode = _CodecSource.decoder(schema.root, sel)
+        compile_decoder = _CodecSource.column_decoder if columns else _CodecSource.decoder
+        self._decode = compile_decoder(schema.root, sel)
 
     @cached_property
     def _encode(self) -> Callable:
@@ -344,8 +518,9 @@ class EventCodec:
         except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
             raise SchemaViolation(f"event does not conform to schema: {exc!r}") from exc
 
-    def decode_block(self, payload, count: int) -> list[dict]:
-        """Decode `count` events packed back-to-back; the payload must be
+    def decode_block(self, payload, count: int) -> list[dict] | ColumnSet:
+        """Decode `count` events packed back-to-back, to a list of events,
+        or to one `ColumnSet` for a column codec; the payload must be
         consumed exactly."""
         mv = memoryview(payload)
         try:

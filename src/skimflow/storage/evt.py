@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 from ..errors import BadMagic, CorruptHeader, CrcMismatch, TruncatedBlock
 from ..schema import Schema
 from ..timing import PhaseTimers
-from .codec import EventCodec
+from .codec import ColumnSet, EventCodec
 
 MAGIC = b"EVT1"
 FLAG_DEFLATE = 0x01
@@ -214,7 +214,7 @@ def _decode_stored_block(
     compressed: bool,
     path,
     timers: PhaseTimers,
-) -> list[dict]:
+) -> list[dict] | ColumnSet:
     """`data` holds payload + CRC for one block, as read from disk."""
     if len(data) < block.payload_len + 4:
         raise TruncatedBlock(f"{path}: block {index}: truncated payload")
@@ -244,8 +244,9 @@ def iter_block_range(
     *,
     timers: PhaseTimers | None = None,
     codec: EventCodec | None = None,
-) -> Iterator[dict]:
-    """Decode blocks [lo, hi) lazily, one block in memory at a time.
+) -> Iterator[dict] | Iterator[ColumnSet]:
+    """Decode blocks [lo, hi) lazily, one block in memory at a time, and
+    yield their events, or one `ColumnSet` per block for a column codec.
 
     `bytes_read` counts the payload and CRC bytes read here; the block
     headers were counted by `scan_evt`, so a scan plus a full-range read
@@ -262,9 +263,13 @@ def iter_block_range(
             data = f.read(block.payload_len + 4)
             timers.read += time.perf_counter() - t0
             timers.bytes_read += len(data)
-            yield from _decode_stored_block(
+            decoded = _decode_stored_block(
                 data, block, i, codec, index.compressed, index.path, timers
             )
+            if codec.columns:
+                yield decoded
+            else:
+                yield from decoded
 
 
 def read_evt(path, *, timers: PhaseTimers | None = None) -> tuple[Schema, Iterator[dict]]:

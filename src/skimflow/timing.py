@@ -21,6 +21,7 @@ class PhaseTimers:
     write: float = 0.0
     bytes_read: int = 0
     bytes_decoded: int = 0
+    bytes_cached: int = 0  # column bytes admitted to a persist cache
     cache_hits: int = 0
 
     def merge(self, other: "PhaseTimers") -> None:
@@ -30,6 +31,7 @@ class PhaseTimers:
         self.write += other.write
         self.bytes_read += other.bytes_read
         self.bytes_decoded += other.bytes_decoded
+        self.bytes_cached += other.bytes_cached
         self.cache_hits += other.cache_hits
 
     def as_dict(self) -> dict:
@@ -40,5 +42,6 @@ class PhaseTimers:
             "write_s": self.write,
             "bytes_read": self.bytes_read,
             "bytes_decoded": self.bytes_decoded,
+            "bytes_cached": self.bytes_cached,
             "cache_hits": self.cache_hits,
         }

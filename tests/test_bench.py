@@ -49,7 +49,7 @@ def test_uncached_report_structure_and_decomposition(bench_setup, tmp_path):
     paths = sorted((bench_setup["root"] / "mc").glob("*.evt"))
     assert med.bytes_read == report.corpus_bytes
     assert med.bytes_decoded == sum(inspect_evt(p)["decoded_bytes"] for p in paths)
-    assert med.cache_hits == 0
+    assert med.cache_hits == 0 and med.bytes_cached == 0
     assert med.read_compute_s == med.read_s + med.decode_s + med.compute_s
     # single worker: the four phases cover the measured wall time within 5%
     for sample in report.reps:
@@ -61,8 +61,9 @@ def test_cached_reps_read_zero_bytes(bench_setup, tmp_path):
     report = run_benchmark(bench_setup["config"], BenchCell(cached=True, compressed=False),
                            repetitions=3, workdir=tmp_path)
     assert report.warmup.bytes_read > 0  # warm-up populated the cache
+    assert report.warmup.bytes_cached > 0
     for sample in report.reps:
-        assert sample.bytes_read == 0
+        assert sample.bytes_read == 0 and sample.bytes_cached == 0
         assert sample.cache_hits > 0
 
 

@@ -212,6 +212,10 @@ def test_bench_cli_smoke(corpus, capsys):
     assert "cached vs uncached (raw)" in stdout
     reports = json.loads((out / "bench_report.json").read_text())
     assert len(reports) == 2
+    # only the cached cell's warm-up fills the cache, and the line shows how much
+    filled = {r["cell"]["cached"]: r["warmup"]["bytes_cached"] for r in reports}
+    assert filled[False] == 0 and filled[True] > 0
+    assert f"warm-up bytes_cached {filled[True]})" in stdout
     assert (out / "bench_report.csv").exists()
 
 

@@ -1,6 +1,6 @@
 """The generated encoder against the EVT layout written out by hand, and
-leaf-pruned decoding: equivalence with the full decode, hostile counts
-and malformed payloads."""
+leaf-pruned decoding to events and to columns: equivalence with the full
+decode, hostile counts and malformed payloads."""
 
 import random
 import struct
@@ -18,6 +18,7 @@ from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
 from skimflow.storage import EventCodec, evt, iter_block_range, scan_evt, write_evt
+from skimflow.storage.ntu import KIND_INFO
 
 DEFAULT_LEAVES = {
     ("genInfo", "weight"), ("met", "pt"), ("met", "phi"), ("jets", "pt"),
@@ -163,6 +164,67 @@ def test_pruned_decode_equals_restricted_full_decode(case):
             pruned.decode_block(payload[:-1], len(events))
 
 
+def reference_columns(node, values, paths, path, out):
+    """Add to `out` the columns that a column codec decodes from `values`
+    (of `node`, whose column key is `path`) for the leaf `paths` relative
+    to `node` (None: every leaf), each as [typecode, values]: offsets for
+    an array, its elements' columns unless it is read for its size alone,
+    and a record's fields that some path names."""
+    if isinstance(node, Primitive):
+        out.setdefault(path, [KIND_INFO[node.kind][0], []])[1].extend(values)
+    elif isinstance(node, Array):
+        offsets = out.setdefault(path, ["q", [0]])[1]
+        for value in values:
+            offsets.append(offsets[-1] + len(value))
+        inner = None if paths is None else {p for p in paths if p}
+        if inner != set():
+            epath = path if isinstance(node.element, Record) else path + ("",)
+            items = [item for value in values for item in value]
+            reference_columns(node.element, items, inner, epath, out)
+    else:
+        if paths is not None and () in paths:
+            paths = None
+        for name, child in node.fields:
+            sub = None if paths is None else {p[1:] for p in paths if p and p[0] == name}
+            if sub != set():
+                reference_columns(child, [v[name] for v in values], sub, path + (name,), out)
+    return out
+
+
+@st.composite
+def hostile_schema_events_leaves(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["randgen", *HAND_BUILT]))
+    schema = random_schema(rng) if shape == "randgen" else HAND_BUILT[shape]
+    if draw(st.booleans()):
+        schema = hostile(rng, schema)
+    events = random_events(rng, schema, rng.randint(0, 6))
+    paths = leaf_paths(schema.root)
+    return schema, events, set(rng.sample(paths, rng.randint(0, len(paths))))
+
+
+@given(case=hostile_schema_events_leaves())
+@settings(max_examples=300, deadline=None)
+def test_column_decode_equals_dict_decode(case):
+    """Leaf by leaf, for every leaf and for a random leaf set, over random
+    schemas, half of them with hostile field names."""
+    schema, events, leaves = case
+    full = EventCodec(schema)
+    payload = b"".join(full.encode(ev) for ev in events)
+    decoded = full.decode_block(payload, len(events))
+    assert decoded == events
+    for paths in (None, leaves):
+        cs = EventCodec(schema, paths, columns=True).decode_block(payload, len(events))
+        want = reference_columns(schema.root, decoded, paths, (), {})
+        assert cs.count == len(events)
+        assert set(cs) == set(want)
+        for key, (typecode, values) in want.items():
+            assert cs[key].typecode == typecode and cs[key].tolist() == values, key
+        assert cs.nbytes == sum(cs[key].itemsize * len(values) for key, (_, values) in want.items())
+        with pytest.raises(TruncatedBlock):
+            EventCodec(schema, paths, columns=True).decode_block(payload + b"\x00", len(events))
+
+
 def test_default_skim_leaves_decode(schema):
     ev = make_event(
         weight=-1.0, met_pt=200.0, met_phi=0.5,
@@ -224,15 +286,16 @@ def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_nam
     path.write_bytes(bytes(raw))
 
     index = scan_evt(path)
-    codec = EventCodec(schema, leaves)
-    tracemalloc.start()
-    try:
-        with pytest.raises(TruncatedBlock, match="4294967280 elements"):
-            list(iter_block_range(index, 0, 1, codec=codec))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for columns in (False, True):
+        codec = EventCodec(schema, leaves, columns=columns)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedBlock, match="4294967280 elements"):
+                list(iter_block_range(index, 0, 1, codec=codec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # -- malformed payloads ---------------------------------------------------------------
@@ -288,7 +351,8 @@ def store_mutated(payload: bytes, mutations, compress: bool, mutate_stored: bool
 def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
     """Store `stored` as one block of `n_events` events with its CRC, as
     `write_evt` does. Every outcome, with each codec, is `n_events` events
-    or a DataError, in bounded memory and time."""
+    (one column set of them, for a column codec) or a DataError, in
+    bounded memory and time."""
     write_evt(path, [], schema, compress=compress)
     with open(path, "ab") as f:
         f.write(evt._BLOCK_HDR.pack(n_events, len(stored)) + stored
@@ -298,8 +362,12 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
         t0 = time.perf_counter()
         tracemalloc.start()
         try:
-            events = list(iter_block_range(index, 0, 1, codec=codec))
-            assert len(events) == n_events
+            decoded = list(iter_block_range(index, 0, 1, codec=codec))
+            if codec.columns:
+                (cs,) = decoded
+                assert cs.count == n_events
+            else:
+                assert len(decoded) == n_events
         except DataError:
             pass
         finally:
@@ -317,9 +385,13 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
 @settings(max_examples=300, deadline=None)
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
                                                         mutations):
-    """Mutated analysis-schema blocks, with the full and a pruned codec."""
+    """Mutated analysis-schema blocks, with the full and a pruned codec,
+    each decoding to events and to columns."""
     stored = store_mutated(FUZZ_PAYLOAD, mutations, compress, mutate_stored)
-    codecs = (EventCodec(FUZZ_SCHEMA), EventCodec(FUZZ_SCHEMA, DEFAULT_LEAVES))
+    codecs = [
+        EventCodec(FUZZ_SCHEMA, leaves, columns=columns)
+        for leaves in (None, DEFAULT_LEAVES) for columns in (False, True)
+    ]
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", FUZZ_SCHEMA, stored, 8, compress, codecs)
 
 
@@ -334,7 +406,8 @@ def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, muta
 def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress,
                                                mutate_stored, mutations):
     """Mutated blocks of random schemas, half of them with hostile field
-    names, with the full codec and one pruned to a random leaf set."""
+    names, with the full codec and one pruned to a random leaf set, each
+    decoding to events and to columns."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     if renamed:
@@ -343,7 +416,10 @@ def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress
     full = EventCodec(schema)
     payload = b"".join(full.encode(ev) for ev in events)
     paths = leaf_paths(schema.root)
-    pruned = EventCodec(schema, rng.sample(paths, rng.randint(0, len(paths))))
+    leaves = rng.sample(paths, rng.randint(0, len(paths)))
+    codecs = [full, EventCodec(schema, leaves)] + [
+        EventCodec(schema, chosen, columns=True) for chosen in (None, leaves)
+    ]
     stored = store_mutated(payload, mutations, compress, mutate_stored)
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", schema, stored, len(events), compress,
-                             (full, pruned))
+                             codecs)

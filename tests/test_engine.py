@@ -279,23 +279,22 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     assert first == second
 
 
-def decoded_sizes(ds):
-    """Each partition's decoded payload bytes, the amount the cache budget
-    counts."""
-    sizes = []
-    for part in ds.partitions:
-        t = PhaseTimers()
-        list(iter_block_range(ds.files[part.file_index], part.block_lo, part.block_hi, timers=t))
-        sizes.append(t.bytes_decoded)
-    return sizes
+def cached_sizes(ds):
+    """Each partition's column bytes decoded in full, the amount the cache
+    budget counts."""
+    return [
+        sum(cs.nbytes for cs in iter_block_range(
+            ds.files[part.file_index], part.block_lo, part.block_hi, codec=ds.codec))
+        for part in ds.partitions
+    ]
 
 
 def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     assert len(ds.partitions) >= 3
-    sizes = decoded_sizes(ds)
-    budget = max(sizes) + 1  # just above one partition's decoded bytes
+    sizes = cached_sizes(ds)
+    budget = max(sizes) + 1  # just above one partition's columns
 
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
     ds.persist()
@@ -303,8 +302,9 @@ def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
     total(ds, "genInfo.weight", workers=1)
     states = [state for state, _, _ in seen]
     assert states[0] == "warming"
-    assert "cold" in states  # the dataset went cold during pass one
-    assert max(held for _, held, _ in seen) <= budget + max(sizes)
+    assert "cold" in states  # the dataset went cold during the traversal
+    assert max(held for _, held, _ in seen) <= budget
+    assert ds._cache_bytes == sizes[0] and list(ds._cache) == [0]
     assert ds.warnings and "budget" in ds.warnings[0]
 
 
@@ -316,7 +316,7 @@ def test_admission_follows_partition_order(tmp_path):
     config = EngineConfig(
         partition_mode="custom", partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
     )
-    sizes = decoded_sizes(open_dataset(mc_descriptor(str(path)), config))
+    sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config))
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
 
     serial = open_dataset(mc_descriptor(str(path)), config).persist()
@@ -328,7 +328,7 @@ def test_admission_follows_partition_order(tmp_path):
     ]
 
     ds = open_dataset(mc_descriptor(str(path)), config).persist()
-    take = ds._partition_events
+    take = ds._partition_columns
     last_started = threading.Event()
 
     def spy(part, timers, codec):
@@ -338,24 +338,25 @@ def test_admission_follows_partition_order(tmp_path):
             last_started.set()
         return take(part, timers, codec)
 
-    ds._partition_events = spy
+    ds._partition_columns = spy
     assert total(ds, "met.pt", workers=3) == total(serial, "met.pt")
     assert ds.warnings == serial.warnings
-    assert ds.cache_state == "cold"
+    assert ds.cache_state == "cold" and list(ds._cache) == list(serial._cache) == [0]
 
 
 def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus, monkeypatch):
     """At one worker nothing runs ahead: every partition up to the one that
     overflows sees all before it cached and decodes in full, and every
-    later one sees an empty cache and decodes only the leaves it reads."""
+    later one sees the partitions that fit still cached and decodes only
+    the leaves it reads."""
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
-    sizes = decoded_sizes(ds)
+    sizes = cached_sizes(ds)
     assert len(sizes) == 6
     ds = open_dataset(mc_descriptor(small_corpus["glob"]),
                       replace(config, cache_budget_bytes=sizes[0] + sizes[1])).persist()
     cached, full = [], []
-    take = ds._partition_events
+    take = ds._partition_columns
 
     def spy(part, timers, codec):
         cached.append(len(ds._cache))
@@ -365,10 +366,10 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus, m
         full.append(codec is ds.codec)
         return iter_block_range(index, lo, hi, codec=codec, **kwargs)
 
-    ds._partition_events = spy
+    ds._partition_columns = spy
     monkeypatch.setattr(engine, "iter_block_range", iter_blocks)
     total(ds, "met.pt", workers=1)
-    assert cached == [0, 1, 2, 0, 0, 0]
+    assert cached == [0, 1, 2, 2, 2, 2]
     assert full == [True, True, True, False, False, False]
     assert len(ds.warnings) == 1 and ds.cache_state == "cold"
 
@@ -380,20 +381,20 @@ def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_cor
                      cache_budget_bytes=1),
     ).persist()
 
-    class Events(list):
+    class Blocks(list):
         """A list that takes weak references."""
 
-    take = ds._partition_events
+    take = ds._partition_columns
     taken = []
     held = []
 
     def spy(part, timers, codec):
         held.append([ref() is not None for ref in taken])
-        events = Events(take(part, timers, codec))
-        taken.append(weakref.ref(events))
-        return events
+        blocks = Blocks(take(part, timers, codec))
+        taken.append(weakref.ref(blocks))
+        return blocks
 
-    ds._partition_events = spy
+    ds._partition_columns = spy
     total(ds, "met.pt", workers=1)
     assert ds.warnings and ds.cache_state == "cold"
     assert held == [[], [False], [False] * 2, [False] * 3]
@@ -412,6 +413,106 @@ def test_an_overflow_stays_until_the_cache_is_dropped(small_corpus):
     assert ds.persist().cache_state == "warming"
     total(ds, "met.pt")
     assert len(ds.warnings) == 2 and ds.cache_state == "cold"
+
+
+def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
+    """Over budget, the cached set is the prefix of partitions that fits,
+    the same at every worker count; a second skim reads none of their
+    bytes and writes the same ntuple."""
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    sizes = cached_sizes(plan)
+    config = replace(config, cache_budget_bytes=sum(sizes[:3]) + sizes[3] // 2)
+    cold_bytes = [  # the payload and CRC bytes a cold read of each partition takes
+        sum(b.payload_len + 4 for b in plan.files[p.file_index].blocks[p.block_lo:p.block_hi])
+        for p in plan.partitions
+    ]
+    outputs = set()
+    for workers in (1, 2, 7, 16):
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config).persist()
+        run_filter(ds, "met.pt > 100.0", tmp_path / "first.ntu", workers=workers)
+        assert sorted(ds._cache) == [0, 1, 2] and ds._cache_bytes == sum(sizes[:3])
+        assert len(ds.warnings) == 1 and ds.cache_state == "cold"
+        t = PhaseTimers()
+        cut = typecheck_cut("met.pt > 100.0", ds.schema)
+        proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], ds.schema)
+        sink = NtuWriter(tmp_path / "second.ntu", proj.columns, group_target=512)
+        filter_map_write(ds, cut, proj, sink=sink, workers=workers, timers=t)
+        assert t.cache_hits == 3 and t.bytes_cached == 0
+        assert t.bytes_read == sum(cold_bytes[3:])
+        first = (tmp_path / "first.ntu").read_bytes()
+        assert (tmp_path / "second.ntu").read_bytes() == first
+        outputs.add(first)
+    assert len(outputs) == 1
+
+
+def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    cold = PhaseTimers()
+    total(ds, "met.pt", timers=cold)
+    assert cold.bytes_cached == 0
+    ds.persist()
+    filling = PhaseTimers()
+    total(ds, "met.pt", timers=filling)
+    assert ds.cache_state == "cached"
+    assert filling.bytes_cached == ds._cache_bytes == sum(cached_sizes(ds)) > 0
+    assert filling.as_dict()["bytes_cached"] == filling.bytes_cached
+    cached = PhaseTimers()
+    total(ds, "met.pt", timers=cached)
+    assert cached.bytes_cached == 0
+
+
+def test_one_worker_runs_every_task_on_the_calling_thread(small_corpus, tmp_path, monkeypatch):
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    threads = []
+    run = engine._run_partitions
+
+    def spy(ds, task, workers):
+        def traced(part):
+            threads.append(threading.get_ident())
+            return task(part)
+        return run(ds, traced, workers)
+
+    monkeypatch.setattr(engine, "_run_partitions", spy)
+    for workers in (1, 2):
+        threads.clear()
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+        run_filter(ds, "met.pt > 100.0", tmp_path / f"w{workers}.ntu", workers=workers)
+        assert len(threads) == len(ds.partitions) == 6
+        on_caller = {threading.get_ident()} == set(threads)
+        assert on_caller == (workers == 1)
+    assert (tmp_path / "w1.ntu").read_bytes() == (tmp_path / "w2.ntu").read_bytes()
+
+
+def test_decode_goes_through_decode_block(small_corpus, tmp_path, monkeypatch):
+    """Column decode is `EventCodec.decode_block(payload, count)`, reached
+    through `engine.iter_block_range`, as benchmark tracing patches them:
+    once per block when cold or filling, and never when cached."""
+    calls, ranges = [], []
+    decode_block = EventCodec.decode_block
+    iterate = engine.iter_block_range
+
+    def counted(codec, payload, count):
+        calls.append(count)
+        return decode_block(codec, payload, count)
+
+    def iter_blocks(index, lo, hi, **kwargs):
+        ranges.append(hi - lo)
+        return iterate(index, lo, hi, **kwargs)
+
+    monkeypatch.setattr(EventCodec, "decode_block", counted)
+    monkeypatch.setattr(engine, "iter_block_range", iter_blocks)
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    n_blocks = sum(len(f.blocks) for f in ds.files)
+    for persist, want in ((False, n_blocks), (True, n_blocks), (True, 0)):
+        if persist:
+            ds.persist()
+        calls.clear()
+        ranges.clear()
+        run_filter(ds, "met.pt > 100.0", tmp_path / "out.ntu")
+        assert len(calls) == sum(ranges) == want
+        assert sum(calls) == (2000 if want else 0)
+    assert ds.cache_state == "cached"
 
 
 def test_cached_equals_cold(small_corpus):
@@ -523,17 +624,17 @@ def test_row_finalize_applied(small_corpus, tmp_path):
 
 
 def spy_partitions(ds):
-    """Record (cache state, cached bytes, events) each time a traversal
-    takes a partition's events."""
+    """Record (cache state, cached bytes, column sets) each time a
+    traversal takes a partition's column sets."""
     seen = []
-    take = ds._partition_events
+    take = ds._partition_columns
 
     def spy(part, timers, codec):
-        events = list(take(part, timers, codec))
-        seen.append((ds.cache_state, ds._cache_bytes, events))
-        return events
+        blocks = list(take(part, timers, codec))
+        seen.append((ds.cache_state, ds._cache_bytes, blocks))
+        return blocks
 
-    ds._partition_events = spy
+    ds._partition_columns = spy
     return seen
 
 
@@ -543,16 +644,20 @@ def test_only_cached_partitions_decode_every_leaf(small_corpus, tmp_path):
     proj = typecheck_projection([("njets", "size(jets)")], ds.schema)
     seen = spy_partitions(ds)
     filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "a.ntu", proj.columns))
-    cold = [ev for _, _, events in seen for ev in events]
-    assert len(cold) == 2000
-    assert all(ev.keys() == {"met", "jets"} and isinstance(ev["jets"], range) for ev in cold)
+    cold = [cs for _, _, blocks in seen for cs in blocks]
+    assert sum(cs.count for cs in cold) == 2000
+    # the size-only collection keeps its offsets alone
+    assert all(cs.keys() == {("met", "pt"), ("jets",)} for cs in cold)
+    assert all(len(cs[("jets",)]) == cs.count + 1 for cs in cold)
 
     ds.persist()
     seen.clear()
     filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
     assert ds.cache_state == "cached"
-    assert sum(len(events) for _, _, events in seen) == 2000
-    assert all(len(ev) == 10 for _, _, events in seen for ev in events)
+    cached = [cs for _, _, blocks in seen for cs in blocks]
+    assert sum(cs.count for cs in cached) == 2000
+    # 6 event-level leaves, and offsets plus 5 fields for each of 5 collections
+    assert all(len(cs) == 6 + 5 * 6 for cs in cached)
 
 
 def test_map_reduce_compiled_value_equals_callable(small_corpus):
@@ -608,8 +713,8 @@ def test_sink_aborted_on_failure(small_corpus, tmp_path):
 
 @pytest.fixture(scope="module")
 def gc_corpus(tmp_path_factory):
-    """20,000 mc events in 2 files: enough allocation that a fill with the
-    collector running triggers collections of every generation."""
+    """20,000 mc events in 2 files, a persisting skim of which must fill
+    the cache without a generation-2 collection."""
     root = tmp_path_factory.mktemp("gc_corpus")
     generate_corpus(GeneratorSpec(seed=5, n_events=20000, kind="mc", weight_dist="signed"), root, 2)
     return str(root / "*.evt")
@@ -648,44 +753,22 @@ def weighted_skim(ds, out, workers=None):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cache_fill_runs_one_full_collection(gc_corpus, tmp_path, collector, workers):
+def test_cache_fill_runs_no_full_collection(gc_corpus, tmp_path, collector, workers):
+    """The column cache is a few arrays per block, so filling it with the
+    collector on allocates too few tracked objects to reach generation 2."""
     ds = open_dataset(mc_descriptor(gc_corpus)).persist()
     gc.enable()
     gc.collect()
     seen = collections()
     weighted_skim(ds, tmp_path / "a.ntu", workers)
     assert ds.cache_state == "cached"
-    assert seen == [2]
+    assert 2 not in seen
     assert gc.isenabled()
 
     seen.clear()
     weighted_skim(ds, tmp_path / "b.ntu", workers)
-    assert 2 not in seen  # the cached skim rescans nothing old
-
-
-def test_collector_paused_only_while_the_cache_fills(gc_corpus, tmp_path, collector):
-    ds = open_dataset(mc_descriptor(gc_corpus))
-    gc.enable()
-    enabled = []
-    take = ds._partition_events
-
-    def spy(part, timers, codec):
-        enabled.append(gc.isenabled())
-        return take(part, timers, codec)
-
-    ds._partition_events = spy
-    weighted_skim(ds, tmp_path / "cold.ntu")
-    assert enabled and all(enabled)
-
-    ds.persist()
-    enabled.clear()
-    weighted_skim(ds, tmp_path / "fill.ntu")
-    assert enabled and not any(enabled)
-    assert gc.isenabled()
-
-    enabled.clear()
-    weighted_skim(ds, tmp_path / "cached.ntu")
-    assert enabled and all(enabled)
+    assert 2 not in seen
+    assert (tmp_path / "a.ntu").read_bytes() == (tmp_path / "b.ntu").read_bytes()
 
 
 def test_disabled_collector_stays_disabled(gc_corpus, tmp_path, collector):

@@ -3,10 +3,11 @@
 Random expressions over the analysis schema and over random schemas
 (`randgen`), some with field names that are not identifiers, on random
 events with NaN, infinities, signed zeros, i64 values beyond 2**53 and
-empty collections. `evaluate` of every compiled form, and the skim kernel
-through `filter_map_write` and `map_reduce` (over decoded and over cached
-events), must give exactly what `interp` gives: the same bools, ints that
-stay ints, and floats with the same bits (any NaN matching any NaN).
+empty collections. `evaluate` of every compiled form, the skim kernel
+over a block of columns, and the kernel through `filter_map_write` and
+`map_reduce` (over decoded and over cached columns), must give exactly
+what `interp` gives: the same bools, ints that stay ints, and floats with
+the same bits (any NaN matching any NaN).
 """
 
 import math
@@ -30,7 +31,7 @@ from skimflow.engine import (
     map_reduce,
     open_dataset,
 )
-from skimflow.errors import ArityMismatch, TypeMismatch
+from skimflow.errors import ArityMismatch, SchemaViolation, TypeMismatch
 from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.expr import (
     Arith,
@@ -49,7 +50,7 @@ from skimflow.expr import (
     typecheck_value,
 )
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import read_evt, write_evt
+from skimflow.storage import EventCodec, read_evt, write_evt
 from skimflow.storage.ntu import KIND_INFO
 
 NUMERIC = ("f64", "f32", "i64", "i32")
@@ -307,12 +308,45 @@ def fits(kind, value):
     return kind != "i64" or -(2**63) <= value < 2**63
 
 
-def kernel_rows(cut, projection, events):
-    """The rows the skim kernel selects, transposed from the typed columns
-    it appends to."""
+def kernel_rows(cut, projection, events, leaves=None):
+    """The rows the skim kernel selects from `events` decoded to one
+    column set (of `leaves`, or of every leaf), transposed from the typed
+    columns it appends to."""
+    codec = EventCodec(cut.schema, leaves, columns=True)
+    block = codec.decode_block(b"".join(codec.encode(ev) for ev in events), len(events))
     columns = [array(KIND_INFO[kind][0]) for _, kind in projection.columns]
-    compile_kernel(cut, projection)(events, columns)
+    compile_kernel(cut, projection)([block], columns)
     return list(zip(*columns))
+
+
+@given(case=cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_over_a_pruned_block_matches_interpreter(case):
+    """Many events in one column set, decoded only in the leaves read."""
+    schema, events, cut, columns, _ = case
+    typed_cut = typecheck_cut(cut, schema)
+    projection = typecheck_projection(columns, schema)
+    want = [
+        tuple(interpret(node, ev) for _, node in columns) for ev in events if interpret(cut, ev)
+    ]
+    kinds = [kind for _, kind in projection.columns]
+    if not all(fits(kind, v) for row in want for kind, v in zip(kinds, row)):
+        return
+    got = kernel_rows(typed_cut, projection, events, typed_cut.leaves | projection.leaves)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+def test_evaluate_rejects_a_non_conforming_event(schema):
+    """`evaluate` encodes the whole event, so a field it does not read
+    must conform as well."""
+    ev = make_event()
+    del ev["taus"]
+    with pytest.raises(SchemaViolation):
+        typecheck_cut("met.pt > 1.0", schema).evaluate(ev)
+    with pytest.raises(SchemaViolation):
+        typecheck_value("met.pt", schema).evaluate({**make_event(), "run": 1.5})
 
 
 def test_i64_beyond_2_53_compares_after_widening(schema):

@@ -230,7 +230,7 @@ class PartitionedDataset:
     def codec(self) -> EventCodec:
         """The column codec of every leaf, which fills the cache; compiled
         on first use, so a dataset never persisted has none."""
-        return EventCodec(self.schema, columns=True)
+        return EventCodec(self.schema)
 
     # -- inventory ---------------------------------------------------------
 
@@ -398,7 +398,7 @@ def _traverse(
     if any(part.index not in ds._cache for part in ds.partitions):
         parts = [e for e in (cut, projection, weight) if e is not None]
         leaves = frozenset().union(*(e.leaves for e in parts))
-        codec = EventCodec(ds.schema, leaves, columns=True)
+        codec = EventCodec(ds.schema, leaves)
     timers.compute += time.perf_counter() - t0
 
     def task(part: Partition):

@@ -699,7 +699,7 @@ def _evaluator(form, **parts) -> Callable[[dict, list], tuple[float, int]]:
     column set of `event`, encoded (which raises SchemaViolation unless it
     conforms) and decoded to the columns of `form.leaves`."""
     kernel = compile_kernel(**parts)
-    codec = EventCodec(form.schema, form.leaves, columns=True)
+    codec = EventCodec(form.schema, form.leaves)
 
     def run(event: dict, columns: list) -> tuple[float, int]:
         return kernel((codec.decode_block(codec.encode(event), 1),), columns)

@@ -18,29 +18,16 @@ SchemaViolation. The encoder of a codec is compiled on its first encode.
 Each run of fixed-width fields becomes one struct call, and each array
 its u32 count followed by a loop over its elements.
 
-Decoding reads only the leaves the codec was compiled for. A leaf is a
-path of field names from the root, where the names after an array's name
-address fields of its elements:
+Decoding reads only the leaves the codec was compiled for, into one
+`ColumnSet` per block. A leaf is a path of field names from the root,
+where the names after an array's name address fields of its elements:
 
     a path ending at a primitive or a record  -> that value, in full
-    a path ending at an array                 -> its length only, as range(n)
+    a path ending at an array                 -> its offsets only
     leaves=None                               -> every field (the full decode)
 
-A decoded event holds only the fields read. The decoder of a leaf set is
-a loop over a block's events. Runs of fixed-width fields become one
-struct call, in which the fields not read are pad bytes; arrays of
-fixed-width elements decode through one `iter_unpack` per array into
-dict displays, which build faster than `dict(zip(...))`. Arrays that are
-not read are skipped by count x width, or walked without being built
-when their elements vary in width. Every payload byte is still walked,
-and an array count that would run past the payload is rejected before
-anything of that size is built. Since a schema has no record without
-fields, every element takes at least one byte, so that check bounds
-every count by the bytes left.
-
-A column codec (`columns=True`) decodes the same leaves to one
-`ColumnSet` per block instead: one typed `array` per primitive leaf read,
-of the leaf's NTU typecode (`ntu.KIND_INFO`), and one `array('q')` of n+1
+A column set holds one typed `array` per primitive leaf read, of the
+leaf's NTU typecode (`ntu.KIND_INFO`), and one `array('q')` of n+1
 offsets per array read, whose element k spans [offsets[k], offsets[k+1])
 of its element columns. Columns are keyed by path, where the fields of an
 array's record elements follow the array's name, as in a leaf path, and
@@ -51,11 +38,17 @@ an element that is not a record is named "", which no field can be:
     ("jets", "pt")     f64 values, one per jet of the block
     ("xs", "")         the values of an array of primitives ("xs",)
 
-A size-only array keeps only its offsets. Each run of fixed-width fields
-is one struct call whose values extend one flat list, and an array of
+The decoder of a leaf set is a loop over a block's events. Each run of
+fixed-width fields is one struct call, in which the fields not read are
+pad bytes, and whose values extend one flat list. An array of
 fixed-width elements is one struct call of n repetitions of the element
 format (cached for small n); at the end of the block each column is a
-strided slice of its list. The same bounds hold as in the dict decoder.
+strided slice of its list. Arrays that are not read are skipped by
+count x width, or walked without being built when their elements vary
+in width. Every payload byte is still walked, and an array count that
+would run past the payload is rejected before anything of that size is
+built. Since a schema has no record without fields, every element takes
+at least one byte, so that check bounds every count by the bytes left.
 
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
@@ -79,7 +72,7 @@ _U32 = Struct("<I")
 
 # The selection a decoder is compiled from: True for a primitive that is
 # read, a dict of the fields read for a record, the element's selection
-# for an array, _SIZE for an array whose length alone is read, and None
+# for an array, _SIZE for an array whose offsets alone are read, and None
 # (or absence from the parent record's dict) for a node that is skipped.
 _SIZE = object()
 
@@ -136,34 +129,6 @@ def _width(node: SchemaNode) -> int:
 
 def _overrun(n: int, need: int, left: int) -> ValueError:
     return ValueError(f"array of {n} elements needs {need} bytes, {left} left")
-
-
-def _fixed_source(fields, var: str):
-    """For (name, node, selection) fields without arrays: (fmt, pairs,
-    n_values). `fmt` unpacks the n_values selected scalars into the tuple
-    named `var`, the other fields being pad bytes, and `pairs` holds
-    (name, source expression) for each selected field."""
-    fmt = ""
-    n_values = 0
-
-    def walk(node, sel):
-        nonlocal fmt, n_values
-        if sel is None:
-            fmt += f"{_width(node)}x"
-            return None
-        if isinstance(node, Primitive):
-            fmt += _FMT[node.kind]
-            n_values += 1
-            return f"{var}[{n_values - 1}]"
-        pairs = [(name, walk(child, sel.get(name))) for name, child in node.fields]
-        return _dict_source(pairs)
-
-    pairs = [(name, walk(node, sel)) for name, node, sel in fields]
-    return fmt, [(name, expr) for name, expr in pairs if expr is not None], n_values
-
-
-def _dict_source(pairs) -> str:
-    return "{" + ", ".join(f"{name!r}: {expr}" for name, expr in pairs if expr is not None) + "}"
 
 
 def _column_fields(node: SchemaNode, sel, path: tuple) -> tuple[str, list]:
@@ -225,24 +190,8 @@ class _CodecSource:
             "U32": _U32.unpack_from, "pack_u32": _U32.pack, "overrun": _overrun,
         }
         self.k = 0
-        self.setup: list[str] = []  # column decoding: the accumulators
-        self.outs: list[tuple[tuple, str]] = []  # column decoding: (key, array source)
-
-    @classmethod
-    def decoder(cls, root: Record, sel) -> Callable:
-        """`decode(mv, count) -> (events, off)`, which decodes `count`
-        events from the start of `mv`."""
-        gen = cls()
-        event = gen.decode_record(root, sel, 2)
-        return gen.compile("decode", "mv, count", [
-            "    size = len(mv)",
-            "    off = 0",
-            "    events = []",
-            "    for _ in range(count):",
-            *gen.lines,
-            f"        events.append({event})",
-            "    return events, off",
-        ])
+        self.setup: list[str] = []  # decoding: the accumulators
+        self.outs: list[tuple[tuple, str]] = []  # decoding: (key, array source)
 
     @classmethod
     def column_decoder(cls, root: Record, sel) -> Callable:
@@ -285,72 +234,7 @@ class _CodecSource:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
-    # Decoding: each method emits the lines that read one value at `off`
-    # and move `off` past it, and returns the source expression for the
-    # value (None for a skipped node).
-
-    def decode_node(self, node: SchemaNode, sel, depth: int) -> str | None:
-        """Read an array, or a record that holds one."""
-        if isinstance(node, Array):
-            return self.decode_array(node, sel, depth)
-        return self.decode_record(node, sel, depth)
-
-    def decode_fixed(self, fields, depth: int) -> list:
-        """Read fields without arrays in one struct call; returns their
-        (name, expr) pairs."""
-        var = self.fresh("v")
-        fmt, pairs, n_values = _fixed_source(fields, var)
-        if n_values:
-            self.emit(depth, f"{var} = {self.struct(fmt)}.unpack_from(mv, off)")
-        self.emit(depth, f"off += {struct.calcsize('<' + fmt)}")
-        return pairs
-
-    def decode_record(self, node: Record, sel, depth: int) -> str | None:
-        pairs: list = []
-        run: list = []
-        for name, child in node.fields:
-            csel = None if sel is None else sel.get(name)
-            if _fixed_fmt(child) is not None:
-                run.append((name, child, csel))
-                continue
-            if run:
-                pairs += self.decode_fixed(run, depth)
-                run = []
-            pairs.append((name, self.decode_node(child, csel, depth)))
-        if run:
-            pairs += self.decode_fixed(run, depth)
-        return None if sel is None else _dict_source(pairs)
-
-    def decode_array(self, node: Array, sel, depth: int) -> str | None:
-        n, end, out = self.fresh("n"), self.fresh("end"), self.fresh("a")
-        elem = node.element
-        build = sel is not None and sel is not _SIZE
-        self.emit(depth, f"{n} = U32(mv, off)[0]")
-        self.emit(depth, "off += 4")
-        if _fixed_fmt(elem) is not None:
-            width = _width(elem)
-            self.emit(depth, f"{end} = off + {n} * {width}")
-            self.emit(depth, f"if {end} > size: raise overrun({n}, {end} - off, size - off)")
-            if build:
-                fmt, ((_, item),), _ = _fixed_source([(None, elem, sel)], "t")
-                rows = f"{self.struct(fmt)}.iter_unpack(mv[off:{end}])"
-                self.emit(depth, f"{out} = [{item} for t in {rows}]")
-            self.emit(depth, f"off = {end}")
-        else:
-            # each element holds an array, so takes at least its 4-byte count
-            need = f"{n} * 4"
-            self.emit(depth, f"if off + {need} > size: raise overrun({n}, {need}, size - off)")
-            if build:
-                self.emit(depth, f"{out} = []")
-            self.emit(depth, f"for _ in range({n}):")
-            item = self.decode_node(elem, sel if build else None, depth + 1)
-            if build:
-                self.emit(depth + 1, f"{out}.append({item})")
-        if sel is None:
-            return None
-        return out if build else f"range({n})"
-
-    # Decoding to columns: each method emits the lines that read one value
+    # Decoding: each method emits the lines that read one value
     # at `off`, extend the accumulators of the columns it selects and move
     # `off` past it; `path` is the value's column key.
 
@@ -482,25 +366,16 @@ class _CodecSource:
 class EventCodec:
     """Encoder/decoder for events of one schema. `leaves` names the leaf
     paths decoding reads (see the module docstring); None reads every
-    field. A column codec decodes a block to a `ColumnSet`, any other to
-    a list of event dicts."""
+    field. A block decodes to one `ColumnSet`."""
 
-    def __init__(
-        self,
-        schema: Schema,
-        leaves: Iterable[tuple[str, ...]] | None = None,
-        *,
-        columns: bool = False,
-    ):
+    def __init__(self, schema: Schema, leaves: Iterable[tuple[str, ...]] | None = None):
         self.schema = schema
         self.leaves = None if leaves is None else frozenset(leaves)
-        self.columns = columns
         if self.leaves is None:
             sel = _select_all(schema.root)
         else:
             sel = _select(schema.root, set(self.leaves))
-        compile_decoder = _CodecSource.column_decoder if columns else _CodecSource.decoder
-        self._decode = compile_decoder(schema.root, sel)
+        self._decode = _CodecSource.column_decoder(schema.root, sel)
 
     @cached_property
     def _encode(self) -> Callable:
@@ -518,13 +393,12 @@ class EventCodec:
         except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
             raise SchemaViolation(f"event does not conform to schema: {exc!r}") from exc
 
-    def decode_block(self, payload, count: int) -> list[dict] | ColumnSet:
-        """Decode `count` events packed back-to-back, to a list of events,
-        or to one `ColumnSet` for a column codec; the payload must be
-        consumed exactly."""
+    def decode_block(self, payload, count: int) -> ColumnSet:
+        """Decode `count` events packed back-to-back to one `ColumnSet`;
+        the payload must be consumed exactly."""
         mv = memoryview(payload)
         try:
-            events, off = self._decode(mv, count)
+            columns, off = self._decode(mv, count)
         except Exception as exc:  # struct errors and overruns on malformed payloads
             raise TruncatedBlock(f"event data overruns block payload: {exc}") from exc
         if off > len(mv):
@@ -533,4 +407,4 @@ class EventCodec:
             raise TruncatedBlock(
                 f"block payload has {len(mv) - off} undecoded trailing bytes"
             )
-        return events
+        return columns

@@ -23,12 +23,13 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from struct import Struct
 from typing import Iterable, Iterator
 
 from ..errors import BadMagic, CorruptHeader, CrcMismatch, TruncatedBlock
-from ..schema import Schema
+from ..schema import Array, Primitive, Record, Schema, SchemaNode
 from ..timing import PhaseTimers
 from .codec import ColumnSet, EventCodec
 
@@ -214,7 +215,7 @@ def _decode_stored_block(
     compressed: bool,
     path,
     timers: PhaseTimers,
-) -> list[dict] | ColumnSet:
+) -> ColumnSet:
     """`data` holds payload + CRC for one block, as read from disk."""
     if len(data) < block.payload_len + 4:
         raise TruncatedBlock(f"{path}: block {index}: truncated payload")
@@ -229,12 +230,12 @@ def _decode_stored_block(
         except zlib.error as exc:
             raise TruncatedBlock(f"{path}: block {index}: bad deflate stream: {exc}") from exc
     try:
-        events = codec.decode_block(payload, block.n_events)
+        columns = codec.decode_block(payload, block.n_events)
     except TruncatedBlock as exc:
         raise TruncatedBlock(f"{path}: block {index}: {exc}") from exc
     timers.decode += time.perf_counter() - t0
     timers.bytes_decoded += len(payload)
-    return events
+    return columns
 
 
 def iter_block_range(
@@ -244,9 +245,10 @@ def iter_block_range(
     *,
     timers: PhaseTimers | None = None,
     codec: EventCodec | None = None,
-) -> Iterator[dict] | Iterator[ColumnSet]:
+) -> Iterator[ColumnSet]:
     """Decode blocks [lo, hi) lazily, one block in memory at a time, and
-    yield their events, or one `ColumnSet` per block for a column codec.
+    yield one `ColumnSet` per block, of `codec`'s leaves (every leaf by
+    default).
 
     `bytes_read` counts the payload and CRC bytes read here; the block
     headers were counted by `scan_evt`, so a scan plus a full-range read
@@ -263,19 +265,33 @@ def iter_block_range(
             data = f.read(block.payload_len + 4)
             timers.read += time.perf_counter() - t0
             timers.bytes_read += len(data)
-            decoded = _decode_stored_block(
+            yield _decode_stored_block(
                 data, block, i, codec, index.compressed, index.path, timers
             )
-            if codec.columns:
-                yield decoded
-            else:
-                yield from decoded
+
+
+def _values(node: SchemaNode, cs: ColumnSet, path: tuple) -> list:
+    """The values of `node`, whose column key is `path`, from a full column
+    set: one per event at the root, one per element inside an array."""
+    if isinstance(node, Primitive):
+        col = cs[path]
+        return list(map(bool, col)) if node.kind == "bool" else col.tolist()
+    if isinstance(node, Array):
+        epath = path if isinstance(node.element, Record) else path + ("",)
+        items = _values(node.element, cs, epath)
+        return [items[a:b] for a, b in pairwise(cs[path])]
+    names = node.names()
+    fields = [_values(child, cs, path + (name,)) for name, child in node.fields]
+    return [dict(zip(names, vals)) for vals in zip(*fields)]
 
 
 def read_evt(path, *, timers: PhaseTimers | None = None) -> tuple[Schema, Iterator[dict]]:
-    """Index an EVT file and return its schema plus a lazy event stream."""
+    """Index an EVT file and return its schema plus a lazy event stream,
+    built block by block from full column sets."""
     index = scan_evt(path, timers)
-    return index.schema, iter_block_range(index, 0, len(index.blocks), timers=timers)
+    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
+    root = index.schema.root
+    return index.schema, (ev for cs in blocks for ev in _values(root, cs, ()))
 
 
 def convert_evt(
@@ -292,13 +308,12 @@ def convert_evt(
 
 
 def inspect_evt(path) -> dict:
-    """Full-decode summary used by the CLI; validates every block CRC."""
+    """Full-decode summary used by the CLI: decodes every block to columns,
+    validating its CRC, and counts the events decoded."""
     index = scan_evt(path)
     timers = PhaseTimers()
-    decoded = 0
-    if index.blocks:
-        for _ in iter_block_range(index, 0, len(index.blocks), timers=timers):
-            decoded += 1
+    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
+    decoded = sum(cs.count for cs in blocks)
     counts = [b.n_events for b in index.blocks]
     return {
         "format": "EVT",

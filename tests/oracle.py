@@ -4,8 +4,12 @@ Everything here is deliberately written directly in Python against event
 dicts: the default selection and projection are spelled out by hand (not
 compiled from expression text), the sums are a plain serial Kahan loop,
 and the histogram filler is a naive per-row loop. Only the storage reader
-is shared with the code under test; format correctness is covered
-separately by round-trip tests.
+is shared with the code under test, and it shares the engine's column
+decoder: `read_evt` builds its events from the same column sets the
+skims read. The check of that decoder that does not depend on it is
+`tests/test_codec.py::test_column_decode_equals_reference_layout`,
+against the byte layout read back by hand; round-trip tests cover the
+rest of the format.
 """
 
 from __future__ import annotations

@@ -42,6 +42,17 @@ def random_schema(rng: random.Random, max_depth: int = 4, max_fields: int = 5) -
     return Schema(Record(fields))
 
 
+# shapes that random_schema seldom draws
+HAND_BUILT = {
+    "arrays of primitives": Schema(Record(tuple((k, Array(Primitive(k))) for k in KINDS))),
+    "arrays of arrays": Schema(Record((
+        ("aa", Array(Array(Primitive("f64")))),
+        ("aaa", Array(Array(Array(Primitive("i32"))))),
+        ("ar", Array(Array(Record((("q", Primitive("i64")), ("h", Array(Primitive("f32")))))))),
+    ))),
+}
+
+
 def random_value(rng: random.Random, node, max_items: int = 4):
     if isinstance(node, Primitive):
         if node.kind == "bool":

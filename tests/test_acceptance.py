@@ -267,7 +267,7 @@ def test_c5_compression_confound(big_corpus, bench_reports):
     packed_path = sorted((workdir / "big-deflate").glob("*.evt"))[0]
     _, raw_events = read_evt(raw_path)
     _, packed_events = read_evt(packed_path)
-    for a, b in zip(raw_events, packed_events):
+    for a, b in zip(raw_events, packed_events, strict=True):
         assert a == b
     report(
         "C5 compression confound",

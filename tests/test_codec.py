@@ -1,23 +1,25 @@
-"""The generated encoder against the EVT layout written out by hand, and
-leaf-pruned decoding to events and to columns: equivalence with the full
-decode, hostile counts and malformed payloads."""
+"""The generated encoder and the generated column decoder against the EVT
+layout written out by hand, for every leaf and for pruned leaf sets;
+hostile counts and malformed payloads, decoded to columns and through
+`read_evt` to events."""
 
 import random
 import struct
 import time
 import tracemalloc
 import zlib
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randgen import KINDS, hostile, random_events, random_schema
+from randgen import HAND_BUILT, hostile, random_events, random_schema
 from skimflow.errors import DataError, SchemaError, TruncatedBlock
 from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import EventCodec, evt, iter_block_range, scan_evt, write_evt
+from skimflow.storage import EventCodec, evt, iter_block_range, read_evt, scan_evt, write_evt
 from skimflow.storage.ntu import KIND_INFO
 
 DEFAULT_LEAVES = {
@@ -29,15 +31,6 @@ DEFAULT_LEAVES = {
 # -- encoding ----------------------------------------------------------------------
 
 FMT = {"f64": "<d", "f32": "<f", "i64": "<q", "i32": "<i", "bool": "<?"}
-
-HAND_BUILT = {
-    "arrays of primitives": Schema(Record(tuple((k, Array(Primitive(k))) for k in KINDS))),
-    "arrays of arrays": Schema(Record((
-        ("aa", Array(Array(Primitive("f64")))),
-        ("aaa", Array(Array(Array(Primitive("i32"))))),
-        ("ar", Array(Array(Record((("q", Primitive("i64")), ("h", Array(Primitive("f32")))))))),
-    ))),
-}
 
 EMPTY = Record(())
 
@@ -79,6 +72,29 @@ def reference_encode(node, value) -> bytes:
     return b"".join(reference_encode(child, value[name]) for name, child in node.fields)
 
 
+def reference_decode(schema, payload, count):
+    """The EVT layout read back directly: one struct.unpack_from per
+    primitive, a u32 count per array, and record fields in schema order,
+    for `count` events that must consume the payload exactly."""
+    off = 0
+
+    def read(node):
+        nonlocal off
+        if isinstance(node, Primitive):
+            (value,) = struct.unpack_from(FMT[node.kind], payload, off)
+            off += struct.calcsize(FMT[node.kind])
+            return value
+        if isinstance(node, Array):
+            (n,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            return [read(node.element) for _ in range(n)]
+        return {name: read(child) for name, child in node.fields}
+
+    events = [read(schema.root) for _ in range(count)]
+    assert off == len(payload)
+    return events
+
+
 @st.composite
 def schema_and_events(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -116,59 +132,11 @@ def leaf_paths(node, prefix=()):
     return out
 
 
-def restrict(value, node, paths):
-    """`value` as a decode of the leaf paths (relative to `node`) gives it:
-    a path ending at an array keeps only its length, one ending elsewhere
-    keeps the whole value, and a record keeps the fields some path names."""
-    if isinstance(node, Array):
-        inner = {p for p in paths if p}
-        if not inner:
-            return range(len(value))
-        return [restrict(item, node.element, inner) for item in value]
-    if () in paths:
-        return value
-    return {
-        name: restrict(value[name], child, {p[1:] for p in paths if p[0] == name})
-        for name, child in node.fields
-        if any(p[0] == name for p in paths)
-    }
-
-
-@st.composite
-def schema_events_leaves(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    rng = random.Random(seed)
-    schema = random_schema(rng)
-    events = random_events(rng, schema, rng.randint(0, 6))
-    paths = leaf_paths(schema.root)
-    leaves = set(rng.sample(paths, rng.randint(0, len(paths))))
-    return schema, events, leaves
-
-
-@given(case=schema_events_leaves())
-@settings(max_examples=300, deadline=None)
-def test_pruned_decode_equals_restricted_full_decode(case):
-    schema, events, leaves = case
-    full = EventCodec(schema)
-    payload = b"".join(full.encode(ev) for ev in events)
-    assert full.decode_block(payload, len(events)) == events
-
-    pruned = EventCodec(schema, leaves)
-    want = [restrict(ev, schema.root, leaves) for ev in events]
-    assert pruned.decode_block(payload, len(events)) == want
-    # the payload is consumed exactly: one byte more or less is an error
-    with pytest.raises(TruncatedBlock):
-        pruned.decode_block(payload + b"\x00", len(events))
-    if payload:
-        with pytest.raises(TruncatedBlock):
-            pruned.decode_block(payload[:-1], len(events))
-
-
 def reference_columns(node, values, paths, path, out):
-    """Add to `out` the columns that a column codec decodes from `values`
+    """Add to `out` the columns that the codec decodes from `values`
     (of `node`, whose column key is `path`) for the leaf `paths` relative
     to `node` (None: every leaf), each as [typecode, values]: offsets for
-    an array, its elements' columns unless it is read for its size alone,
+    an array, its elements' columns unless it is read for its offsets alone,
     and a record's fields that some path names."""
     if isinstance(node, Primitive):
         out.setdefault(path, [KIND_INFO[node.kind][0], []])[1].extend(values)
@@ -205,24 +173,28 @@ def hostile_schema_events_leaves(draw):
 
 @given(case=hostile_schema_events_leaves())
 @settings(max_examples=300, deadline=None)
-def test_column_decode_equals_dict_decode(case):
+def test_column_decode_equals_reference_layout(case):
     """Leaf by leaf, for every leaf and for a random leaf set, over random
-    schemas, half of them with hostile field names."""
+    and hand-built schemas, half of them with hostile field names."""
     schema, events, leaves = case
-    full = EventCodec(schema)
-    payload = b"".join(full.encode(ev) for ev in events)
-    decoded = full.decode_block(payload, len(events))
+    payload = b"".join(EventCodec(schema).encode(ev) for ev in events)
+    decoded = reference_decode(schema, payload, len(events))
     assert decoded == events
     for paths in (None, leaves):
-        cs = EventCodec(schema, paths, columns=True).decode_block(payload, len(events))
+        codec = EventCodec(schema, paths)
+        cs = codec.decode_block(payload, len(events))
         want = reference_columns(schema.root, decoded, paths, (), {})
         assert cs.count == len(events)
         assert set(cs) == set(want)
         for key, (typecode, values) in want.items():
             assert cs[key].typecode == typecode and cs[key].tolist() == values, key
         assert cs.nbytes == sum(cs[key].itemsize * len(values) for key, (_, values) in want.items())
+        # the payload is consumed exactly: one byte more or less is an error
         with pytest.raises(TruncatedBlock):
-            EventCodec(schema, paths, columns=True).decode_block(payload + b"\x00", len(events))
+            codec.decode_block(payload + b"\x00", len(events))
+        if payload:
+            with pytest.raises(TruncatedBlock):
+                codec.decode_block(payload[:-1], len(events))
 
 
 def test_default_skim_leaves_decode(schema):
@@ -231,14 +203,18 @@ def test_default_skim_leaves_decode(schema):
         muons=[make_particle()], taus=[make_particle(), make_particle()],
         jets=[make_particle(pt=40.0, eta=1.0), make_particle(pt=25.0)],
     )
-    (got,) = EventCodec(schema, DEFAULT_LEAVES).decode_block(EventCodec(schema).encode(ev), 1)
-    assert got == {
-        "genInfo": {"weight": -1.0},
-        "met": {"pt": 200.0, "phi": 0.5},
-        "muons": range(1),
-        "electrons": range(0),
-        "jets": [{"pt": 40.0}, {"pt": 25.0}],
+    cs = EventCodec(schema, DEFAULT_LEAVES).decode_block(EventCodec(schema).encode(ev), 1)
+    assert cs.count == 1
+    assert {key: (col.typecode, col.tolist()) for key, col in cs.items()} == {
+        ("genInfo", "weight"): ("d", [-1.0]),
+        ("met", "pt"): ("d", [200.0]),
+        ("met", "phi"): ("d", [0.5]),
+        ("muons",): ("q", [0, 1]),
+        ("electrons",): ("q", [0, 0]),
+        ("jets",): ("q", [0, 2]),
+        ("jets", "pt"): ("d", [40.0, 25.0]),
     }
+    assert ("taus",) not in cs
 
 
 def test_unknown_leaf_rejected(schema):
@@ -286,16 +262,15 @@ def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_nam
     path.write_bytes(bytes(raw))
 
     index = scan_evt(path)
-    for columns in (False, True):
-        codec = EventCodec(schema, leaves, columns=columns)
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncatedBlock, match="4294967280 elements"):
-                list(iter_block_range(index, 0, 1, codec=codec))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    codec = EventCodec(schema, leaves)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedBlock, match="4294967280 elements"):
+            list(iter_block_range(index, 0, 1, codec=codec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- malformed payloads ---------------------------------------------------------------
@@ -348,26 +323,33 @@ def store_mutated(payload: bytes, mutations, compress: bool, mutate_stored: bool
     return evt._deflate(stored) if compress else stored
 
 
+def column_count(index, codec) -> int:
+    (cs,) = iter_block_range(index, 0, 1, codec=codec)
+    return cs.count
+
+
+def event_count(path) -> int:
+    events = list(read_evt(path)[1])
+    assert all(type(ev) is dict for ev in events)
+    return len(events)
+
+
 def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
     """Store `stored` as one block of `n_events` events with its CRC, as
-    `write_evt` does. Every outcome, with each codec, is `n_events` events
-    (one column set of them, for a column codec) or a DataError, in
-    bounded memory and time."""
+    `write_evt` does. Every outcome, with each codec, is one column set of
+    `n_events` events or a DataError, and so is `read_evt`'s, as
+    `n_events` event dicts, each in bounded memory and time."""
     write_evt(path, [], schema, compress=compress)
     with open(path, "ab") as f:
         f.write(evt._BLOCK_HDR.pack(n_events, len(stored)) + stored
                 + evt._U32.pack(zlib.crc32(stored)))
     index = scan_evt(path)
-    for codec in codecs:
+    reads = [partial(column_count, index, codec) for codec in codecs]
+    for read in reads + [partial(event_count, path)]:
         t0 = time.perf_counter()
         tracemalloc.start()
         try:
-            decoded = list(iter_block_range(index, 0, 1, codec=codec))
-            if codec.columns:
-                (cs,) = decoded
-                assert cs.count == n_events
-            else:
-                assert len(decoded) == n_events
+            assert read() == n_events
         except DataError:
             pass
         finally:
@@ -386,12 +368,9 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
                                                         mutations):
     """Mutated analysis-schema blocks, with the full and a pruned codec,
-    each decoding to events and to columns."""
+    and through `read_evt`."""
     stored = store_mutated(FUZZ_PAYLOAD, mutations, compress, mutate_stored)
-    codecs = [
-        EventCodec(FUZZ_SCHEMA, leaves, columns=columns)
-        for leaves in (None, DEFAULT_LEAVES) for columns in (False, True)
-    ]
+    codecs = [EventCodec(FUZZ_SCHEMA, leaves) for leaves in (None, DEFAULT_LEAVES)]
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", FUZZ_SCHEMA, stored, 8, compress, codecs)
 
 
@@ -406,8 +385,8 @@ def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, muta
 def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress,
                                                mutate_stored, mutations):
     """Mutated blocks of random schemas, half of them with hostile field
-    names, with the full codec and one pruned to a random leaf set, each
-    decoding to events and to columns."""
+    names, with the full codec and one pruned to a random leaf set, and
+    through `read_evt`."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     if renamed:
@@ -417,9 +396,7 @@ def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress
     payload = b"".join(full.encode(ev) for ev in events)
     paths = leaf_paths(schema.root)
     leaves = rng.sample(paths, rng.randint(0, len(paths)))
-    codecs = [full, EventCodec(schema, leaves)] + [
-        EventCodec(schema, chosen, columns=True) for chosen in (None, leaves)
-    ]
+    codecs = [full, EventCodec(schema, leaves)]
     stored = store_mutated(payload, mutations, compress, mutate_stored)
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", schema, stored, len(events), compress,
                              codecs)

@@ -312,7 +312,7 @@ def kernel_rows(cut, projection, events, leaves=None):
     """The rows the skim kernel selects from `events` decoded to one
     column set (of `leaves`, or of every leaf), transposed from the typed
     columns it appends to."""
-    codec = EventCodec(cut.schema, leaves, columns=True)
+    codec = EventCodec(cut.schema, leaves)
     block = codec.decode_block(b"".join(codec.encode(ev) for ev in events), len(events))
     columns = [array(KIND_INFO[kind][0]) for _, kind in projection.columns]
     compile_kernel(cut, projection)([block], columns)

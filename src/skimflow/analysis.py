@@ -10,10 +10,9 @@ rewritten to hold
 Data events skip normalization and carry weight 1.0 exactly. An mc
 dataset can be persisted so that later skims of it read from memory.
 The cut, the projection and the generator weight all reach the engine as
-compiled expressions, which it writes into one loop per skim, and every
-partition that does not go into the cache (all of a data dataset's, all
-of an mc dataset's without persist, and those after a cache-budget
-overflow) decodes only the leaves they read.
+compiled expressions, which it writes into one loop per skim; it
+decodes only the leaves they read, plus those the cache holds while it
+fills a persisted dataset's cache (`engine`).
 Histograms are filled from the resulting ntuple columns, and the
 plot bundle stacks mc components in configuration order against data.
 
@@ -103,15 +102,17 @@ class AnalysisConfig:
         labels = [d.label for d in self.datasets]
         if len(set(labels)) != len(labels):
             raise ConfigError("datasets: labels must be unique")
-        if not (isinstance(self.luminosity_invpb, (int, float)) and self.luminosity_invpb > 0):
+        if not (type(self.luminosity_invpb) in (int, float) and self.luminosity_invpb > 0):
             raise ConfigError("luminosity_invpb must be > 0")
         names = [name for name, _ in self.projection]
         if WEIGHT_COLUMN in names:
             raise ConfigError(f"projection: column name {WEIGHT_COLUMN!r} is reserved")
         if len(set(names)) != len(names):
             raise ConfigError("projection: column names must be unique")
-        if self.ntu_group_rows < 1:
-            raise ConfigError("ntu_group_rows must be >= 1")
+        if not isinstance(self.persist, bool):
+            raise ConfigError("persist must be true or false")
+        if not (type(self.ntu_group_rows) is int and self.ntu_group_rows >= 1):
+            raise ConfigError("ntu_group_rows must be an integer >= 1")
 
     def dataset(self, label: str) -> DatasetDescriptor:
         for d in self.datasets:
@@ -194,7 +195,7 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
             )
         try:
             histograms.append(
-                HistogramSpec(str(h["variable"]), int(h["nbins"]), float(h["lo"]), float(h["hi"]))
+                HistogramSpec(str(h["variable"]), h["nbins"], float(h["lo"]), float(h["hi"]))
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: histograms[{i}]: {exc}") from exc
@@ -220,8 +221,8 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         projection=projection,
         histograms=tuple(histograms) if histograms else DEFAULT_HISTOGRAMS,
         engine=engine,
-        persist=bool(raw.get("persist", True)),
-        ntu_group_rows=int(raw.get("ntu_group_rows", DEFAULT_GROUP_ROWS)),
+        persist=raw.get("persist", True),
+        ntu_group_rows=raw.get("ntu_group_rows", DEFAULT_GROUP_ROWS),
     )
     _validate_expression_syntax(config, where)
     return config
@@ -251,9 +252,9 @@ def sum_of_weights(
     timers: PhaseTimers | None = None,
 ) -> float:
     """Sum of generator weights over a full mc dataset, in a traversal of
-    its own that decodes only `genInfo.weight` (unless the traversal fills
-    the dataset's cache); `run_skim` gets the same sum from its one
-    traversal."""
+    its own that decodes only `genInfo.weight`, and the cache's leaves
+    while it fills a persisted dataset's cache; `run_skim` gets the same
+    sum from its one traversal."""
     if ds.descriptor.kind != "mc":
         raise KindMismatch(
             f"dataset {ds.descriptor.label!r} is kind {ds.descriptor.kind!r}; "

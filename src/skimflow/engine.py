@@ -19,27 +19,25 @@ sum over the whole dataset, and the writer takes them as they are.
 `map_reduce` is the same loop with no cut and no projection.
 
 Partitions are decoded by a column codec (`storage.codec`) to one
-`ColumnSet` per block: typed leaf arrays plus collection offsets. An
-explicit in-memory cache ("persist") retains each partition's column
-sets after the first full traversal; later traversals then read zero
-storage bytes. Workers only read the cache; the thread that runs the
+`ColumnSet` per block: typed leaf arrays plus collection offsets. A
+traversal reads the leaves L that its compiled expressions record, and
+builds at most one decoder. An explicit in-memory cache ("persist")
+holds column sets of one leaf set, `_leaves` (empty at first and after
+`drop_cache()`). With W = `_leaves` | L (as `storage.codec.leaf_set`
+writes it), a cached partition serves a traversal only if W == `_leaves`,
+so a traversal whose every partition is cached reads zero storage bytes.
+A traversal that reads outside `_leaves` while the dataset admits
+partitions widens the cache: it empties it, sets `_leaves` to W and
+decodes and admits every partition at W, as a first fill does. Other
+partitions that miss decode at W while the dataset admits and at L when
+it does not. Workers only read the cache; the thread that runs the
 traversal admits each partition as its result arrives, in partition
 order, so the cached set is the same for any worker count. The budget
-counts the arrays' bytes (itemsize x length), which is what the cache
-holds. A partition that would take the cache past its budget is not
-admitted: the partitions cached before it stay and serve every later
-traversal, a warning is recorded, and the dataset admits nothing more
-until `drop_cache()`.
-
-Each traversal derives from the compiled expressions it is given the
-schema leaves they read (`expr` records them, `storage.codec` compiles a
-decoder for them) and decodes only those leaves in every partition that
-does not go into the cache: every partition of a dataset that is not
-persisted, and every partition from a budget overflow on. A partition
-being admitted to the cache is decoded in full, so cached columns serve
-any later traversal whatever leaves it reads. The choice follows the
-dataset's cache state alone. `bytes_decoded` counts every payload byte
-walked either way, and `bytes_cached` the column bytes admitted.
+counts the arrays' bytes (itemsize x length). A partition that would
+take the cache past it is not admitted: the partitions cached before it
+stay, a warning is recorded, and the dataset admits nothing more until
+`drop_cache()`. `bytes_decoded` counts every payload byte walked, and
+`bytes_cached` the column bytes admitted.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -65,6 +62,7 @@ from .errors import (
 from .expr import TypedCut, TypedProjection, TypedValue, compile_kernel
 from .schema import Schema
 from .storage import ColumnSet, EventCodec, EvtIndex, iter_block_range, scan_evt
+from .storage.codec import leaf_set
 from .storage.ntu import KIND_INFO, NtuWriter
 from .timing import PhaseTimers
 
@@ -85,7 +83,7 @@ class DatasetDescriptor:
         if self.kind not in ("data", "mc"):
             raise ConfigError(f"dataset {self.label!r}: kind must be 'data' or 'mc'")
         if self.kind == "mc":
-            if self.xsec_pb is None or not self.xsec_pb > 0:
+            if type(self.xsec_pb) not in (int, float) or not self.xsec_pb > 0:
                 raise ConfigError(f"dataset {self.label!r}: mc requires xsec_pb > 0")
         elif self.xsec_pb is not None:
             raise ConfigError(f"dataset {self.label!r}: data datasets carry no xsec_pb")
@@ -100,14 +98,17 @@ class EngineConfig:
     partition_custom: object = None  # {"per_file": N} or {path: [[lo, hi], ...]}
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # a JSON integer parses as exactly int; a bool is not one
+        if self.workers is not None and not (type(self.workers) is int and self.workers >= 1):
+            raise ConfigError("workers must be an integer >= 1")
         if self.partition_mode not in ("auto", "custom"):
             raise ConfigError("partition.mode must be 'auto' or 'custom'")
-        if self.partition_target_bytes < 1:
-            raise ConfigError("partition.target_bytes must be >= 1")
-        if self.cache_budget_bytes is not None and self.cache_budget_bytes < 0:
-            raise ConfigError("cache_budget_bytes must be >= 0")
+        target = self.partition_target_bytes
+        if not (type(target) is int and target >= 1):
+            raise ConfigError("partition.target_bytes must be an integer >= 1")
+        budget = self.cache_budget_bytes
+        if budget is not None and not (type(budget) is int and budget >= 0):
+            raise ConfigError("cache_budget_bytes must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def _auto_ranges(evt_index: EvtIndex, target_bytes: int) -> list[tuple[int, int]
 def _custom_ranges(files: Sequence[EvtIndex], custom) -> list[list[tuple[int, int]]]:
     if isinstance(custom, dict) and set(custom) == {"per_file"}:
         per_file = custom["per_file"]
-        if not isinstance(per_file, int) or per_file < 1:
+        if type(per_file) is not int or per_file < 1:
             raise InvalidCustomPlan("per_file must be a positive integer")
         out = []
         for f in files:
@@ -225,12 +226,7 @@ class PartitionedDataset:
         self._overflowed = False
         self._cache: dict[int, list[ColumnSet]] = {}
         self._cache_bytes = 0
-
-    @cached_property
-    def codec(self) -> EventCodec:
-        """The column codec of every leaf, which fills the cache; compiled
-        on first use, so a dataset never persisted has none."""
-        return EventCodec(self.schema)
+        self._leaves: frozenset[tuple[str, ...]] = frozenset()  # of the cached column sets
 
     # -- inventory ---------------------------------------------------------
 
@@ -244,9 +240,9 @@ class PartitionedDataset:
 
     @property
     def cache_state(self) -> str:
-        """"cached" when every partition is; "warming" while the dataset
-        admits partitions; "cold" when it admits none, though after a
-        budget overflow the partitions that fit still serve reads."""
+        """"cached" when the cache holds every partition at `_leaves`;
+        "warming" while the dataset admits partitions; "cold" when it admits
+        none (after an overflow, what fit still serves reads within `_leaves`)."""
         if len(self._cache) == len(self.partitions) and self.partitions and self._want_cache:
             return "cached"
         return "warming" if self._want_cache else "cold"
@@ -260,10 +256,9 @@ class PartitionedDataset:
         return self
 
     def drop_cache(self) -> None:
-        """Empty the cache and stop persisting; a cache-budget overflow is
-        forgotten, so `persist()` takes effect again."""
-        self._cache.clear()
-        self._cache_bytes = 0
+        """Empty the cache and its leaf set, and stop persisting; a budget
+        overflow is forgotten, so `persist()` takes effect again."""
+        self._cache, self._cache_bytes, self._leaves = {}, 0, frozenset()
         self._want_cache = False
         self._overflowed = False
 
@@ -272,24 +267,21 @@ class PartitionedDataset:
     def _partition_columns(
         self, part: Partition, timers: PhaseTimers, codec: EventCodec | None
     ) -> Iterable[ColumnSet]:
-        """The partition's column sets: from the cache, else decoded in
-        full, as a list, when the dataset wants a cache, and with `codec`
-        (which may read only some leaves) when it does not. Changes
-        nothing."""
-        cached = self._cache.get(part.index)
-        if cached is not None:
+        """The partition's column sets: the cached ones when `codec` is
+        None, else decoded by `codec`, as a list when the dataset admits
+        partitions. Changes nothing."""
+        if codec is None:
             timers.cache_hits += 1
-            return cached
-        full = self._want_cache
+            return self._cache[part.index]
         blocks = iter_block_range(self.files[part.file_index], part.block_lo, part.block_hi,
-                                  timers=timers, codec=self.codec if full else codec)
-        return list(blocks) if full else blocks
+                                  timers=timers, codec=codec)
+        return list(blocks) if self._want_cache else blocks
 
     def _admit(self, part: Partition, blocks: Iterable[ColumnSet]) -> int:
-        """Cache a partition's column sets if the dataset wants a cache and
-        they fit the budget, and return the bytes cached. Past the budget,
-        keep what is cached, warn, and admit nothing more. A cached
-        partition is not admitted again."""
+        """Cache a partition's column sets, decoded at `_leaves`, if the
+        dataset admits partitions and they fit the budget, and return the
+        bytes cached. Past the budget, keep what is cached, warn, and admit
+        nothing more. A cached partition is not admitted again."""
         if not self._want_cache or part.index in self._cache:
             return 0
         size = sum(cs.nbytes for cs in blocks)
@@ -386,26 +378,30 @@ def _traverse(
     the number of selected events, Kahan partial of the weight) in
     partition order, admitting its column sets to the cache (`ds._admit`)
     and merging its phase timers into `timers` as it arrives.
-    A partition outside the cache is decoded only in the union of the
-    leaves the three read; when every partition is cached, no decoder is
-    built. Compute is the time to compile the kernel and that decoder,
+    The three read the leaves L; the cache is widened to W first, and the
+    partitions it does not serve are decoded by one decoder, at W or L
+    (module docstring). When the cache serves every partition, no decoder
+    is built. Compute is the time to compile the kernel and that decoder,
     plus each partition's wall time, column access included, less the
     read and decode time spent inside it."""
     t0 = time.perf_counter()
     kernel = compile_kernel(cut, projection, weight)
     typecodes = [] if projection is None else [KIND_INFO[k][0] for _, k in projection.columns]
+    leaves = leaf_set(p for e in (cut, projection, weight) if e is not None for p in e.leaves)
+    wide = leaf_set(ds._leaves | leaves)
+    if ds._want_cache and wide != ds._leaves:  # widen: re-decode everything, merge nothing
+        ds._cache, ds._cache_bytes, ds._leaves = {}, 0, wide
     codec = None
-    if any(part.index not in ds._cache for part in ds.partitions):
-        parts = [e for e in (cut, projection, weight) if e is not None]
-        leaves = frozenset().union(*(e.leaves for e in parts))
-        codec = EventCodec(ds.schema, leaves)
+    cached = ds._cache if wide == ds._leaves else {}
+    if any(part.index not in cached for part in ds.partitions):
+        codec = EventCodec(ds.schema, wide if ds._want_cache else leaves)
     timers.compute += time.perf_counter() - t0
 
     def task(part: Partition):
         t = PhaseTimers()
         t0 = time.perf_counter()
         columns = [array(typecode) for typecode in typecodes]
-        blocks = ds._partition_columns(part, t, codec)
+        blocks = ds._partition_columns(part, t, None if part.index in cached else codec)
         partial, n = kernel(blocks, columns)
         t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
         return part, (columns, n, partial), blocks, t
@@ -481,8 +477,8 @@ def filter_map_write(
     an exception either raises aborts the sink. The sink then takes each
     partition's columns (`NtuWriter.append_columns`) in partition order.
 
-    Partitions that do not go into the cache are decoded only in the
-    union of the leaves that the cut, the projection and the weight read.
+    Partitions are decoded only in the leaves that the cut, the
+    projection and the weight read, or the cache's when it admits them.
 
     Returns (rows written, sum of weights or None).
     """

@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Union
 
 from .errors import ArityMismatch, NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from .schema import Array, Primitive, Record, Schema
-from .storage.codec import ColumnSet, EventCodec
+from .storage.codec import ColumnSet, EventCodec, leaf_set
 
 NUMERIC_KINDS = frozenset({"f64", "f32", "i64", "i32"})
 
@@ -407,15 +407,6 @@ class _Checker:
         self._loops: dict[tuple[str, ...], _Loop] = {}
         self._k = 0
 
-    @property
-    def leaves(self) -> frozenset[tuple[str, ...]]:
-        """The recorded paths, less those that end at a collection some
-        longer path reads below: reading an element field gives the size."""
-        paths = self.paths
-        return frozenset(
-            p for p in paths if not any(len(q) > len(p) and q[:len(p)] == p for q in paths)
-        )
-
     def compile(self, node: Expr, element: Record | None = None) -> tuple[str, str]:
         method = getattr(self, "_c_" + type(node).__name__.lower())
         return method(node, element)
@@ -689,9 +680,10 @@ def _function(checker: _Checker, name: str, args: str, body: list[str]) -> Calla
 
 # Each compiled form keeps its syntax tree and schema, from which
 # `compile_kernel` writes a skim's loop, and carries `leaves`, the schema
-# paths its evaluation reads. A path that ends at a collection reads only
-# its size; `count(jets, it.pt > 30.0)` reads ("jets", "pt"). `evaluate`
-# runs the same kernel over one event, compiled on its first call.
+# paths its evaluation reads, written by `storage.codec.leaf_set`: a path
+# that ends at a collection reads only its size, and goes when an element
+# field is read, so `count(jets, it.pt > 30.0)` reads ("jets", "pt").
+# `evaluate` runs the same kernel over one event, compiled on first call.
 
 
 def _evaluator(form, **parts) -> Callable[[dict, list], tuple[float, int]]:
@@ -770,7 +762,7 @@ def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     checker = _Checker(schema)
     checker.clauses(node)
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedCut(source, node, schema, checker.leaves)
+    return TypedCut(source, node, schema, leaf_set(checker.paths))
 
 
 def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
@@ -782,7 +774,7 @@ def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
     if kind not in NUMERIC_KINDS:
         raise TypeMismatch(f"value must be numeric, got {kind}")
     source = expr if isinstance(expr, str) else repr(expr)
-    return TypedValue(source, node, schema, checker.leaves)
+    return TypedValue(source, node, schema, leaf_set(checker.paths))
 
 
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:
@@ -805,7 +797,7 @@ def typecheck_projection(columns, schema: Schema) -> TypedProjection:
         names.append(name)
         kinds.append(kind)
         nodes.append(node)
-    return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, checker.leaves)
+    return TypedProjection(tuple(zip(names, kinds)), tuple(nodes), schema, leaf_set(checker.paths))
 
 
 # -- the skim kernel -----------------------------------------------------------------

@@ -27,7 +27,7 @@ class HistogramSpec:
     hi: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nbins, int) or self.nbins < 1:
+        if type(self.nbins) is not int or self.nbins < 1:
             raise ConfigError(f"histogram {self.variable!r}: nbins must be a positive integer")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ConfigError(f"histogram {self.variable!r}: requires finite lo < hi")

@@ -26,6 +26,10 @@ where the names after an array's name address fields of its elements:
     a path ending at an array                 -> its offsets only
     leaves=None                               -> every field (the full decode)
 
+An element field's path implies its array's, whose offsets it decodes
+too; `leaf_set` drops such array paths, so two leaf sets it writes
+decode the same columns exactly when they are equal.
+
 A column set holds one typed `array` per primitive leaf read, of the
 leaf's NTU typecode (`ntu.KIND_INFO`), and one `array('q')` of n+1
 offsets per array read, whose element k spans [offsets[k], offsets[k+1])
@@ -78,6 +82,12 @@ _SIZE = object()
 
 
 # -- leaf selection ---------------------------------------------------------------
+
+
+def leaf_set(paths: Iterable[tuple[str, ...]]) -> frozenset[tuple[str, ...]]:
+    """`paths` less each that a longer one of them continues."""
+    paths = frozenset(paths)
+    return frozenset(p for p in paths if not any(q[:len(p)] == p != q for q in paths))
 
 
 def _select_all(node: SchemaNode):

@@ -141,13 +141,21 @@ def test_skim_over_cache_budget_decodes_each_block_once(tmp_path, small_corpus):
     assert ds.warnings and "cache budget exceeded" in ds.warnings[0]
 
 
+def cache_bytes(config, out):
+    """The column bytes a persisting `run_skim` of `config` caches, unbounded."""
+    ds = open_dataset(config.datasets[0], replace(config.engine, cache_budget_bytes=None))
+    run_skim(config, ds, out, persist=True)
+    assert ds.cache_state == "cached"
+    return ds._cache_bytes
+
+
 def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
     """Each skim asks to persist, but after a budget overflow the dataset
     stays cold, so a later skim neither overflows again nor warns again."""
-    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
-    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
-                          cache_budget_bytes=payload // 2)
+    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
+    budget = cache_bytes(config, tmp_path / "sizing.ntu") // 2
+    config = replace(config, engine=replace(engine, cache_budget_bytes=budget))
     ds = open_dataset(config.datasets[0], config.engine)
     run_skim(config, ds, tmp_path / "first.ntu", workers=2)
     run_skim(config, ds, tmp_path / "second.ntu", workers=2)
@@ -174,15 +182,17 @@ SKIMS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("skim", sorted(SKIMS))
 def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, workers):
-    """Cold partitions decode only the leaves read, cached ones decode in
-    full; a budget overflow mixes the two within one skim."""
+    """Cold, filling and overflowing skims write the same ntuple; an
+    overflow mixes admitted and streamed partitions within one skim."""
     selection, projection = SKIMS[skim]
     engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
-    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
+    sizing = base_config([mc_descriptor(small_corpus["glob"])], selection=selection,
+                         projection=projection, engine=engine)
+    half = cache_bytes(sizing, tmp_path / "sizing.ntu") // 2
     outputs = set()
     sums = set()
     for name, persist, budget in (
-        ("cold", False, None), ("cached", True, None), ("overflow", True, payload // 2),
+        ("cold", False, None), ("cached", True, None), ("overflow", True, half),
     ):
         config = base_config(
             [mc_descriptor(small_corpus["glob"])], selection=selection, projection=projection,
@@ -198,19 +208,54 @@ def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, wor
     assert len(sums) == 1
 
 
+B_PROJECTION = (
+    ("n_muons", "size(muons)"),
+    ("photon_pt_sum", "sum(photons, it.pt)"),
+    ("tau_pt_max", "max(taus, it.pt)"),
+)
+
+
 def test_cached_skim_serves_other_leaves(tmp_path, small_corpus):
-    """A dataset cached by one skim holds complete events, so a skim that
-    reads other leaves reads no storage and matches a cold skim."""
-    wide = base_config([mc_descriptor(small_corpus["glob"])], projection=WIDE_PROJECTION)
-    ds = open_dataset(wide.datasets[0], wide.engine)
-    run_skim(base_config([mc_descriptor(small_corpus["glob"])]), ds, tmp_path / "first.ntu")
-    assert ds.cache_state == "cached"
-    timers = PhaseTimers()
-    run_skim(wide, ds, tmp_path / "cached.ntu", timers=timers)
-    assert timers.bytes_read == 0
-    cold = open_dataset(wide.datasets[0], wide.engine)
-    run_skim(wide, cold, tmp_path / "cold.ntu", persist=False)
-    assert (tmp_path / "cached.ntu").read_bytes() == (tmp_path / "cold.ntu").read_bytes()
+    """A skim of leaves A fills the cache at A; a skim of leaves B, not
+    within A, widens it to A | B and reads storage; a skim of A | B then
+    reads none. Each ntuple equals a cold skim's."""
+    mc = [mc_descriptor(small_corpus["glob"])]
+    skims = {
+        "a": base_config(mc),
+        "b": base_config(mc, selection="size(taus) <= 1", projection=B_PROJECTION),
+        "ab": base_config(mc, projection=DEFAULT_PROJECTION + B_PROJECTION),
+    }
+    ds = open_dataset(mc[0])
+    read = {}
+    for name, config in skims.items():
+        timers = PhaseTimers()
+        run_skim(config, ds, tmp_path / f"{name}.ntu", timers=timers)
+        assert ds.cache_state == "cached"
+        read[name] = timers.bytes_read
+        run_skim(config, open_dataset(mc[0]), tmp_path / f"{name}-cold.ntu", persist=False)
+        cold = (tmp_path / f"{name}-cold.ntu").read_bytes()
+        assert (tmp_path / f"{name}.ntu").read_bytes() == cold
+    assert read["a"] > 0 and read["b"] > 0 and read["ab"] == 0
+
+
+def test_a_one_off_persisting_skim_decodes_what_a_cold_one_does(tmp_path, small_corpus):
+    config = base_config([mc_descriptor(small_corpus["glob"])], projection=WIDE_PROJECTION)
+    keys = {}
+    for persist in (False, True):
+        ds = open_dataset(config.datasets[0], config.engine)
+        take, seen = ds._partition_columns, set()
+
+        def spy(part, timers, codec):
+            blocks = list(take(part, timers, codec))
+            seen.update(key for cs in blocks for key in cs)
+            return blocks
+
+        ds._partition_columns = spy
+        run_skim(config, ds, tmp_path / f"{persist}.ntu", persist=persist)
+        assert ds.cache_state == ("cached" if persist else "cold")
+        keys[persist] = seen
+    assert keys[True] == keys[False]
+    assert ("jets", "pt") in keys[True] and ("jets", "phi") not in keys[True]
 
 
 def test_skim_empty_mc_dataset_writes_empty_file(tmp_path, schema):
@@ -454,6 +499,29 @@ def test_config_defaults():
     assert config.projection == DEFAULT_PROJECTION
     assert config.histograms == DEFAULT_HISTOGRAMS
     assert config.persist is True
+
+
+@pytest.mark.parametrize("overrides", [
+    {"workers": "2"}, {"workers": True}, {"workers": 2.5},
+    {"cache_budget_bytes": "x"}, {"cache_budget_bytes": 1e6},
+    {"partition": {"target_bytes": "big"}},
+    {"ntu_group_rows": "abc"}, {"ntu_group_rows": 64.0},
+    {"persist": "no"}, {"persist": 0},
+    {"histograms": [{"variable": "met_pt", "nbins": 2.5, "lo": 0, "hi": 500}]},
+    {"histograms": [{"variable": "met_pt", "nbins": True, "lo": 0, "hi": 500}]},
+    {"luminosity_invpb": True}, {"luminosity_invpb": "1000"},
+])
+def test_config_values_of_the_wrong_json_type_rejected(overrides):
+    with pytest.raises(ConfigError, match="integer|true or false|> 0"):
+        config_from_dict(make_raw_config(**overrides))
+
+
+@pytest.mark.parametrize("xsec", ["50", True, None])
+def test_config_mc_cross_section_must_be_a_number(xsec):
+    raw = make_raw_config()
+    raw["datasets"][0]["xsec_pb"] = xsec
+    with pytest.raises(ConfigError, match="xsec_pb > 0"):
+        config_from_dict(raw)
 
 
 def test_config_engine_keys():

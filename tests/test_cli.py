@@ -136,6 +136,13 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     assert main(["skim", "--config", str(cfg)]) == 1
 
 
+def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, str(tmp_path / "*.evt"), workers="2")
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "workers" in err
+
+
 @pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])
 def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"),

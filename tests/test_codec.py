@@ -20,6 +20,7 @@ from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
 from skimflow.storage import EventCodec, evt, iter_block_range, read_evt, scan_evt, write_evt
+from skimflow.storage.codec import leaf_set
 from skimflow.storage.ntu import KIND_INFO
 
 DEFAULT_LEAVES = {
@@ -215,6 +216,14 @@ def test_default_skim_leaves_decode(schema):
         ("jets", "pt"): ("d", [40.0, 25.0]),
     }
     assert ("taus",) not in cs
+
+
+def test_leaf_set_drops_an_array_path_read_below(schema):
+    paths = DEFAULT_LEAVES | {("jets",), ("taus",)}
+    assert leaf_set(paths) == DEFAULT_LEAVES | {("taus",)}
+    payload = EventCodec(schema).encode(make_event(jets=[make_particle(pt=40.0)]))
+    decoded = [EventCodec(schema, p).decode_block(payload, 1) for p in (paths, leaf_set(paths))]
+    assert decoded[0] == decoded[1] and ("jets",) in decoded[1]
 
 
 def test_unknown_leaf_rejected(schema):

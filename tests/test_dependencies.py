@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import skimflow
+
+# imports the package and every submodule, and prints the top-level names
+# of the modules that loaded and are neither the standard library nor skimflow
+PROBE = """
+import pkgutil, sys
+before = set(sys.modules)
+import skimflow
+for info in pkgutil.walk_packages(skimflow.__path__, "skimflow."):
+    __import__(info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"skimflow"}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = str(Path(skimflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -70,7 +70,9 @@ def total(ds, text, **kwargs):
 
 def test_engine_config_validation():
     for bad in (dict(workers=0), dict(partition_mode="manual"), dict(partition_target_bytes=0),
-                dict(cache_budget_bytes=-1)):
+                dict(cache_budget_bytes=-1), dict(workers="2"), dict(workers=True),
+                dict(workers=2.5), dict(cache_budget_bytes="x"), dict(cache_budget_bytes=False),
+                dict(partition_target_bytes="big"), dict(partition_target_bytes=4.0)):
         with pytest.raises(ConfigError):
             EngineConfig(**bad)
 
@@ -142,6 +144,7 @@ def test_custom_plan_overlap_rejected():
     ([[0, 4]], "a mapping of file path to block ranges"),
     ({"/a.evt": [[0, 2], [2, 2], [2, 4]]}, r"empty range \[2, 2\)"),
     ({"/a.evt": [[0, 3]]}, "covers 3 of 4 blocks"),
+    ({"per_file": True}, "per_file must be a positive integer"),
 ])
 def test_custom_plan_malformed_rejected(custom, message):
     files = [fake_index("/a.evt", [10] * 4)]
@@ -279,12 +282,17 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     assert first == second
 
 
-def cached_sizes(ds):
-    """Each partition's column bytes decoded in full, the amount the cache
-    budget counts."""
+MET_PT = {("met", "pt")}
+MET_PT_NJETS = {("met", "pt"), ("jets",)}  # what `run_filter` reads with a cut on met.pt
+
+
+def cached_sizes(ds, leaves):
+    """Each partition's column bytes at the leaves a traversal reads, the
+    amount the cache budget counts when that traversal fills the cache."""
+    codec = EventCodec(ds.schema, leaves)
     return [
         sum(cs.nbytes for cs in iter_block_range(
-            ds.files[part.file_index], part.block_lo, part.block_hi, codec=ds.codec))
+            ds.files[part.file_index], part.block_lo, part.block_hi, codec=codec))
         for part in ds.partitions
     ]
 
@@ -293,7 +301,7 @@ def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     assert len(ds.partitions) >= 3
-    sizes = cached_sizes(ds)
+    sizes = cached_sizes(ds, {("genInfo", "weight")})
     budget = max(sizes) + 1  # just above one partition's columns
 
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
@@ -316,7 +324,7 @@ def test_admission_follows_partition_order(tmp_path):
     config = EngineConfig(
         partition_mode="custom", partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
     )
-    sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config))
+    sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config), MET_PT)
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
 
     serial = open_dataset(mc_descriptor(str(path)), config).persist()
@@ -344,33 +352,26 @@ def test_admission_follows_partition_order(tmp_path):
     assert ds.cache_state == "cold" and list(ds._cache) == list(serial._cache) == [0]
 
 
-def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus, monkeypatch):
+def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
     """At one worker nothing runs ahead: every partition up to the one that
-    overflows sees all before it cached and decodes in full, and every
-    later one sees the partitions that fit still cached and decodes only
-    the leaves it reads."""
+    overflows sees all before it cached, and every later one sees the
+    partitions that fit still cached."""
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
-    sizes = cached_sizes(ds)
+    sizes = cached_sizes(ds, MET_PT)
     assert len(sizes) == 6
     ds = open_dataset(mc_descriptor(small_corpus["glob"]),
                       replace(config, cache_budget_bytes=sizes[0] + sizes[1])).persist()
-    cached, full = [], []
+    cached = []
     take = ds._partition_columns
 
     def spy(part, timers, codec):
         cached.append(len(ds._cache))
         return take(part, timers, codec)
 
-    def iter_blocks(index, lo, hi, *, codec, **kwargs):
-        full.append(codec is ds.codec)
-        return iter_block_range(index, lo, hi, codec=codec, **kwargs)
-
     ds._partition_columns = spy
-    monkeypatch.setattr(engine, "iter_block_range", iter_blocks)
     total(ds, "met.pt", workers=1)
     assert cached == [0, 1, 2, 2, 2, 2]
-    assert full == [True, True, True, False, False, False]
     assert len(ds.warnings) == 1 and ds.cache_state == "cold"
 
 
@@ -421,7 +422,7 @@ def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
     bytes and writes the same ntuple."""
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
     plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
-    sizes = cached_sizes(plan)
+    sizes = cached_sizes(plan, MET_PT_NJETS)
     config = replace(config, cache_budget_bytes=sum(sizes[:3]) + sizes[3] // 2)
     cold_bytes = [  # the payload and CRC bytes a cold read of each partition takes
         sum(b.payload_len + 4 for b in plan.files[p.file_index].blocks[p.block_lo:p.block_hi])
@@ -455,7 +456,7 @@ def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
     filling = PhaseTimers()
     total(ds, "met.pt", timers=filling)
     assert ds.cache_state == "cached"
-    assert filling.bytes_cached == ds._cache_bytes == sum(cached_sizes(ds)) > 0
+    assert filling.bytes_cached == ds._cache_bytes == sum(cached_sizes(ds, MET_PT)) > 0
     assert filling.as_dict()["bytes_cached"] == filling.bytes_cached
     cached = PhaseTimers()
     total(ds, "met.pt", timers=cached)
@@ -580,9 +581,9 @@ def test_rows_in_serial_order(small_corpus, tmp_path):
 def test_output_identical_across_worker_counts(small_corpus, tmp_path):
     """Cold, and persisted with a cache budget that overflows mid-way: the
     same ntuple and the same warnings at every worker count."""
-    payload = sum(f.payload_bytes for f in open_dataset(mc_descriptor(small_corpus["glob"])).files)
+    plan = open_dataset(mc_descriptor(small_corpus["glob"]))
     overflow = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
-                            cache_budget_bytes=payload // 2)
+                            cache_budget_bytes=sum(cached_sizes(plan, MET_PT_NJETS)) // 2)
     for config, persist in ((EngineConfig(), False), (overflow, True)):
         digests = set()
         warnings = set()
@@ -638,7 +639,7 @@ def spy_partitions(ds):
     return seen
 
 
-def test_only_cached_partitions_decode_every_leaf(small_corpus, tmp_path):
+def test_a_persisting_traversal_caches_only_what_a_cold_one_decodes(small_corpus, tmp_path):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     cut = typecheck_cut("met.pt > 1e9", ds.schema)
     proj = typecheck_projection([("njets", "size(jets)")], ds.schema)
@@ -653,11 +654,51 @@ def test_only_cached_partitions_decode_every_leaf(small_corpus, tmp_path):
     ds.persist()
     seen.clear()
     filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
-    assert ds.cache_state == "cached"
-    cached = [cs for _, _, blocks in seen for cs in blocks]
-    assert sum(cs.count for cs in cached) == 2000
-    # 6 event-level leaves, and offsets plus 5 fields for each of 5 collections
-    assert all(len(cs) == 6 + 5 * 6 for cs in cached)
+    assert ds.cache_state == "cached" and ds._leaves == MET_PT_NJETS
+    filled = [cs for _, _, blocks in seen for cs in blocks]
+    assert sum(cs.count for cs in filled) == 2000
+    cached = [cs for blocks in ds._cache.values() for cs in blocks]
+    assert all(cs.keys() == {("met", "pt"), ("jets",)} for cs in filled + cached)
+    assert (tmp_path / "a.ntu").read_bytes() == (tmp_path / "b.ntu").read_bytes()
+
+
+def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpus, tmp_path):
+    """The cache holds met.pt; a skim that also reads jets widens it, so it
+    is emptied and refilled at the union, in partition order, until the
+    budget stops it. The partitions that fit serve later skims within the
+    union, and every ntuple equals a cold one."""
+    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    wide = {("met", "pt"), ("jets", "pt")}  # the jets offsets come with their pt
+    sizes = cached_sizes(plan, wide)
+    assert sum(cached_sizes(plan, MET_PT)) < sum(sizes[:2]) < sum(sizes)
+    config = replace(config, cache_budget_bytes=sum(sizes[:2]) + sizes[2] // 2)
+
+    def skim(ds, name, projection, workers):
+        cut = typecheck_cut("met.pt > 100.0", ds.schema)
+        proj = typecheck_projection(projection, ds.schema)
+        t = PhaseTimers()
+        sink = NtuWriter(tmp_path / name, proj.columns, group_target=512)
+        filter_map_write(ds, cut, proj, sink=sink, workers=workers, timers=t)
+        return t
+
+    narrow, wider = [("met_pt", "met.pt")], [("ht", "sum(jets, it.pt)"), ("njets", "size(jets)")]
+    skim(plan, "cold-narrow.ntu", narrow, 1)
+    skim(plan, "cold-wide.ntu", wider, 1)
+    for workers in (1, 2, 7, 16):
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config).persist()
+        skim(ds, "narrow.ntu", narrow, workers)
+        assert ds.cache_state == "cached" and ds._leaves == MET_PT and not ds.warnings
+        t = skim(ds, "wide.ntu", wider, workers)
+        assert ds._leaves == wide and sorted(ds._cache) == [0, 1]
+        assert ds._cache_bytes == t.bytes_cached == sum(sizes[:2])
+        assert len(ds.warnings) == 1 and ds.cache_state == "cold"
+        keys = wide | {("jets",)}
+        assert all(cs.keys() == keys for blocks in ds._cache.values() for cs in blocks)
+        for name, projection in (("narrow.ntu", narrow), ("wide.ntu", wider)):
+            t = skim(ds, name, projection, workers)
+            assert t.cache_hits == 2 and t.bytes_cached == 0
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"cold-{name}").read_bytes()
 
 
 def test_map_reduce_compiled_value_equals_callable(small_corpus):

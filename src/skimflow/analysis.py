@@ -193,6 +193,12 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
             raise ConfigError(
                 f"{where}: histograms[{i}] must be {{'variable', 'nbins', 'lo', 'hi'}}"
             )
+        for edge in ("lo", "hi"):
+            if type(h[edge]) not in (int, float):
+                raise ConfigError(
+                    f"{where}: histograms[{i}]: {edge} must be an integer or a float,"
+                    f" not {h[edge]!r}"
+                )
         try:
             histograms.append(
                 HistogramSpec(str(h["variable"]), h["nbins"], float(h["lo"]), float(h["hi"]))

@@ -190,13 +190,22 @@ def _custom_ranges(files: Sequence[EvtIndex], custom) -> list[list[tuple[int, in
             key = str(f.path)
             if key not in custom:
                 raise InvalidCustomPlan(f"custom plan is missing file {key!r}")
-            ranges = [(int(lo), int(hi)) for lo, hi in custom[key]]
+            ranges = custom[key]
+            if not isinstance(ranges, list) or not all(_is_range(r) for r in ranges):
+                raise InvalidCustomPlan(
+                    f"{key}: custom block ranges must be a list of [lo, hi] integer pairs"
+                )
+            ranges = [tuple(r) for r in ranges]
             _check_coverage(ranges, len(f.blocks), key)
             out.append(ranges)
         return out
     raise InvalidCustomPlan(
         "partition.custom must be {'per_file': N} or a mapping of file path to block ranges"
     )
+
+
+def _is_range(r) -> bool:
+    return isinstance(r, list) and len(r) == 2 and all(type(b) is int for b in r)
 
 
 def _check_coverage(ranges: list[tuple[int, int]], n_blocks: int, path: str) -> None:

@@ -52,7 +52,11 @@ count x width, or walked without being built when their elements vary
 in width. Every payload byte is still walked, and an array count that
 would run past the payload is rejected before anything of that size is
 built. Since a schema has no record without fields, every element takes
-at least one byte, so that check bounds every count by the bytes left.
+at least one byte, so that check bounds every count by the bytes left;
+a block's event count is bounded likewise, by the fewest bytes an event
+takes. A codec of no leaves builds no columns but still walks and checks
+every event: `EventCodec.event_ends` takes event boundaries from such a
+walk.
 
 f32 values are rounded to single precision on write; round trips are exact
 only for values already representable in f32.
@@ -137,8 +141,21 @@ def _width(node: SchemaNode) -> int:
     return struct.calcsize("<" + _fixed_fmt(node))
 
 
+def _min_width(node: SchemaNode) -> int:
+    """The fewest bytes a value of `node` takes: an array takes its count's."""
+    if isinstance(node, Primitive):
+        return struct.calcsize("<" + _FMT[node.kind])
+    if isinstance(node, Array):
+        return 4
+    return sum(_min_width(child) for _, child in node.fields)
+
+
 def _overrun(n: int, need: int, left: int) -> ValueError:
     return ValueError(f"array of {n} elements needs {need} bytes, {left} left")
+
+
+def _short(count: int, need: int, left: int) -> ValueError:
+    return ValueError(f"{count} events need at least {need} bytes, {left} left")
 
 
 def _column_fields(node: SchemaNode, sel, path: tuple) -> tuple[str, list]:
@@ -198,6 +215,7 @@ class _CodecSource:
         self.lines: list[str] = []
         self.consts: dict[str, object] = {
             "U32": _U32.unpack_from, "pack_u32": _U32.pack, "overrun": _overrun,
+            "short": _short,
         }
         self.k = 0
         self.setup: list[str] = []  # decoding: the accumulators
@@ -205,15 +223,18 @@ class _CodecSource:
 
     @classmethod
     def column_decoder(cls, root: Record, sel) -> Callable:
-        """`decode(mv, count) -> (ColumnSet, off)`, which decodes `count`
-        events from the start of `mv` to columns."""
+        """`decode(mv, count, off) -> (ColumnSet, end)`, which decodes
+        `count` events from offset `off` of `mv` to columns, and returns
+        the offset after them."""
         gen = cls()
         gen.consts.update(array=array, accumulate=accumulate, ColumnSet=ColumnSet)
         gen.columns_record(root, sel, (), 2)
         columns = ", ".join(f"{key!r}: {src}" for key, src in gen.outs)
-        return gen.compile("decode", "mv, count", [
+        least = _min_width(root)
+        return gen.compile("decode", "mv, count, off", [
             "    size = len(mv)",
-            "    off = 0",
+            # bounds the loop when nothing in an event is read or checked
+            f"    if count * {least} > size - off: raise short(count, count * {least}, size - off)",
             *("    " + line for line in gen.setup),
             "    for _ in range(count):",
             *gen.lines,
@@ -407,14 +428,34 @@ class EventCodec:
         """Decode `count` events packed back-to-back to one `ColumnSet`;
         the payload must be consumed exactly."""
         mv = memoryview(payload)
+        columns, off = self._run(mv, count, 0)
+        _check_consumed(off, len(mv))
+        return columns
+
+    def event_ends(self, payload, count: int, marks: Iterable[int]) -> list[int]:
+        """The offset in `payload` after its first k events, for each k of
+        `marks` (ascending, none above `count`). The walk decodes and checks
+        all `count` events as `decode_block` does, so the payload must be
+        consumed exactly; a codec of no leaves builds no columns."""
+        mv = memoryview(payload)
+        ends = []
+        off = done = 0
+        for k in marks:
+            off = self._run(mv, k - done, off)[1]
+            ends.append(off)
+            done = k
+        _check_consumed(self._run(mv, count - done, off)[1], len(mv))
+        return ends
+
+    def _run(self, mv: memoryview, count: int, off: int) -> tuple[ColumnSet, int]:
         try:
-            columns, off = self._decode(mv, count)
+            return self._decode(mv, count, off)
         except Exception as exc:  # struct errors and overruns on malformed payloads
             raise TruncatedBlock(f"event data overruns block payload: {exc}") from exc
-        if off > len(mv):
-            raise TruncatedBlock(f"event data overruns block payload by {off - len(mv)} bytes")
-        if off != len(mv):
-            raise TruncatedBlock(
-                f"block payload has {len(mv) - off} undecoded trailing bytes"
-            )
-        return columns
+
+
+def _check_consumed(off: int, size: int) -> None:
+    if off > size:
+        raise TruncatedBlock(f"event data overruns block payload by {off - size} bytes")
+    if off != size:
+        raise TruncatedBlock(f"block payload has {size - off} undecoded trailing bytes")

@@ -14,7 +14,8 @@ Byte layout (all integers little-endian):
 The CRC and length always describe the payload as it sits on disk, so
 corruption is detected before any decompression is attempted. Writing is
 deterministic: the same events, schema, compression flag, and block target
-produce byte-identical files.
+produce byte-identical files. Conversion copies each event's stored bytes,
+checks every source block as a read does, and rebuilds blocks and CRCs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
@@ -91,20 +93,15 @@ class EvtIndex:
         return sum(b.payload_len for b in self.blocks)
 
 
-def write_evt(
-    path,
-    events: Iterable[dict],
-    schema: Schema,
-    *,
-    compress: bool = False,
-    block_target: int = DEFAULT_BLOCK_EVENTS,
+def _write_blocks(
+    path, schema: Schema, compress: bool, blocks: Iterable[tuple[int, bytearray]]
 ) -> WriteStats:
-    """Stream events into a new EVT file (written via a temp file and
-    renamed into place)."""
-    if block_target < 1:
-        raise ValueError("block_target must be >= 1")
+    """Write a new EVT file of `schema` from (event count, raw payload)
+    blocks, via a temp file renamed into place; the temp file is removed
+    on any error, one raised by `blocks` included. Each payload is written
+    before the next block is drawn, so `blocks` may yield one buffer that
+    it clears and refills, and no finished block is held meanwhile."""
     path = Path(path)
-    codec = EventCodec(schema)
     header = schema.to_json().encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     n_events = 0
@@ -116,37 +113,55 @@ def write_evt(
             f.write(_U32.pack(len(header)))
             f.write(header)
             f.write(bytes([FLAG_DEFLATE if compress else 0]))
-
-            buf = bytearray()
-            in_block = 0
-
-            def flush():
-                nonlocal in_block, n_blocks, payload_bytes
-                payload = bytes(buf)
+            for count, payload in blocks:
                 if compress:
                     payload = _deflate(payload)
-                f.write(_BLOCK_HDR.pack(in_block, len(payload)))
+                f.write(_BLOCK_HDR.pack(count, len(payload)))
                 f.write(payload)
                 f.write(_U32.pack(zlib.crc32(payload)))
-                payload_bytes += len(payload)
+                n_events += count
                 n_blocks += 1
-                buf.clear()
-                in_block = 0
-
-            for event in events:
-                codec.encode_into(buf, event)
-                in_block += 1
-                n_events += 1
-                if in_block >= block_target:
-                    flush()
-            if in_block:
-                flush()
+                payload_bytes += len(payload)
             file_bytes = f.tell()
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return WriteStats(path, n_events, n_blocks, file_bytes, payload_bytes)
+
+
+def _check_block_target(block_target: int) -> None:
+    if block_target < 1:
+        raise ValueError("block_target must be >= 1")
+
+
+def write_evt(
+    path,
+    events: Iterable[dict],
+    schema: Schema,
+    *,
+    compress: bool = False,
+    block_target: int = DEFAULT_BLOCK_EVENTS,
+) -> WriteStats:
+    """Stream events into a new EVT file (written via a temp file and
+    renamed into place), `block_target` events to a block."""
+    _check_block_target(block_target)
+    codec = EventCodec(schema)
+
+    def blocks():
+        buf = bytearray()
+        held = 0
+        for event in events:
+            codec.encode_into(buf, event)
+            held += 1
+            if held == block_target:
+                yield held, buf
+                buf.clear()
+                held = 0
+        if held:
+            yield held, buf
+
+    return _write_blocks(path, schema, compress, blocks())
 
 
 def _read_header(f, path) -> tuple[Schema, str, int]:
@@ -207,35 +222,39 @@ def scan_evt(path, timers: PhaseTimers | None = None) -> EvtIndex:
     return EvtIndex(path, schema, text, bool(flags & FLAG_DEFLATE), tuple(blocks), file_size)
 
 
-def _decode_stored_block(
-    data: bytes,
-    block: BlockInfo,
-    index: int,
-    codec: EventCodec,
-    compressed: bool,
-    path,
-    timers: PhaseTimers,
-) -> ColumnSet:
-    """`data` holds payload + CRC for one block, as read from disk."""
+def _stored_blocks(
+    index: EvtIndex, lo: int, hi: int, timers: PhaseTimers
+) -> Iterator[tuple[int, bytes]]:
+    """(block number, payload + CRC as read from disk) for blocks [lo, hi),
+    one block in memory at a time."""
+    with open(index.path, "rb") as f:
+        for i in range(lo, hi):
+            block = index.blocks[i]
+            f.seek(block.offset + 8)
+            t0 = time.perf_counter()
+            data = f.read(block.payload_len + 4)
+            timers.read += time.perf_counter() - t0
+            timers.bytes_read += len(data)
+            yield i, data
+
+
+def _verified_payload(data: bytes, index: EvtIndex, i: int) -> bytes:
+    """The payload of block `i` from `data` (payload + CRC as read from
+    disk), inflated if the file is compressed, after its length and CRC
+    are checked."""
+    block = index.blocks[i]
     if len(data) < block.payload_len + 4:
-        raise TruncatedBlock(f"{path}: block {index}: truncated payload")
-    t0 = time.perf_counter()
+        raise TruncatedBlock(f"{index.path}: block {i}: truncated payload")
     payload = data[: block.payload_len]
     (crc_stored,) = _U32.unpack_from(data, block.payload_len)
     if zlib.crc32(payload) != crc_stored:
-        raise CrcMismatch(f"{path}: block {index}: CRC mismatch")
-    if compressed:
+        raise CrcMismatch(f"{index.path}: block {i}: CRC mismatch")
+    if index.compressed:
         try:
             payload = _inflate(payload)
         except zlib.error as exc:
-            raise TruncatedBlock(f"{path}: block {index}: bad deflate stream: {exc}") from exc
-    try:
-        columns = codec.decode_block(payload, block.n_events)
-    except TruncatedBlock as exc:
-        raise TruncatedBlock(f"{path}: block {index}: {exc}") from exc
-    timers.decode += time.perf_counter() - t0
-    timers.bytes_decoded += len(payload)
-    return columns
+            raise TruncatedBlock(f"{index.path}: block {i}: bad deflate stream: {exc}") from exc
+    return payload
 
 
 def iter_block_range(
@@ -257,17 +276,31 @@ def iter_block_range(
     timers = timers or PhaseTimers()
     if codec is None:
         codec = EventCodec(index.schema)
-    with open(index.path, "rb") as f:
-        for i in range(lo, hi):
-            block = index.blocks[i]
-            f.seek(block.offset + 8)
-            t0 = time.perf_counter()
-            data = f.read(block.payload_len + 4)
-            timers.read += time.perf_counter() - t0
-            timers.bytes_read += len(data)
-            yield _decode_stored_block(
-                data, block, i, codec, index.compressed, index.path, timers
-            )
+    for i, data in _stored_blocks(index, lo, hi, timers):
+        yield _decode_stored_block(data, index, i, codec, timers)
+
+
+def _decode_stored_block(
+    data: bytes, index: EvtIndex, i: int, codec: EventCodec, timers: PhaseTimers
+) -> ColumnSet:
+    """`data` holds payload + CRC for block `i`, as read from disk. The
+    payload is not held past the decode."""
+    t0 = time.perf_counter()
+    payload = _verified_payload(data, index, i)
+    with _in_block(index, i):
+        columns = codec.decode_block(payload, index.blocks[i].n_events)
+    timers.decode += time.perf_counter() - t0
+    timers.bytes_decoded += len(payload)
+    return columns
+
+
+@contextmanager
+def _in_block(index: EvtIndex, i: int):
+    """Name the file and block in a TruncatedBlock raised by the codec."""
+    try:
+        yield
+    except TruncatedBlock as exc:
+        raise TruncatedBlock(f"{index.path}: block {i}: {exc}") from exc
 
 
 def _values(node: SchemaNode, cs: ColumnSet, path: tuple) -> list:
@@ -301,18 +334,56 @@ def convert_evt(
     compress: bool,
     block_target: int = DEFAULT_BLOCK_EVENTS,
 ) -> WriteStats:
-    """Re-encode an EVT file with the requested compression flag. Decoded
-    content is preserved; blocks and CRCs are rebuilt."""
-    schema, events = read_evt(src)
-    return write_evt(dst, events, schema, compress=compress, block_target=block_target)
+    """Rewrite an EVT file with the requested compression flag and
+    `block_target` events to a block, copying each event's stored bytes.
+
+    Every source block is checked as a read checks it: its length, CRC and
+    deflate stream, then a walk of its events by a codec of no leaves,
+    which builds no columns but rejects what a full decode rejects. Blocks
+    and CRCs are rebuilt, and the header is the schema's canonical JSON, as
+    `write_evt` writes it. So the output is byte-identical to `write_evt`
+    of `read_evt`'s events, except that stored bytes are copied as they
+    are, where decoding and encoding again would rewrite a few: a bool
+    stored as a byte other than 0 or 1 (read as True, encoded as 1), and
+    an f32 signalling NaN (quieted by the conversion to a Python float).
+    """
+    index = scan_evt(src)
+    _check_block_target(block_target)
+    walker = EventCodec(index.schema, ())
+
+    def blocks():
+        buf = bytearray()
+        held = 0  # events in buf, fewer than block_target
+        for i, data in _stored_blocks(index, 0, len(index.blocks), PhaseTimers()):
+            payload = memoryview(_verified_payload(data, index, i))
+            n = index.blocks[i].n_events
+            # the events of this block after which an output block is full
+            marks = range(block_target - held, n + 1, block_target)
+            with _in_block(index, i):
+                ends = walker.event_ends(payload, n, marks)
+            start = 0
+            for end in ends:
+                buf += payload[start:end]
+                yield block_target, buf
+                buf.clear()
+                start = end
+            buf += payload[start:]
+            held = (held + n) % block_target
+        if held:
+            yield held, buf
+
+    return _write_blocks(dst, index.schema, compress, blocks())
 
 
 def inspect_evt(path) -> dict:
-    """Full-decode summary used by the CLI: decodes every block to columns,
-    validating its CRC, and counts the events decoded."""
+    """Summary used by the CLI. Every block is checked as a read checks it,
+    its events walked without building columns; `events` counts the events
+    walked and `decoded_bytes` the payload bytes after inflation."""
     index = scan_evt(path)
     timers = PhaseTimers()
-    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
+    blocks = iter_block_range(
+        index, 0, len(index.blocks), timers=timers, codec=EventCodec(index.schema, ())
+    )
     decoded = sum(cs.count for cs in blocks)
     counts = [b.n_events for b in index.blocks]
     return {

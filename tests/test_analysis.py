@@ -510,6 +510,9 @@ def test_config_defaults():
     {"histograms": [{"variable": "met_pt", "nbins": 2.5, "lo": 0, "hi": 500}]},
     {"histograms": [{"variable": "met_pt", "nbins": True, "lo": 0, "hi": 500}]},
     {"luminosity_invpb": True}, {"luminosity_invpb": "1000"},
+    {"histograms": [{"variable": "met_pt", "nbins": 2, "lo": "0", "hi": 500}]},
+    {"histograms": [{"variable": "met_pt", "nbins": 2, "lo": 0, "hi": True}]},
+    {"histograms": [{"variable": "met_pt", "nbins": 2, "lo": None, "hi": 500}]},
 ])
 def test_config_values_of_the_wrong_json_type_rejected(overrides):
     with pytest.raises(ConfigError, match="integer|true or false|> 0"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import zlib
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_inspect_truncated_file_names_block(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "f.evt")]) == 2
     err = capsys.readouterr().err
     assert "block 0" in err
+
+
+def test_inspect_of_an_overrunning_count_under_a_valid_crc_names_block(tmp_path, capsys):
+    path = tmp_path / "f.evt"
+    assert main(["gen", "--out", str(path), "--events", "300", "--seed", "3",
+                 "--block-events", "100"]) == 0
+    block = scan_evt(path).blocks[1]
+    raw = bytearray(path.read_bytes())
+    start = block.offset + 8
+    # the muon count of the block's first event, after run, lumi, event, weight and met
+    raw[start + 48:start + 52] = (2**32 - 1).to_bytes(4, "little")
+    end = start + block.payload_len
+    raw[end:end + 4] = zlib.crc32(raw[start:end]).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    assert main(["inspect", str(path)]) == 2
+    assert "block 1" in capsys.readouterr().err
 
 
 def test_inspect_bad_magic(tmp_path, capsys):

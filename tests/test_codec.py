@@ -19,7 +19,9 @@ from skimflow.errors import DataError, SchemaError, TruncatedBlock
 from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import EventCodec, evt, iter_block_range, read_evt, scan_evt, write_evt
+from skimflow.storage import (
+    EventCodec, convert_evt, evt, iter_block_range, read_evt, scan_evt, write_evt,
+)
 from skimflow.storage.codec import leaf_set
 from skimflow.storage.ntu import KIND_INFO
 
@@ -198,6 +200,38 @@ def test_column_decode_equals_reference_layout(case):
                 codec.decode_block(payload[:-1], len(events))
 
 
+@given(case=hostile_schema_events_leaves(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_event_ends_are_the_encoded_event_boundaries(case, data):
+    """A codec of no leaves builds no columns, and its walk finds where
+    each event ends and rejects a payload one byte longer or shorter."""
+    schema, events, _ = case
+    codec, walker = EventCodec(schema), EventCodec(schema, ())
+    sizes = [len(codec.encode(ev)) for ev in events]
+    payload = b"".join(codec.encode(ev) for ev in events)
+    assert walker.decode_block(payload, len(events)) == {}
+    marks = sorted(data.draw(st.sets(st.integers(0, len(events)))))
+    assert walker.event_ends(payload, len(events), marks) == [sum(sizes[:k]) for k in marks]
+    with pytest.raises(TruncatedBlock):
+        walker.event_ends(payload + b"\x00", len(events), marks)
+    if payload:
+        with pytest.raises(TruncatedBlock):
+            walker.event_ends(payload[:-1], len(events), marks)
+
+
+def test_a_count_of_events_past_the_payload_raises_at_once():
+    """Without leaves, an event of fixed-width fields is a pad skip; the
+    block's count is still bounded by the fewest bytes an event takes."""
+    schema = Schema.from_json('{"record":[["x","f64"],["ok","bool"]]}')
+    t0 = time.perf_counter()
+    for leaves in ((), None):
+        with pytest.raises(TruncatedBlock, match="events need at least"):
+            EventCodec(schema, leaves).decode_block(b"\x00" * 9, 2**32 - 1)
+        with pytest.raises(TruncatedBlock, match="events need at least"):
+            EventCodec(schema, leaves).event_ends(b"\x00" * 9, 2**32 - 1, [1])
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_default_skim_leaves_decode(schema):
     ev = make_event(
         weight=-1.0, met_pt=200.0, met_phi=0.5,
@@ -248,6 +282,8 @@ TRACKS = Schema(Record((
     ("tracks", {("x",)}, "tracks"),  # skipped, variable-width elements
     ("tracks", {("tracks",)}, "tracks"),  # size only, variable-width elements
     ("tracks", None, "tracks"),  # read, variable-width elements
+    ("analysis", (), "jets"),  # no leaves, fixed-width elements
+    ("tracks", (), "tracks"),  # no leaves, variable-width elements
 ])
 def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_name, leaves,
                                                     collection):
@@ -343,15 +379,21 @@ def event_count(path) -> int:
     return len(events)
 
 
-def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
-    """Store `stored` as one block of `n_events` events with its CRC, as
-    `write_evt` does. Every outcome, with each codec, is one column set of
-    `n_events` events or a DataError, and so is `read_evt`'s, as
-    `n_events` event dicts, each in bounded memory and time."""
+def store_block(path, schema, stored, n_events, compress):
+    """An EVT file of one block of `n_events` events stored as `stored`,
+    with its CRC, as `write_evt` writes it."""
     write_evt(path, [], schema, compress=compress)
     with open(path, "ab") as f:
         f.write(evt._BLOCK_HDR.pack(n_events, len(stored)) + stored
                 + evt._U32.pack(zlib.crc32(stored)))
+
+
+def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
+    """Store `stored` as one block of `n_events` events. Every outcome,
+    with each codec, is one column set of `n_events` events or a
+    DataError, and so is `read_evt`'s, as `n_events` event dicts, each in
+    bounded memory and time."""
+    store_block(path, schema, stored, n_events, compress)
     index = scan_evt(path)
     reads = [partial(column_count, index, codec) for codec in codecs]
     for read in reads + [partial(event_count, path)]:
@@ -376,10 +418,10 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
 @settings(max_examples=300, deadline=None)
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
                                                         mutations):
-    """Mutated analysis-schema blocks, with the full and a pruned codec,
-    and through `read_evt`."""
+    """Mutated analysis-schema blocks, with the full, a pruned and a
+    leaf-free codec, and through `read_evt`."""
     stored = store_mutated(FUZZ_PAYLOAD, mutations, compress, mutate_stored)
-    codecs = [EventCodec(FUZZ_SCHEMA, leaves) for leaves in (None, DEFAULT_LEAVES)]
+    codecs = [EventCodec(FUZZ_SCHEMA, leaves) for leaves in (None, DEFAULT_LEAVES, ())]
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", FUZZ_SCHEMA, stored, 8, compress, codecs)
 
 
@@ -394,8 +436,8 @@ def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, muta
 def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress,
                                                mutate_stored, mutations):
     """Mutated blocks of random schemas, half of them with hostile field
-    names, with the full codec and one pruned to a random leaf set, and
-    through `read_evt`."""
+    names, with the full codec, one pruned to a random leaf set and one of
+    no leaves, and through `read_evt`."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     if renamed:
@@ -405,7 +447,53 @@ def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress
     payload = b"".join(full.encode(ev) for ev in events)
     paths = leaf_paths(schema.root)
     leaves = rng.sample(paths, rng.randint(0, len(paths)))
-    codecs = [full, EventCodec(schema, leaves)]
+    codecs = [full, EventCodec(schema, leaves), EventCodec(schema, ())]
     stored = store_mutated(payload, mutations, compress, mutate_stored)
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", schema, stored, len(events), compress,
                              codecs)
+
+
+def raw_payloads(path) -> bytes:
+    """Every block's payload, inflated as a read inflates it, back to back."""
+    index = scan_evt(path)
+    data = path.read_bytes()
+    stored = [data[b.offset + 8:b.offset + 8 + b.payload_len] for b in index.blocks]
+    return b"".join(evt._inflate(s) if index.compressed else s for s in stored)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    compress=st.booleans(),
+    mutate_stored=st.booleans(),
+    mutations=st.lists(_mutation, min_size=1, max_size=4),
+    block_target=st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_convert_of_a_malformed_payload_fails_as_read_evt_does(fuzz_dir, seed, compress,
+                                                               mutate_stored, mutations,
+                                                               block_target):
+    """Over random schemas: where `read_evt` raises, conversion raises the
+    same error and leaves no file; where it reads, conversion copies the
+    event bytes into blocks that read back."""
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    events = random_events(rng, schema, rng.randint(1, 6))
+    payload = b"".join(EventCodec(schema).encode(ev) for ev in events)
+    src, dst = fuzz_dir / "src.evt", fuzz_dir / "dst.evt"
+    store_block(src, schema, store_mutated(payload, mutations, compress, mutate_stored),
+                len(events), compress)
+    try:
+        event_count(src)
+        read_error = None
+    except DataError as exc:
+        read_error = type(exc)
+    dst.unlink(missing_ok=True)
+    try:
+        convert_evt(src, dst, compress=not compress, block_target=block_target)
+    except DataError as exc:
+        assert type(exc) is read_error
+        assert not dst.exists() and not (fuzz_dir / "dst.evt.tmp").exists()
+    else:
+        assert read_error is None
+        assert event_count(dst) == len(events)
+        assert raw_payloads(dst) == raw_payloads(src)

@@ -145,6 +145,13 @@ def test_custom_plan_overlap_rejected():
     ({"/a.evt": [[0, 2], [2, 2], [2, 4]]}, r"empty range \[2, 2\)"),
     ({"/a.evt": [[0, 3]]}, "covers 3 of 4 blocks"),
     ({"per_file": True}, "per_file must be a positive integer"),
+    ({"/a.evt": [[0, 2.5], [2, 4]]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": [["0", "4"]]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": [[False, True], [1, 4]]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": [[0, 4, 9]]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": [[0]]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": [(0, 4)]}, r"list of \[lo, hi\] integer pairs"),
+    ({"/a.evt": 4}, r"list of \[lo, hi\] integer pairs"),
 ])
 def test_custom_plan_malformed_rejected(custom, message):
     files = [fake_index("/a.evt", [10] * 4)]

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skimflow.cli import main
-from skimflow.errors import BadMagic, CorruptHeader, CrcMismatch, SchemaViolation, TruncatedBlock
+from skimflow.errors import (
+    BadMagic, CorruptHeader, CrcMismatch, DataError, SchemaViolation, TruncatedBlock,
+)
 from skimflow.events import make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
-from skimflow.storage import convert_evt, iter_block_range, read_evt, scan_evt, write_evt
+from skimflow.schema import Schema
+from skimflow.storage import (
+    EventCodec, convert_evt, evt, iter_block_range, read_evt, scan_evt, write_evt,
+)
 from skimflow.timing import PhaseTimers
 
 from randgen import HAND_BUILT, random_events, random_schema
@@ -250,3 +255,169 @@ def test_random_schema_round_trip(tmp_path_factory, case, compress, block_target
     got = list(got)
     assert got == events
     assert_same_types(got, events)
+
+
+# -- convert --------------------------------------------------------------------------
+
+
+def append_blocks(path, blocks, compress):
+    """Append (event count, raw payload) blocks to an EVT file, each stored
+    as `write_evt` stores it, under a valid CRC."""
+    with open(path, "ab") as f:
+        for n, payload in blocks:
+            stored = evt._deflate(payload) if compress else payload
+            f.write(evt._BLOCK_HDR.pack(n, len(stored)) + stored
+                    + evt._U32.pack(zlib.crc32(stored)))
+
+
+def written(path, events, schema, compress, block_target):
+    write_evt(path, events, schema, compress=compress, block_target=block_target)
+    return path.read_bytes()
+
+
+def assert_converts_like_write_of_read(tmp_path, src, compress, block_target):
+    schema, events = read_evt(src)
+    want = written(tmp_path / "want.evt", events, schema, compress, block_target)
+    dst = tmp_path / "dst.evt"
+    stats = convert_evt(src, dst, compress=compress, block_target=block_target)
+    assert dst.read_bytes() == want
+    index = scan_evt(dst)
+    assert (stats.n_events, stats.n_blocks, stats.file_bytes, stats.payload_bytes) == (
+        index.n_events, len(index.blocks), len(want), index.payload_bytes)
+    assert not (tmp_path / "dst.evt.tmp").exists()
+
+
+@pytest.mark.parametrize("src_compress, compress", [
+    (False, True), (True, False), (False, False), (True, True),
+])
+@pytest.mark.parametrize("block_target", [1, 7, 200, 4096, 10_000])
+def test_convert_writes_what_write_evt_writes_of_read_evt(tmp_path, schema, src_compress,
+                                                          compress, block_target):
+    """Source blocks of 333 events, so output blocks cut across them."""
+    events = list(generate_events(GeneratorSpec(seed=9, n_events=1500)))
+    src = tmp_path / "src.evt"
+    write_evt(src, events, schema, compress=src_compress, block_target=333)
+    assert_converts_like_write_of_read(tmp_path, src, compress, block_target)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_convert_of_no_blocks_and_of_a_block_of_no_events(tmp_path, schema, compress):
+    src = tmp_path / "src.evt"
+    write_evt(src, [], schema, compress=compress)
+    assert_converts_like_write_of_read(tmp_path, src, not compress, 3)
+    codec = EventCodec(schema)
+    events = list(generate_events(GeneratorSpec(seed=9, n_events=5)))
+    payload = b"".join(codec.encode(ev) for ev in events)
+    append_blocks(src, [(0, b""), (5, payload), (0, b"")], compress)
+    assert_converts_like_write_of_read(tmp_path, src, not compress, 3)
+    assert read_all(tmp_path / "dst.evt") == events
+
+
+@given(case=schema_and_events(), src_target=st.integers(1, 4), block_target=st.integers(1, 5),
+       src_compress=st.booleans(), compress=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_random_schema_convert(tmp_path_factory, case, src_target, block_target,
+                               src_compress, compress):
+    schema, events = case
+    tmp = tmp_path_factory.mktemp("convert")
+    src = tmp / "src.evt"
+    write_evt(src, events, schema, compress=src_compress, block_target=src_target)
+    assert_converts_like_write_of_read(tmp, src, compress, block_target)
+
+
+def _corrupt_stored_byte(path, block):
+    raw = bytearray(path.read_bytes())
+    info = scan_evt(path).blocks[block]
+    raw[info.offset + 8 + info.payload_len // 2] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def _malformed(kind, path, schema, compress):
+    """An EVT file of three 100-event blocks whose block 1 is malformed
+    as `kind` says; every CRC is valid except a mismatch's."""
+    codec = EventCodec(schema)
+    events = list(generate_events(GeneratorSpec(seed=5, n_events=300)))
+    payloads = [b"".join(codec.encode(ev) for ev in events[i:i + 100]) for i in (0, 100, 200)]
+    bad = payloads[1]
+    if kind == "truncated-payload":
+        bad = bad[:-3]
+    elif kind == "count-overrun":
+        # the muon count of the first event, after run, lumi, event, weight and met
+        bad = bad[:48] + (2**32 - 1).to_bytes(4, "little") + bad[52:]
+    elif kind == "trailing-bytes":
+        bad = bad + b"\x00"
+    write_evt(path, [], schema, compress=compress)
+    append_blocks(path, [(100, payloads[0]), (100, bad), (100, payloads[2])], compress)
+    if kind == "crc-mismatch":
+        _corrupt_stored_byte(path, 1)
+    elif kind == "bad-deflate":
+        info = scan_evt(path).blocks[1]
+        raw = path.read_bytes()
+        junk = b"\xff" * info.payload_len
+        start = info.offset + 8
+        path.write_bytes(raw[:start] + junk + evt._U32.pack(zlib.crc32(junk))
+                         + raw[start + info.payload_len + 4:])
+
+
+@pytest.mark.parametrize("kind, compress", [
+    ("truncated-payload", False), ("truncated-payload", True),
+    ("crc-mismatch", False), ("crc-mismatch", True),
+    ("bad-deflate", True),
+    ("count-overrun", False), ("count-overrun", True),
+    ("trailing-bytes", False), ("trailing-bytes", True),
+])
+def test_convert_rejects_what_read_evt_rejects_and_leaves_no_file(tmp_path, schema, kind,
+                                                                  compress):
+    src = tmp_path / "src.evt"
+    _malformed(kind, src, schema, compress)
+    with pytest.raises(DataError, match="block 1") as read_error:
+        read_all(src)
+    dst = tmp_path / "dst.evt"
+    # a small block target, so block 0's events are written before block 1 fails
+    with pytest.raises(type(read_error.value), match="block 1"):
+        convert_evt(src, dst, compress=not compress, block_target=50)
+    assert not dst.exists()
+    assert not (tmp_path / "dst.evt.tmp").exists()
+
+
+def test_convert_of_a_truncated_file_leaves_no_file(tmp_path, schema):
+    src = tmp_path / "src.evt"
+    write_evt(src, list(generate_events(GeneratorSpec(seed=5, n_events=100))), schema)
+    src.write_bytes(src.read_bytes()[:-7])
+    with pytest.raises(TruncatedBlock, match="block 0"):
+        convert_evt(src, tmp_path / "dst.evt", compress=True)
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_convert_never_encodes(tmp_path, schema, monkeypatch):
+    events = list(generate_events(GeneratorSpec(seed=9, n_events=500)))
+    src = tmp_path / "src.evt"
+    write_evt(src, events, schema, block_target=128)
+    want = written(tmp_path / "want.evt", events, schema, True, 100)
+
+    def refuse(self, buf, event):
+        raise AssertionError("convert_evt encoded an event")
+
+    monkeypatch.setattr(EventCodec, "encode_into", refuse)
+    convert_evt(src, tmp_path / "dst.evt", compress=True, block_target=100)
+    assert (tmp_path / "dst.evt").read_bytes() == want
+
+
+def test_convert_copies_stored_bytes_as_they_are(tmp_path):
+    """A bool stored as 2 reads as True; conversion keeps the 2, where
+    encoding the event read back would store 1."""
+    schema = Schema.from_json('{"record":[["flag","bool"],["x","f64"]]}')
+    codec = EventCodec(schema)
+    events = [{"flag": True, "x": 1.5}, {"flag": False, "x": -2.0}]
+    payload = bytearray(b"".join(codec.encode(ev) for ev in events))
+    assert payload[0] == 1
+    payload[0] = 2
+    src = tmp_path / "src.evt"
+    write_evt(src, [], schema)
+    append_blocks(src, [(2, bytes(payload))], False)
+    packed = tmp_path / "packed.evt"
+    convert_evt(src, packed, compress=True)
+    assert read_all(packed) == read_all(src) == events
+    back = tmp_path / "back.evt"
+    convert_evt(packed, back, compress=False)
+    assert back.read_bytes() == src.read_bytes()

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,6 @@ from .schema import Schema
 from .storage import NtuWriter, read_ntu
 from .storage.flatten import flatten_paths
 from .storage.ntu import DEFAULT_GROUP_ROWS
-from .timing import PhaseTimers
 
 DEFAULT_SELECTION = (
     "met.pt > 150.0 and size(muons) == 0 and size(electrons) == 0 "
@@ -251,12 +251,7 @@ def _validate_expression_syntax(config: AnalysisConfig, where: str) -> None:
 # -- weights -----------------------------------------------------------------------
 
 
-def sum_of_weights(
-    ds: PartitionedDataset,
-    *,
-    workers: int | None = None,
-    timers: PhaseTimers | None = None,
-) -> float:
+def sum_of_weights(ds: PartitionedDataset) -> float:
     """Sum of generator weights over a full mc dataset, in a traversal of
     its own that decodes only `genInfo.weight`, and the cache's leaves
     while it fills a persisted dataset's cache; `run_skim` gets the same
@@ -266,7 +261,7 @@ def sum_of_weights(
             f"dataset {ds.descriptor.label!r} is kind {ds.descriptor.kind!r}; "
             "sum of weights is defined for mc only"
         )
-    return map_reduce(ds, typecheck_value(GEN_WEIGHT, ds.schema), workers=workers, timers=timers)
+    return map_reduce(ds, typecheck_value(GEN_WEIGHT, ds.schema))
 
 
 def normalize_weight(
@@ -305,15 +300,7 @@ def resolve_projection(config: AnalysisConfig, schema: Schema) -> tuple[tuple[st
     return tuple(flatten_paths(schema))
 
 
-def run_skim(
-    config: AnalysisConfig,
-    ds: PartitionedDataset,
-    out_path,
-    *,
-    workers: int | None = None,
-    timers: PhaseTimers | None = None,
-    persist: bool | None = None,
-) -> SkimResult:
+def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimResult:
     """Run the full skim/slim for one dataset and write its ntuple.
 
     Both kinds make one traversal. mc sums the generator weights of every
@@ -321,9 +308,12 @@ def run_skim(
     each partition's weight column in one pass; data rows carry unit
     weights. The weight is the compiled `genInfo.weight`, so the engine
     learns every leaf the skim reads from the cut, the projection and the
-    weight. `persist` overrides the config's choice of keeping an mc
-    dataset's decoded columns in memory for later traversals.
+    weight. `config.persist` chooses whether an mc dataset keeps its
+    decoded columns in memory for later traversals. The time to type-check
+    the expressions adds to the dataset's compute phase and the time to
+    open the writer to its write phase.
     """
+    t0 = time.perf_counter()
     descriptor = ds.descriptor
     schema = ds.schema
     cut = typecheck_cut(config.selection, schema)
@@ -331,9 +321,8 @@ def run_skim(
     if any(name == WEIGHT_COLUMN for name, _ in user_columns):
         raise ConfigError(f"projection: column name {WEIGHT_COLUMN!r} is reserved")
 
-    do_persist = config.persist if persist is None else persist
     if descriptor.kind == "mc":
-        if do_persist:
+        if config.persist:
             ds.persist()
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, GEN_WEIGHT)], schema
@@ -362,10 +351,12 @@ def run_skim(
         )
         weight = finalize = None
 
+    t1 = time.perf_counter()
     sink = NtuWriter(out_path, projection.columns, group_target=config.ntu_group_rows)
+    ds.phases.compute += t1 - t0
+    ds.phases.write += time.perf_counter() - t1
     n_out, sumw = filter_map_write(
-        ds, cut, projection, sink=sink, weight=weight, finalize=finalize,
-        workers=workers, timers=timers,
+        ds, cut, projection, sink=sink, weight=weight, finalize=finalize
     )
     return SkimResult(
         label=descriptor.label,

@@ -7,10 +7,15 @@ non-overlapping phases:
 
     read     raw storage reads
     decode   CRC checks, decompression, deserialization to columns
-    compute  compiling and running the skim loop (cut, projection and
-             weight sum) and weight normalization
-    write    writing each partition's column arrays into the ntuple's row
-             groups, and freeing them once written
+    compute  type-checking the expressions, compiling and running the
+             skim loop (cut, projection and weight sum) and weight
+             normalization
+    write    opening the ntuple, writing each partition's column arrays
+             into its row groups, and freeing them once written
+
+The harness reads the phases from the dataset, which owns them
+(`PartitionedDataset.phases`): an uncached repetition opens a dataset,
+scan included, and a cached cell resets its one dataset's before each.
 
 `read_compute` (read + decode + compute) is also reported so runs can be
 compared against harnesses that cannot separate decoding from reading.
@@ -189,9 +194,12 @@ def run_benchmark(
     descriptor = replace(descriptor, glob=variant_glob)
     out_path = workdir / f"{descriptor.label}-bench.ntu"
 
+    engine = replace(config.engine, workers=cell.workers)
+    # a cached cell persists its dataset here; the skims themselves never ask to
+    one_off = replace(config, persist=False)
     shared_ds = None
     if cell.cached:
-        shared_ds = open_dataset(descriptor, config.engine)
+        shared_ds = open_dataset(descriptor, engine)
         shared_ds.persist()
 
     samples: list[PhaseSample] = []
@@ -201,20 +209,17 @@ def run_benchmark(
     for rep in range(repetitions + 1):  # rep 0 is the discarded warm-up
         if shared_ds is not None:
             ds = shared_ds
-            timers = PhaseTimers()
+            ds.phases = PhaseTimers()
             t0 = time.perf_counter()
         else:
-            timers = PhaseTimers()
             t0 = time.perf_counter()
-            ds = open_dataset(descriptor, config.engine, timers=timers)
-        result = run_skim(
-            config, ds, out_path, workers=cell.workers, timers=timers, persist=False
-        )
+            ds = open_dataset(descriptor, engine)
+        result = run_skim(one_off, ds, out_path)
         total = time.perf_counter() - t0
         warnings += [w for w in ds.warnings if w not in warnings]
         if corpus is None:
             corpus = (len(ds.files), ds.n_events, ds.n_bytes)
-        sample = PhaseSample(**timers.as_dict(), total_s=total, rows_out=result.n_output)
+        sample = PhaseSample(**ds.phases.as_dict(), total_s=total, rows_out=result.n_output)
         sha = _sha256_file(out_path)
         if output_sha is None:
             output_sha = sha

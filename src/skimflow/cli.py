@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, canonical
@@ -27,7 +28,7 @@ from .analysis import (
     sum_of_weights,
 )
 from .bench import BenchCell, benchmark_matrix, compare_reports, reports_to_csv, reports_to_json
-from .engine import open_dataset
+from .engine import EngineConfig, open_dataset
 from .errors import BadMagic, KindMismatch, SkimflowError, UsageError
 from .generator import GeneratorSpec, generate_corpus, generate_evt
 from .storage import convert_evt, inspect_evt, inspect_ntu
@@ -53,6 +54,12 @@ def _out_dir(args) -> Path:
 
 def _ntu_path(out_dir: Path, label: str) -> Path:
     return out_dir / f"{_sanitize(label)}.ntu"
+
+
+def _engine(config: AnalysisConfig, args) -> EngineConfig:
+    """The config's engine settings, with `--workers` when it is given."""
+    workers = config.engine.workers if args.workers is None else args.workers
+    return replace(config.engine, workers=workers)
 
 
 def _select_datasets(config: AnalysisConfig, label: str | None):
@@ -134,8 +141,7 @@ def cmd_sum_weights(args) -> int:
             raise KindMismatch("config has no mc datasets; sum of weights is defined for mc only")
     results = {}
     for descriptor in targets:
-        ds = open_dataset(descriptor, config.engine)
-        value = sum_of_weights(ds, workers=args.workers)
+        value = sum_of_weights(open_dataset(descriptor, _engine(config, args)))
         results[descriptor.label] = value
         print(f"{descriptor.label}: sum_of_weights = {value!r}")
     path = out_dir / "sum_of_weights.json"
@@ -146,12 +152,12 @@ def cmd_sum_weights(args) -> int:
 def cmd_skim(args) -> int:
     config = load_config(args.config)
     out_dir = _out_dir(args)
+    engine = _engine(config, args)
+    # each opened dataset is skimmed once, so caching its events gains nothing
+    one_off = replace(config, persist=False)
     for descriptor in _select_datasets(config, args.dataset):
-        ds = open_dataset(descriptor, config.engine)
-        # each opened dataset is skimmed once, so caching its events gains nothing
-        result = run_skim(
-            config, ds, _ntu_path(out_dir, descriptor.label), workers=args.workers, persist=False
-        )
+        ds = open_dataset(descriptor, engine)
+        result = run_skim(one_off, ds, _ntu_path(out_dir, descriptor.label))
         for warning in ds.warnings:
             print(f"warning: {descriptor.label}: {warning}", file=sys.stderr)
         print(
@@ -294,17 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_inspect)
 
-    for name, func, extra in (
-        ("sum-weights", cmd_sum_weights, True),
-        ("skim", cmd_skim, True),
-        ("hist", cmd_hist, True),
-        ("plot-data", cmd_plot_data, False),
+    # --workers where the subcommand reads events; --dataset where it takes one
+    for name, func, reads_events, one_dataset in (
+        ("sum-weights", cmd_sum_weights, True, True),
+        ("skim", cmd_skim, True, True),
+        ("hist", cmd_hist, False, True),
+        ("plot-data", cmd_plot_data, False, False),
     ):
         p = sub.add_parser(name, help=f"run the {name} step from a config file")
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default="out")
-        p.add_argument("--workers", type=int, default=None)
-        if extra:
+        if reads_events:
+            p.add_argument("--workers", type=int, default=None)
+        if one_dataset:
             p.add_argument("--dataset", default=None, help="restrict to one dataset label")
         p.set_defaults(func=func)
 

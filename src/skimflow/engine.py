@@ -38,6 +38,10 @@ take the cache past it is not admitted: the partitions cached before it
 stay, a warning is recorded, and the dataset admits nothing more until
 `drop_cache()`. `bytes_decoded` counts every payload byte walked, and
 `bytes_cached` the column bytes admitted.
+
+A dataset owns its settings and its accounting: its `EngineConfig` fixes
+the worker count of every traversal, and its `phases` (`timing`) add up
+the scan and every traversal.
 """
 
 from __future__ import annotations
@@ -224,12 +228,14 @@ def _check_coverage(ranges: list[tuple[int, int]], n_blocks: int, path: str) -> 
 class PartitionedDataset:
     """An opened dataset: file indexes, the partition plan, and cache state."""
 
-    def __init__(self, descriptor: DatasetDescriptor, files: list[EvtIndex], config: EngineConfig):
+    def __init__(self, descriptor: DatasetDescriptor, files: list[EvtIndex],
+                 config: EngineConfig, phases: PhaseTimers):
         self.descriptor = descriptor
         self.files = files
         self.config = config
         self.schema: Schema = files[0].schema
         self.partitions = plan_partitions(files, config)
+        self.phases = phases  # the scan's and every traversal's accounting, added up
         self.warnings: list[str] = []
         self._want_cache = False
         self._overflowed = False
@@ -309,21 +315,19 @@ class PartitionedDataset:
 
 
 def open_dataset(
-    descriptor: DatasetDescriptor,
-    config: EngineConfig | None = None,
-    *,
-    timers: PhaseTimers | None = None,
+    descriptor: DatasetDescriptor, config: EngineConfig | None = None
 ) -> PartitionedDataset:
     """Enumerate the glob's files (sorted), index their blocks, and build
-    the partition plan."""
+    the partition plan; the dataset's `phases` start with the scan."""
     config = config or EngineConfig()
     paths = sorted(globmod.glob(descriptor.glob))
     if not paths:
         raise NoFilesMatched(f"dataset {descriptor.label!r}: no files match {descriptor.glob!r}")
+    phases = PhaseTimers()
     files = []
     for path in paths:
         try:
-            files.append(scan_evt(path, timers=timers))
+            files.append(scan_evt(path, phases))
         except OSError as exc:
             raise UnreadableFile(f"{path}: {exc}") from exc
     first = files[0].schema_json
@@ -333,7 +337,7 @@ def open_dataset(
                 f"dataset {descriptor.label!r}: {f.path} carries a different schema "
                 f"than {files[0].path}"
             )
-    return PartitionedDataset(descriptor, files, config)
+    return PartitionedDataset(descriptor, files, config, phases)
 
 
 # -- deterministic traversal ------------------------------------------------------
@@ -346,10 +350,8 @@ def _run_partitions(ds: PartitionedDataset, task: Callable, workers: int | None)
     for. Otherwise at most `workers` partitions are in flight on a pool:
     the next is submitted only once the oldest one's result has been
     consumed. Either way `_traverse` admits partition k before partition
-    k + workers starts."""
-    if workers is None:
-        workers = ds.config.workers or os.cpu_count() or 1
-    n = max(1, workers)
+    k + workers starts. None means one per hardware thread."""
+    n = workers or os.cpu_count() or 1
 
     def wrapped(part: Partition):
         try:
@@ -379,14 +381,13 @@ def _traverse(
     cut: TypedCut | None,
     projection: TypedProjection | None,
     weight: TypedValue | None,
-    workers: int | None,
-    timers: PhaseTimers,
 ) -> list[tuple[list[array], int, float]]:
-    """Run the skim kernel of (cut, projection, weight) on every partition
-    and return each partition's (one fresh array per projection column,
-    the number of selected events, Kahan partial of the weight) in
-    partition order, admitting its column sets to the cache (`ds._admit`)
-    and merging its phase timers into `timers` as it arrives.
+    """Run the skim kernel of (cut, projection, weight) on every partition,
+    on `ds.config.workers` workers, and return each partition's (one fresh
+    array per projection column, the number of selected events, Kahan
+    partial of the weight) in partition order, admitting its column sets
+    to the cache (`ds._admit`) and merging its phase timers into
+    `ds.phases` as it arrives.
     The three read the leaves L; the cache is widened to W first, and the
     partitions it does not serve are decoded by one decoder, at W or L
     (module docstring). When the cache serves every partition, no decoder
@@ -404,7 +405,7 @@ def _traverse(
     cached = ds._cache if wide == ds._leaves else {}
     if any(part.index not in cached for part in ds.partitions):
         codec = EventCodec(ds.schema, wide if ds._want_cache else leaves)
-    timers.compute += time.perf_counter() - t0
+    ds.phases.compute += time.perf_counter() - t0
 
     def task(part: Partition):
         t = PhaseTimers()
@@ -416,10 +417,10 @@ def _traverse(
         return part, (columns, n, partial), blocks, t
 
     results = []
-    for part, result, blocks, t in _run_partitions(ds, task, workers):
-        timers.merge(t)
+    for part, result, blocks, t in _run_partitions(ds, task, ds.config.workers):
+        ds.phases.merge(t)
         results.append(result)
-        timers.bytes_cached += ds._admit(part, blocks)
+        ds.phases.bytes_cached += ds._admit(part, blocks)
         del blocks  # not held while the next partition decodes
     return results
 
@@ -439,13 +440,7 @@ def _pairwise_sum(values: list[float]) -> float:
     return values[0]
 
 
-def map_reduce(
-    ds: PartitionedDataset,
-    value: TypedValue,
-    *,
-    workers: int | None = None,
-    timers: PhaseTimers | None = None,
-) -> float:
+def map_reduce(ds: PartitionedDataset, value: TypedValue) -> float:
     """Sum a compiled numeric expression (`expr.typecheck_value`) over
     every event: the skim kernel with no cut and no projection, so only
     the value's `leaves` are decoded.
@@ -454,7 +449,7 @@ def map_reduce(
     partials then merge pairwise in partition order, so the result is
     bit-identical for any worker count over a fixed partition plan.
     """
-    results = _traverse(ds, None, None, value, workers, timers or PhaseTimers())
+    results = _traverse(ds, None, None, value)
     return _pairwise_sum([partial for _, _, partial in results])
 
 
@@ -466,8 +461,6 @@ def filter_map_write(
     sink: NtuWriter,
     weight: TypedValue | None = None,
     finalize: Callable[[float | None], Callable[[list[array]], None]] | None = None,
-    workers: int | None = None,
-    timers: PhaseTimers | None = None,
 ) -> tuple[int, float | None]:
     """Select events, project them to columns, and write the sink in
     partition order (input order within each partition), in one
@@ -491,27 +484,26 @@ def filter_map_write(
 
     Returns (rows written, sum of weights or None).
     """
-    timers = timers or PhaseTimers()
     count = 0
     try:
         # drain all partitions before writing: a final value may need the
         # sum over every partition, and an exclusive write keeps the write
         # phase free of GIL contention with worker decode/compute
-        results = _traverse(ds, cut, projection, weight, workers, timers)
+        results = _traverse(ds, cut, projection, weight)
         sumw = None if weight is None else _pairwise_sum([partial for _, _, partial in results])
         if finalize is not None:
             t0 = time.perf_counter()
             finish = finalize(sumw)
             for columns, _, _ in results:
                 finish(columns)
-            timers.compute += time.perf_counter() - t0
+            ds.phases.compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         for columns, n, _ in results:
             sink.append_columns(columns, n)
             count += n
             columns.clear()  # free each partition's arrays once written
         sink.close()
-        timers.write += time.perf_counter() - t0
+        ds.phases.write += time.perf_counter() - t0
     except BaseException:
         sink.abort()
         raise

@@ -51,9 +51,15 @@ def _deflate(data: bytes) -> bytes:
 
 
 def _inflate(data: bytes) -> bytes:
+    """Inflate `data`, which must hold exactly one raw deflate stream: one
+    cut short, or followed by other bytes, raises zlib.error."""
     dec = zlib.decompressobj(-15)
-    out = dec.decompress(data)
-    return out + dec.flush()
+    out = dec.decompress(data) + dec.flush()
+    if not dec.eof:
+        raise zlib.error("stream ends before its final block")
+    if dec.unused_data:
+        raise zlib.error(f"{len(dec.unused_data)} bytes follow the end of the stream")
+    return out
 
 
 @dataclass(frozen=True)
@@ -318,11 +324,11 @@ def _values(node: SchemaNode, cs: ColumnSet, path: tuple) -> list:
     return [dict(zip(names, vals)) for vals in zip(*fields)]
 
 
-def read_evt(path, *, timers: PhaseTimers | None = None) -> tuple[Schema, Iterator[dict]]:
+def read_evt(path) -> tuple[Schema, Iterator[dict]]:
     """Index an EVT file and return its schema plus a lazy event stream,
     built block by block from full column sets."""
-    index = scan_evt(path, timers)
-    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
+    index = scan_evt(path)
+    blocks = iter_block_range(index, 0, len(index.blocks))
     root = index.schema.root
     return index.schema, (ev for cs in blocks for ev in _values(root, cs, ()))
 

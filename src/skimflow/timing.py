@@ -1,16 +1,19 @@
 """Per-phase wall-time and byte accounting.
 
-A PhaseTimers instance is threaded through readers, the engine, and writers.
+Each opened dataset owns one, `PartitionedDataset.phases`: `open_dataset`
+starts it with the scan, and every traversal and skim of the dataset adds
+to it; a caller puts a fresh one there to count one skim alone.
 Phases are attributed where the work happens: `read` around raw storage
 reads, `decode` around decompression/CRC/deserialization, `compute` around
-expression evaluation and accumulation, `write` around output serialization.
-Each worker owns a private instance; the coordinator merges them, so for a
+type checking, expression evaluation and accumulation, `write` around
+output serialization. Each partition's task owns a private instance; the
+coordinator merges them into the dataset's in partition order, so for a
 single worker the four phases decompose the traversal wall time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -25,23 +28,12 @@ class PhaseTimers:
     cache_hits: int = 0
 
     def merge(self, other: "PhaseTimers") -> None:
-        self.read += other.read
-        self.decode += other.decode
-        self.compute += other.compute
-        self.write += other.write
-        self.bytes_read += other.bytes_read
-        self.bytes_decoded += other.bytes_decoded
-        self.bytes_cached += other.bytes_cached
-        self.cache_hits += other.cache_hits
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict:
+        """Every field by name, the four phases' with an `_s` suffix."""
         return {
-            "read_s": self.read,
-            "decode_s": self.decode,
-            "compute_s": self.compute,
-            "write_s": self.write,
-            "bytes_read": self.bytes_read,
-            "bytes_decoded": self.bytes_decoded,
-            "bytes_cached": self.bytes_cached,
-            "cache_hits": self.cache_hits,
+            f.name + ("_s" if f.type == "float" else ""): getattr(self, f.name)
+            for f in fields(self)
         }

@@ -9,7 +9,7 @@ criteria 3-5 share a >=100 MB corpus and three benchmark cells.
 import hashlib
 import random
 import time
-
+from dataclasses import replace
 
 import pytest
 
@@ -112,8 +112,8 @@ def matrix_runs(corpus, tmp_path_factory):
         config = make_config(corpus, engine)
         for workers in WORKER_COUNTS:
             ntu_path = out_dir / f"signal-{mode}-w{workers}.ntu"
-            ds = open_dataset(config.datasets[0], engine)
-            result = run_skim(config, ds, ntu_path, workers=workers)
+            ds = open_dataset(config.datasets[0], replace(engine, workers=workers))
+            result = run_skim(config, ds, ntu_path)
             hists = histograms_for_ntuple(ntu_path, DEFAULT_HISTOGRAMS)
             runs[(mode, workers)] = {
                 "ntu": ntu_path,
@@ -204,8 +204,8 @@ def test_c2_determinism(corpus, matrix_runs):
     engine = PARTITION_MODES[mode]
     config = make_config(corpus, engine)
     rerun_path = matrix_runs["out_dir"] / "signal-rerun.ntu"
-    ds = open_dataset(config.datasets[0], engine)
-    run_skim(config, ds, rerun_path, workers=workers)
+    ds = open_dataset(config.datasets[0], replace(engine, workers=workers))
+    run_skim(config, ds, rerun_path)
     assert sha(rerun_path) == runs[(mode, workers)]["sha"]
 
     # plot-data json: identical across worker counts within a fixed partitioning
@@ -357,8 +357,8 @@ def full_analysis(corpus, matrix_runs, tmp_path_factory):
     ntu_paths = {"signal": matrix_runs["runs"][("auto", 2)]["ntu"]}
     for label in ("background", "data"):
         path = out_dir / f"{label}.ntu"
-        ds = open_dataset(config.dataset(label), engine)
-        run_skim(config, ds, path, workers=2)
+        ds = open_dataset(config.dataset(label), replace(engine, workers=2))
+        run_skim(config, ds, path)
         ntu_paths[label] = path
     hists = {
         label: histograms_for_ntuple(path, DEFAULT_HISTOGRAMS)
@@ -396,8 +396,8 @@ def test_c8_weight_covariance(corpus, full_analysis, tmp_path_factory):
     engine = PARTITION_MODES["auto"]
     doubled_config = make_config(corpus, engine, sig_xsec=2 * SIG_XSEC)
     path = out_dir / "signal-doubled.ntu"
-    ds = open_dataset(doubled_config.datasets[0], engine)
-    result = run_skim(doubled_config, ds, path, workers=2)
+    ds = open_dataset(doubled_config.datasets[0], replace(engine, workers=2))
+    result = run_skim(doubled_config, ds, path)
 
     base = read_ntu(full_analysis["ntu_paths"]["signal"])
     doubled = read_ntu(path)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from array import array
 from dataclasses import replace
 
@@ -27,8 +28,8 @@ from skimflow.errors import ArityMismatch, ConfigError, KindMismatch, SpecMismat
 from skimflow.events import make_event
 from skimflow.histogram import Histogram, HistogramSpec
 from skimflow.schema import Primitive, Record, Schema
-from skimflow.storage import inspect_evt, read_ntu, write_evt
-from skimflow.timing import PhaseTimers
+from skimflow import analysis
+from skimflow.storage import NtuWriter, inspect_evt, read_ntu, write_evt
 
 
 def mc_descriptor(glob, label="mc", xsec=10.0):
@@ -121,10 +122,11 @@ def test_skim_zero_sum_of_weights_raises(tmp_path, schema):
 
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_skim_sum_weights_equals_sum_of_weights(tmp_path, small_corpus, workers):
-    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
+                          workers=workers)
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine)
     ds = open_dataset(config.datasets[0], config.engine)
-    result = run_skim(config, ds, tmp_path / "mc.ntu", workers=workers)
+    result = run_skim(config, ds, tmp_path / "mc.ntu")
     fresh = open_dataset(config.datasets[0], config.engine)
     assert result.sum_weights == sum_of_weights(fresh)
 
@@ -134,17 +136,16 @@ def test_skim_over_cache_budget_decodes_each_block_once(tmp_path, small_corpus):
     # a budget below any one partition: the first one admitted overflows it
     engine = EngineConfig(cache_budget_bytes=1)
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
-    timers = PhaseTimers()
-    ds = open_dataset(config.datasets[0], config.engine, timers=timers)
-    run_skim(config, ds, tmp_path / "mc.ntu", timers=timers)
-    assert timers.bytes_decoded == full_decode
+    ds = open_dataset(config.datasets[0], config.engine)
+    run_skim(config, ds, tmp_path / "mc.ntu")
+    assert ds.phases.bytes_decoded == full_decode
     assert ds.warnings and "cache budget exceeded" in ds.warnings[0]
 
 
 def cache_bytes(config, out):
     """The column bytes a persisting `run_skim` of `config` caches, unbounded."""
     ds = open_dataset(config.datasets[0], replace(config.engine, cache_budget_bytes=None))
-    run_skim(config, ds, out, persist=True)
+    run_skim(replace(config, persist=True), ds, out)
     assert ds.cache_state == "cached"
     return ds._cache_bytes
 
@@ -155,13 +156,74 @@ def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
     engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
     budget = cache_bytes(config, tmp_path / "sizing.ntu") // 2
-    config = replace(config, engine=replace(engine, cache_budget_bytes=budget))
+    config = replace(config, engine=replace(engine, cache_budget_bytes=budget, workers=2))
     ds = open_dataset(config.datasets[0], config.engine)
-    run_skim(config, ds, tmp_path / "first.ntu", workers=2)
-    run_skim(config, ds, tmp_path / "second.ntu", workers=2)
+    run_skim(config, ds, tmp_path / "first.ntu")
+    run_skim(config, ds, tmp_path / "second.ntu")
     assert len(ds.warnings) == 1
     assert ds.cache_state == "cold"
     assert (tmp_path / "first.ntu").read_bytes() == (tmp_path / "second.ntu").read_bytes()
+
+
+# -- the dataset's phase accounting -------------------------------------------------
+
+
+def test_an_uncached_data_skim_reads_every_corpus_byte_once(tmp_path, small_corpus):
+    config = base_config([DatasetDescriptor(glob=small_corpus["glob"], kind="data", label="d")])
+    ds = open_dataset(config.datasets[0], config.engine)
+    run_skim(config, ds, tmp_path / "d.ntu")
+    assert ds.phases.bytes_read == sum(p.stat().st_size for p in small_corpus["paths"])
+    assert ds.phases.cache_hits == 0 and ds.phases.bytes_cached == 0
+
+
+def test_a_cached_reskim_reads_nothing(tmp_path, small_corpus):
+    config = base_config([mc_descriptor(small_corpus["glob"])], persist=True)
+    ds = open_dataset(config.datasets[0], config.engine)
+    run_skim(config, ds, tmp_path / "fill.ntu")
+    assert ds.cache_state == "cached" and ds.phases.bytes_cached > 0
+    filled = replace(ds.phases)
+    run_skim(config, ds, tmp_path / "cached.ntu")
+    assert ds.phases.bytes_read == filled.bytes_read
+    assert ds.phases.bytes_decoded == filled.bytes_decoded
+    assert ds.phases.bytes_cached == filled.bytes_cached
+    assert ds.phases.cache_hits == len(ds.partitions) > 0
+
+
+def test_traversals_of_one_dataset_add_up(small_corpus):
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    scan = ds.phases.bytes_read
+    assert 0 < scan < ds.n_bytes and ds.phases.bytes_decoded == 0
+    first = sum_of_weights(ds)
+    once = replace(ds.phases)
+    assert once.bytes_read == ds.n_bytes and once.bytes_decoded > 0
+    assert sum_of_weights(ds) == first
+    twice = ds.phases
+    assert twice.bytes_read == scan + 2 * (ds.n_bytes - scan)
+    assert twice.bytes_decoded == 2 * once.bytes_decoded
+    assert twice.decode > once.decode and twice.compute > once.compute
+
+
+def test_a_skim_counts_type_checks_as_compute_and_the_writer_open_as_write(
+    tmp_path, small_corpus, monkeypatch
+):
+    pause = 0.05
+    typecheck = analysis.typecheck_cut
+
+    def slow_typecheck(*args):
+        time.sleep(pause)
+        return typecheck(*args)
+
+    class SlowWriter(NtuWriter):
+        def __init__(self, *args, **kwargs):
+            time.sleep(pause)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "typecheck_cut", slow_typecheck)
+    monkeypatch.setattr(analysis, "NtuWriter", SlowWriter)
+    config = base_config([mc_descriptor(small_corpus["glob"])], selection="false")
+    ds = open_dataset(config.datasets[0], config.engine)
+    run_skim(config, ds, tmp_path / "mc.ntu")
+    assert ds.phases.compute >= pause and ds.phases.write >= pause
 
 
 LOOSE_SELECTION = "met.pt > 7.5 and size(taus) <= 1 and count(jets, it.pt > 24.0) >= 1"
@@ -196,11 +258,11 @@ def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, wor
     ):
         config = base_config(
             [mc_descriptor(small_corpus["glob"])], selection=selection, projection=projection,
-            engine=replace(engine, cache_budget_bytes=budget), persist=persist,
+            engine=replace(engine, cache_budget_bytes=budget, workers=workers), persist=persist,
         )
         ds = open_dataset(config.datasets[0], config.engine)
         out = tmp_path / f"{name}.ntu"
-        result = run_skim(config, ds, out, workers=workers)
+        result = run_skim(config, ds, out)
         assert ds.cache_state == {"cold": "cold", "cached": "cached", "overflow": "cold"}[name]
         outputs.add(out.read_bytes())
         sums.add(result.sum_weights)
@@ -228,11 +290,12 @@ def test_cached_skim_serves_other_leaves(tmp_path, small_corpus):
     ds = open_dataset(mc[0])
     read = {}
     for name, config in skims.items():
-        timers = PhaseTimers()
-        run_skim(config, ds, tmp_path / f"{name}.ntu", timers=timers)
+        before = ds.phases.bytes_read
+        run_skim(config, ds, tmp_path / f"{name}.ntu")
         assert ds.cache_state == "cached"
-        read[name] = timers.bytes_read
-        run_skim(config, open_dataset(mc[0]), tmp_path / f"{name}-cold.ntu", persist=False)
+        read[name] = ds.phases.bytes_read - before
+        one_off = replace(config, persist=False)
+        run_skim(one_off, open_dataset(mc[0]), tmp_path / f"{name}-cold.ntu")
         cold = (tmp_path / f"{name}-cold.ntu").read_bytes()
         assert (tmp_path / f"{name}.ntu").read_bytes() == cold
     assert read["a"] > 0 and read["b"] > 0 and read["ab"] == 0
@@ -251,7 +314,7 @@ def test_a_one_off_persisting_skim_decodes_what_a_cold_one_does(tmp_path, small_
             return blocks
 
         ds._partition_columns = spy
-        run_skim(config, ds, tmp_path / f"{persist}.ntu", persist=persist)
+        run_skim(replace(config, persist=persist), ds, tmp_path / f"{persist}.ntu")
         assert ds.cache_state == ("cached" if persist else "cold")
         keys[persist] = seen
     assert keys[True] == keys[False]
@@ -273,9 +336,10 @@ def test_skim_reserved_weight_column_rejected(tmp_path, small_corpus):
 
 
 def test_skim_matches_serial_two_pass_oracle(tmp_path, small_corpus):
-    config = base_config([mc_descriptor(small_corpus["glob"], xsec=50.0)])
+    config = base_config([mc_descriptor(small_corpus["glob"], xsec=50.0)],
+                         engine=EngineConfig(workers=4))
     ds = open_dataset(config.datasets[0], config.engine)
-    result = run_skim(config, ds, tmp_path / "mc.ntu", workers=4)
+    result = run_skim(config, ds, tmp_path / "mc.ntu")
 
     sumw, rows = oracle.serial_skim(small_corpus["paths"], "mc", 50.0, 1000.0)
     assert oracle.rel_close(result.sum_weights, sumw)
@@ -560,10 +624,10 @@ def test_weight_column_is_bitwise_the_row_formula(tmp_path, kind):
     config = base_config(
         [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
         selection="x > 0.0", projection=(("x", "x"),),
-        engine=EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+        engine=EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
     )
     ds = open_dataset(config.datasets[0], config.engine)
-    result = run_skim(config, ds, tmp_path / "out.ntu", workers=2)
+    result = run_skim(config, ds, tmp_path / "out.ntu")
 
     got = read_ntu(tmp_path / "out.ntu")
     assert got.kinds["weight"] == kind

@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 import oracle
+from skimflow import cli
 from skimflow.cli import main
 from skimflow.storage import read_ntu, scan_evt
 
@@ -166,6 +167,32 @@ def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr
                        projection=[{"name": "x", "expr": expr}])
     assert main(["skim", "--config", str(cfg), "--out-dir", str(corpus / "out")]) == 1
     assert "bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["hist", "plot-data"])
+def test_subcommands_that_read_no_events_take_no_workers_flag(corpus, capsys, cmd):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
+    out = str(corpus / "out")
+    assert main([cmd, "--config", str(cfg), "--out-dir", out, "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--workers" in err
+
+
+@pytest.mark.parametrize("cmd", ["skim", "sum-weights"])
+def test_workers_flag_replaces_the_config_worker_count(corpus, capsys, monkeypatch, cmd):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), workers=3)
+    opened = []
+
+    def spy(descriptor, config):
+        opened.append(config.workers)
+        return open_dataset(descriptor, config)
+
+    open_dataset = cli.open_dataset
+    monkeypatch.setattr(cli, "open_dataset", spy)
+    out = str(corpus / "out")
+    assert main([cmd, "--config", str(cfg), "--out-dir", out]) == 0
+    assert main([cmd, "--config", str(cfg), "--out-dir", out, "--workers", "2"]) == 0
+    assert opened == [3, 2]
 
 
 def test_hist_requires_skim_outputs(corpus, capsys):

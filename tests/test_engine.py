@@ -60,9 +60,16 @@ def mc_descriptor(glob, label="mc"):
     return DatasetDescriptor(glob=glob, kind="mc", label=label, xsec_pb=10.0)
 
 
-def total(ds, text, **kwargs):
+def total(ds, text):
     """map_reduce of the numeric expression `text` over the dataset."""
-    return map_reduce(ds, typecheck_value(text, ds.schema), **kwargs)
+    return map_reduce(ds, typecheck_value(text, ds.schema))
+
+
+def fresh_phases(ds):
+    """Give the dataset fresh phase accounting, so that it counts only what
+    comes next, and return it."""
+    ds.phases = PhaseTimers()
+    return ds.phases
 
 
 # -- descriptor validation ------------------------------------------------------
@@ -233,9 +240,9 @@ def test_map_reduce_deterministic_across_workers(single_file):
         config = EngineConfig(partition_mode="custom", partition_custom={"per_file": n_parts})
         values = []
         for workers in (1, 2, 7, 16):
-            ds = open_dataset(mc_descriptor(path), config)
+            ds = open_dataset(mc_descriptor(path), replace(config, workers=workers))
             assert len(ds.partitions) == min(n_parts, len(ds.files[0].blocks))
-            values.append(total(ds, "met.pt", workers=workers))
+            values.append(total(ds, "met.pt"))
         assert len(set(values)) == 1  # bit-identical for fixed partitioning
         assert abs(values[0] - oracle) <= 1e-12 * abs(oracle)
 
@@ -251,27 +258,27 @@ def test_coverage_every_event_once(small_corpus):
 def test_persist_second_traversal_reads_zero_bytes(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     ds.persist()
-    t1 = PhaseTimers()
-    first = total(ds, "genInfo.weight", timers=t1)
+    t1 = fresh_phases(ds)
+    first = total(ds, "genInfo.weight")
     assert t1.bytes_read > 0
     assert ds.cache_state == "cached"
-    t2 = PhaseTimers()
-    second = total(ds, "genInfo.weight", timers=t2)
+    t2 = fresh_phases(ds)
+    second = total(ds, "genInfo.weight")
     assert t2.bytes_read == 0
     assert t2.cache_hits == len(ds.partitions)
     assert first == second
     ds.drop_cache()
     assert ds.cache_state == "cold" and ds._cache == {} and ds._cache_bytes == 0
-    t3 = PhaseTimers()
-    assert total(ds, "genInfo.weight", timers=t3) == first
+    t3 = fresh_phases(ds)
+    assert total(ds, "genInfo.weight") == first
     assert t3.bytes_read > 0 and t3.cache_hits == 0
 
 
 def test_persisting_pass_reports_compute(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
     ds.persist()
-    t = PhaseTimers()
-    total(ds, "genInfo.weight", timers=t)
+    t = fresh_phases(ds)
+    total(ds, "genInfo.weight")
     assert t.decode > 0
     assert t.compute > 0
 
@@ -283,8 +290,8 @@ def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
     first = total(ds, "genInfo.weight")
     assert ds.warnings and "budget" in ds.warnings[0]
     assert ds.cache_state == "cold"
-    t = PhaseTimers()
-    second = total(ds, "genInfo.weight", timers=t)
+    t = fresh_phases(ds)
+    second = total(ds, "genInfo.weight")
     assert t.bytes_read > 0  # really cold again
     assert first == second
 
@@ -311,10 +318,11 @@ def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
     sizes = cached_sizes(ds, {("genInfo", "weight")})
     budget = max(sizes) + 1  # just above one partition's columns
 
-    ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, cache_budget_bytes=budget))
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]),
+                      replace(config, cache_budget_bytes=budget, workers=1))
     ds.persist()
     seen = spy_partitions(ds)
-    total(ds, "genInfo.weight", workers=1)
+    total(ds, "genInfo.weight")
     states = [state for state, _, _ in seen]
     assert states[0] == "warming"
     assert "cold" in states  # the dataset went cold during the traversal
@@ -334,15 +342,15 @@ def test_admission_follows_partition_order(tmp_path):
     sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config), MET_PT)
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
 
-    serial = open_dataset(mc_descriptor(str(path)), config).persist()
-    total(serial, "met.pt", workers=1)
+    serial = open_dataset(mc_descriptor(str(path)), replace(config, workers=1)).persist()
+    total(serial, "met.pt")
     budget = config.cache_budget_bytes
     assert serial.warnings == [
         f"cache budget exceeded ({sizes[0] + sizes[1]} > {budget} bytes); "
         "falling back to cold reads"
     ]
 
-    ds = open_dataset(mc_descriptor(str(path)), config).persist()
+    ds = open_dataset(mc_descriptor(str(path)), replace(config, workers=3)).persist()
     take = ds._partition_columns
     last_started = threading.Event()
 
@@ -354,7 +362,7 @@ def test_admission_follows_partition_order(tmp_path):
         return take(part, timers, codec)
 
     ds._partition_columns = spy
-    assert total(ds, "met.pt", workers=3) == total(serial, "met.pt")
+    assert total(ds, "met.pt") == total(serial, "met.pt")
     assert ds.warnings == serial.warnings
     assert ds.cache_state == "cold" and list(ds._cache) == list(serial._cache) == [0]
 
@@ -368,7 +376,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
     sizes = cached_sizes(ds, MET_PT)
     assert len(sizes) == 6
     ds = open_dataset(mc_descriptor(small_corpus["glob"]),
-                      replace(config, cache_budget_bytes=sizes[0] + sizes[1])).persist()
+                      replace(config, cache_budget_bytes=sizes[0] + sizes[1], workers=1)).persist()
     cached = []
     take = ds._partition_columns
 
@@ -377,7 +385,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
         return take(part, timers, codec)
 
     ds._partition_columns = spy
-    total(ds, "met.pt", workers=1)
+    total(ds, "met.pt")
     assert cached == [0, 1, 2, 2, 2, 2]
     assert len(ds.warnings) == 1 and ds.cache_state == "cold"
 
@@ -386,7 +394,7 @@ def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_cor
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
         EngineConfig(partition_mode="custom", partition_custom={"per_file": 2},
-                     cache_budget_bytes=1),
+                     cache_budget_bytes=1, workers=1),
     ).persist()
 
     class Blocks(list):
@@ -403,7 +411,7 @@ def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_cor
         return blocks
 
     ds._partition_columns = spy
-    total(ds, "met.pt", workers=1)
+    total(ds, "met.pt")
     assert ds.warnings and ds.cache_state == "cold"
     assert held == [[], [False], [False] * 2, [False] * 3]
 
@@ -437,15 +445,13 @@ def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
     ]
     outputs = set()
     for workers in (1, 2, 7, 16):
-        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config).persist()
-        run_filter(ds, "met.pt > 100.0", tmp_path / "first.ntu", workers=workers)
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]),
+                          replace(config, workers=workers)).persist()
+        run_filter(ds, "met.pt > 100.0", tmp_path / "first.ntu")
         assert sorted(ds._cache) == [0, 1, 2] and ds._cache_bytes == sum(sizes[:3])
         assert len(ds.warnings) == 1 and ds.cache_state == "cold"
-        t = PhaseTimers()
-        cut = typecheck_cut("met.pt > 100.0", ds.schema)
-        proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], ds.schema)
-        sink = NtuWriter(tmp_path / "second.ntu", proj.columns, group_target=512)
-        filter_map_write(ds, cut, proj, sink=sink, workers=workers, timers=t)
+        t = fresh_phases(ds)
+        run_filter(ds, "met.pt > 100.0", tmp_path / "second.ntu")
         assert t.cache_hits == 3 and t.bytes_cached == 0
         assert t.bytes_read == sum(cold_bytes[3:])
         first = (tmp_path / "first.ntu").read_bytes()
@@ -456,17 +462,17 @@ def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
 
 def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-    cold = PhaseTimers()
-    total(ds, "met.pt", timers=cold)
+    cold = fresh_phases(ds)
+    total(ds, "met.pt")
     assert cold.bytes_cached == 0
     ds.persist()
-    filling = PhaseTimers()
-    total(ds, "met.pt", timers=filling)
+    filling = fresh_phases(ds)
+    total(ds, "met.pt")
     assert ds.cache_state == "cached"
     assert filling.bytes_cached == ds._cache_bytes == sum(cached_sizes(ds, MET_PT)) > 0
     assert filling.as_dict()["bytes_cached"] == filling.bytes_cached
-    cached = PhaseTimers()
-    total(ds, "met.pt", timers=cached)
+    cached = fresh_phases(ds)
+    total(ds, "met.pt")
     assert cached.bytes_cached == 0
 
 
@@ -484,8 +490,8 @@ def test_one_worker_runs_every_task_on_the_calling_thread(small_corpus, tmp_path
     monkeypatch.setattr(engine, "_run_partitions", spy)
     for workers in (1, 2):
         threads.clear()
-        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
-        run_filter(ds, "met.pt > 100.0", tmp_path / f"w{workers}.ntu", workers=workers)
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, workers=workers))
+        run_filter(ds, "met.pt > 100.0", tmp_path / f"w{workers}.ntu")
         assert len(threads) == len(ds.partitions) == 6
         on_caller = {threading.get_ident()} == set(threads)
         assert on_caller == (workers == 1)
@@ -542,12 +548,12 @@ def test_persist_is_idempotent(small_corpus):
 # -- filter_map_write --------------------------------------------------------------------
 
 
-def run_filter(ds, cut_text, out, workers=None, finalize=None):
+def run_filter(ds, cut_text, out, finalize=None):
     schema = ds.schema
     cut = typecheck_cut(cut_text, schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], schema)
     sink = NtuWriter(out, proj.columns, group_target=512)
-    count, sumw = filter_map_write(ds, cut, proj, sink=sink, finalize=finalize, workers=workers)
+    count, sumw = filter_map_write(ds, cut, proj, sink=sink, finalize=finalize)
     assert sumw is None
     return count
 
@@ -570,9 +576,9 @@ def test_filter_false_writes_empty_file(small_corpus, tmp_path):
 def test_rows_in_serial_order(small_corpus, tmp_path):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=8),
     )
-    run_filter(ds, "met.pt > 100.0", tmp_path / "sel.ntu", workers=8)
+    run_filter(ds, "met.pt > 100.0", tmp_path / "sel.ntu")
     got = read_ntu(tmp_path / "sel.ntu")
 
     from oracle import iter_all_events
@@ -595,11 +601,11 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
         digests = set()
         warnings = set()
         for workers in (1, 2, 7, 16):
-            ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+            ds = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, workers=workers))
             if persist:
                 ds.persist()
             out = tmp_path / f"w{workers}.ntu"
-            run_filter(ds, "met.pt > 100.0", out, workers=workers)
+            run_filter(ds, "met.pt > 100.0", out)
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
             warnings.add(tuple(ds.warnings))
         assert len(digests) == 1
@@ -675,35 +681,36 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
     budget stops it. The partitions that fit serve later skims within the
     union, and every ntuple equals a cold one."""
     config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
-    plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
+    plan = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, workers=1))
     wide = {("met", "pt"), ("jets", "pt")}  # the jets offsets come with their pt
     sizes = cached_sizes(plan, wide)
     assert sum(cached_sizes(plan, MET_PT)) < sum(sizes[:2]) < sum(sizes)
     config = replace(config, cache_budget_bytes=sum(sizes[:2]) + sizes[2] // 2)
 
-    def skim(ds, name, projection, workers):
+    def skim(ds, name, projection):
         cut = typecheck_cut("met.pt > 100.0", ds.schema)
         proj = typecheck_projection(projection, ds.schema)
-        t = PhaseTimers()
+        t = fresh_phases(ds)
         sink = NtuWriter(tmp_path / name, proj.columns, group_target=512)
-        filter_map_write(ds, cut, proj, sink=sink, workers=workers, timers=t)
+        filter_map_write(ds, cut, proj, sink=sink)
         return t
 
     narrow, wider = [("met_pt", "met.pt")], [("ht", "sum(jets, it.pt)"), ("njets", "size(jets)")]
-    skim(plan, "cold-narrow.ntu", narrow, 1)
-    skim(plan, "cold-wide.ntu", wider, 1)
+    skim(plan, "cold-narrow.ntu", narrow)
+    skim(plan, "cold-wide.ntu", wider)
     for workers in (1, 2, 7, 16):
-        ds = open_dataset(mc_descriptor(small_corpus["glob"]), config).persist()
-        skim(ds, "narrow.ntu", narrow, workers)
+        ds = open_dataset(mc_descriptor(small_corpus["glob"]),
+                          replace(config, workers=workers)).persist()
+        skim(ds, "narrow.ntu", narrow)
         assert ds.cache_state == "cached" and ds._leaves == MET_PT and not ds.warnings
-        t = skim(ds, "wide.ntu", wider, workers)
+        t = skim(ds, "wide.ntu", wider)
         assert ds._leaves == wide and sorted(ds._cache) == [0, 1]
         assert ds._cache_bytes == t.bytes_cached == sum(sizes[:2])
         assert len(ds.warnings) == 1 and ds.cache_state == "cold"
         keys = wide | {("jets",)}
         assert all(cs.keys() == keys for blocks in ds._cache.values() for cs in blocks)
         for name, projection in (("narrow.ntu", narrow), ("wide.ntu", wider)):
-            t = skim(ds, name, projection, workers)
+            t = skim(ds, name, projection)
             assert t.cache_hits == 2 and t.bytes_cached == 0
             assert (tmp_path / name).read_bytes() == (tmp_path / f"cold-{name}").read_bytes()
 
@@ -735,10 +742,10 @@ def test_decode_errors_identify_partition(tmp_path, schema):
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
     )
     with pytest.raises(CrcMismatch, match=r"partition 2 .*block"):
-        total(ds, "1.0", workers=2)
+        total(ds, "1.0")
 
 
 def test_sink_aborted_on_failure(small_corpus, tmp_path):
@@ -791,39 +798,39 @@ def collections():
     return seen
 
 
-def weighted_skim(ds, out, workers=None):
+def weighted_skim(ds, out):
     """A skim that sums the generator weight, as `run_skim` does for mc."""
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("ht", "sum(jets, it.pt)")], ds.schema)
     weight = typecheck_value("genInfo.weight", ds.schema)
     sink = NtuWriter(out, proj.columns)
-    return filter_map_write(ds, cut, proj, sink=sink, weight=weight, workers=workers)
+    return filter_map_write(ds, cut, proj, sink=sink, weight=weight)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cache_fill_runs_no_full_collection(gc_corpus, tmp_path, collector, workers):
     """The column cache is a few arrays per block, so filling it with the
     collector on allocates too few tracked objects to reach generation 2."""
-    ds = open_dataset(mc_descriptor(gc_corpus)).persist()
+    ds = open_dataset(mc_descriptor(gc_corpus), EngineConfig(workers=workers)).persist()
     gc.enable()
     gc.collect()
     seen = collections()
-    weighted_skim(ds, tmp_path / "a.ntu", workers)
+    weighted_skim(ds, tmp_path / "a.ntu")
     assert ds.cache_state == "cached"
     assert 2 not in seen
     assert gc.isenabled()
 
     seen.clear()
-    weighted_skim(ds, tmp_path / "b.ntu", workers)
+    weighted_skim(ds, tmp_path / "b.ntu")
     assert 2 not in seen
     assert (tmp_path / "a.ntu").read_bytes() == (tmp_path / "b.ntu").read_bytes()
 
 
 def test_disabled_collector_stays_disabled(gc_corpus, tmp_path, collector):
-    ds = open_dataset(mc_descriptor(gc_corpus)).persist()
+    ds = open_dataset(mc_descriptor(gc_corpus), EngineConfig(workers=2)).persist()
     gc.disable()
     seen = collections()
-    weighted_skim(ds, tmp_path / "a.ntu", workers=2)
+    weighted_skim(ds, tmp_path / "a.ntu")
     assert ds.cache_state == "cached"
     assert not gc.isenabled()
     assert seen == []
@@ -835,7 +842,7 @@ def test_concurrent_filling_skims_restore_the_collector(gc_corpus, small_corpus,
     expected = {}
     for name, glob in globs.items():
         out = tmp_path / f"{name}-sequential.ntu"
-        weighted_skim(open_dataset(mc_descriptor(glob)).persist(), out, workers=2)
+        weighted_skim(open_dataset(mc_descriptor(glob), EngineConfig(workers=2)).persist(), out)
         expected[name] = out.read_bytes()
 
     gc.enable()
@@ -843,8 +850,8 @@ def test_concurrent_filling_skims_restore_the_collector(gc_corpus, small_corpus,
 
     def skim(name):
         try:
-            ds = open_dataset(mc_descriptor(globs[name])).persist()
-            weighted_skim(ds, tmp_path / f"{name}-threaded.ntu", workers=3)
+            ds = open_dataset(mc_descriptor(globs[name]), EngineConfig(workers=3)).persist()
+            weighted_skim(ds, tmp_path / f"{name}-threaded.ntu")
         except BaseException as exc:
             errors.append(exc)
             raise
@@ -907,11 +914,11 @@ def test_corrupt_block_in_a_filling_skim_restores_the_collector(tmp_path, collec
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
     ).persist()
     gc.enable()
     with pytest.raises(DataError, match=r"partition 1 .*block 1"):
-        weighted_skim(ds, tmp_path / "out.ntu", workers=2)
+        weighted_skim(ds, tmp_path / "out.ntu")
     assert gc.isenabled()
     assert not (tmp_path / "out.ntu").exists()
 
@@ -921,12 +928,12 @@ def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_
 
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 3}),
+        EngineConfig(partition_mode="custom", partition_custom={"per_file": 3}, workers=2),
     )
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([], ds.schema)
     sink = NtuWriter(tmp_path / "none.ntu", proj.columns, group_target=64)
-    count, _ = filter_map_write(ds, cut, proj, sink=sink, workers=2)
+    count, _ = filter_map_write(ds, cut, proj, sink=sink)
     want = sum(ev["met"]["pt"] > 100.0 for ev in iter_all_events(small_corpus["paths"]))
     assert 0 < count == want < 2000
     data = read_ntu(tmp_path / "none.ntu")
@@ -935,13 +942,13 @@ def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_
 
 
 def test_a_value_its_column_cannot_hold_aborts_the_sink(small_corpus, tmp_path):
-    ds = open_dataset(mc_descriptor(small_corpus["glob"]))
+    ds = open_dataset(mc_descriptor(small_corpus["glob"]), EngineConfig(workers=2))
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("big", str(2**64))], ds.schema)
     assert proj.columns[1] == ("big", "i64")
     sink = NtuWriter(tmp_path / "big.ntu", proj.columns)
     with pytest.raises(DataError, match="partition 0 .*does not match column kind"):
-        filter_map_write(ds, cut, proj, sink=sink, workers=2)
+        filter_map_write(ds, cut, proj, sink=sink)
     assert list(tmp_path.iterdir()) == []
     # an error while computing a value stays its own, before any append
     proj = typecheck_projection([("big", str(2**64)), ("s", "met.pt + " + "9" * 400)], ds.schema)

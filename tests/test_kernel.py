@@ -258,12 +258,13 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
         decoded = list(read_evt(path)[1])
         ds = open_dataset(
             DatasetDescriptor(str(path), "mc", "mc", 1.0),
-            EngineConfig(partition_mode="custom", partition_custom={"per_file": parts}),
+            EngineConfig(partition_mode="custom", partition_custom={"per_file": parts},
+                         workers=workers),
         )
         typed_weight = typecheck_value(weight, schema)
         if cached:
             ds.persist()
-            map_reduce(ds, typed_weight, workers=workers)
+            map_reduce(ds, typed_weight)
             assert ds.cache_state == ("cached" if ds.partitions else "warming")
 
         partials, start = [], 0
@@ -282,7 +283,7 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
         def run():
             return filter_map_write(
                 ds, typecheck_cut(cut, schema), projection,
-                sink=sink, weight=typed_weight, workers=workers,
+                sink=sink, weight=typed_weight,
             )
 
         kinds = [kind for _, kind in projection.columns]
@@ -296,7 +297,7 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
             with pytest.raises(ArityMismatch, match="does not match column kind"):
                 run()
             assert not sink.closed
-        assert_same([map_reduce(ds, typed_weight, workers=workers)], [want_sum])
+        assert_same([map_reduce(ds, typed_weight)], [want_sum])
 
 
 # -- pinned cases --------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from skimflow.timing import PhaseTimers
 from randgen import HAND_BUILT, random_events, random_schema
 
 
-def read_all(path, timers=None):
-    _, events = read_evt(path, timers=timers)
+def read_all(path):
+    _, events = read_evt(path)
     return list(events)
 
 
@@ -214,7 +214,9 @@ def test_byte_counters(tmp_path, schema):
     path = tmp_path / "f.evt"
     write_evt(path, events, schema, compress=True, block_target=100)
     timers = PhaseTimers()
-    assert read_all(path, timers=timers) == events
+    index = scan_evt(path, timers)
+    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
+    assert [ev for cs in blocks for ev in evt._values(index.schema.root, cs, ())] == events
     assert timers.bytes_read == path.stat().st_size
     assert timers.bytes_decoded > timers.bytes_read  # deflate inflates back
 
@@ -260,14 +262,19 @@ def test_random_schema_round_trip(tmp_path_factory, case, compress, block_target
 # -- convert --------------------------------------------------------------------------
 
 
+def append_stored(path, blocks):
+    """Append (event count, stored payload) blocks to an EVT file, each
+    under a valid CRC."""
+    with open(path, "ab") as f:
+        for n, stored in blocks:
+            f.write(evt._BLOCK_HDR.pack(n, len(stored)) + stored
+                    + evt._U32.pack(zlib.crc32(stored)))
+
+
 def append_blocks(path, blocks, compress):
     """Append (event count, raw payload) blocks to an EVT file, each stored
     as `write_evt` stores it, under a valid CRC."""
-    with open(path, "ab") as f:
-        for n, payload in blocks:
-            stored = evt._deflate(payload) if compress else payload
-            f.write(evt._BLOCK_HDR.pack(n, len(stored)) + stored
-                    + evt._U32.pack(zlib.crc32(stored)))
+    append_stored(path, [(n, evt._deflate(p) if compress else p) for n, p in blocks])
 
 
 def written(path, events, schema, compress, block_target):
@@ -346,8 +353,13 @@ def _malformed(kind, path, schema, compress):
         bad = bad[:48] + (2**32 - 1).to_bytes(4, "little") + bad[52:]
     elif kind == "trailing-bytes":
         bad = bad + b"\x00"
+    stored = [evt._deflate(p) if compress else p for p in (payloads[0], bad, payloads[2])]
+    if kind == "cut-deflate":
+        stored[1] = stored[1][:-3]
+    elif kind == "padded-deflate":
+        stored[1] += b"junk"
     write_evt(path, [], schema, compress=compress)
-    append_blocks(path, [(100, payloads[0]), (100, bad), (100, payloads[2])], compress)
+    append_stored(path, [(100, s) for s in stored])
     if kind == "crc-mismatch":
         _corrupt_stored_byte(path, 1)
     elif kind == "bad-deflate":
@@ -378,6 +390,31 @@ def test_convert_rejects_what_read_evt_rejects_and_leaves_no_file(tmp_path, sche
         convert_evt(src, dst, compress=not compress, block_target=50)
     assert not dst.exists()
     assert not (tmp_path / "dst.evt.tmp").exists()
+
+
+def test_inflate_takes_exactly_one_whole_stream():
+    stream = evt._deflate(b"hello world" * 10)
+    assert evt._inflate(stream) == b"hello world" * 10
+    assert evt._inflate(evt._deflate(b"")) == b""
+    with pytest.raises(zlib.error, match="ends before"):
+        evt._inflate(stream[:-3])
+    with pytest.raises(zlib.error, match="4 bytes follow"):
+        evt._inflate(stream + b"junk")
+
+
+@pytest.mark.parametrize("kind", ["cut-deflate", "padded-deflate"])
+def test_a_cut_or_padded_deflate_stream_is_a_truncated_block(tmp_path, schema, kind):
+    """Under a valid CRC, block 1's stream is rejected by the inflate
+    itself, which names the file and the block, in a read and in a
+    conversion alike."""
+    src = tmp_path / "src.evt"
+    _malformed(kind, src, schema, True)
+    where = r"src\.evt: block 1: bad deflate stream"
+    with pytest.raises(TruncatedBlock, match=where):
+        read_all(src)
+    with pytest.raises(TruncatedBlock, match=where):
+        convert_evt(src, tmp_path / "dst.evt", compress=False)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_convert_of_a_truncated_file_leaves_no_file(tmp_path, schema):

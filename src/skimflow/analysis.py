@@ -7,8 +7,8 @@ rewritten to hold
 
     weight = genWeight * xsec_pb * luminosity_invpb / sum_of_weights
 
-Data events skip normalization and carry weight 1.0 exactly. An mc
-dataset can be persisted so that later skims of it read from memory.
+Data events skip normalization and carry weight 1.0 exactly. A dataset
+of either kind can be persisted so that later skims of it read from memory.
 The cut, the projection and the generator weight all reach the engine as
 compiled expressions, which it writes into one loop per skim; it
 decodes only the leaves they read, plus those the cache holds while it
@@ -27,7 +27,7 @@ The analysis configuration is one JSON document:
       "histograms": [{"variable": "met_pt", "nbins": 40, "lo": 0, "hi": 1000}],
       "workers": 4,                       # optional engine settings
       "cache_budget_bytes": null,
-      "partition": {"mode": "auto", "target_bytes": 4194304},
+      "partition": {"target_bytes": 4194304},   # or {"custom": {"per_file": 3}}
       "persist": true,
       "ntu_group_rows": 65536
     }
@@ -102,8 +102,9 @@ class AnalysisConfig:
         labels = [d.label for d in self.datasets]
         if len(set(labels)) != len(labels):
             raise ConfigError("datasets: labels must be unique")
-        if not (type(self.luminosity_invpb) in (int, float) and self.luminosity_invpb > 0):
-            raise ConfigError("luminosity_invpb must be > 0")
+        lumi = self.luminosity_invpb
+        if not (type(lumi) in (int, float) and lumi > 0 and math.isfinite(lumi)):
+            raise ConfigError("luminosity_invpb must be finite and > 0")
         names = [name for name, _ in self.projection]
         if WEIGHT_COLUMN in names:
             raise ConfigError(f"projection: column name {WEIGHT_COLUMN!r} is reserved")
@@ -125,8 +126,12 @@ def load_config(path) -> AnalysisConfig:
     """Parse and validate an analysis configuration file. All structural
     and expression-syntax problems are reported here, before any event I/O."""
     path = Path(path)
+
+    def non_finite(literal):  # json accepts Infinity, -Infinity and NaN; JSON does not
+        raise ConfigError(f"{path}: {literal} is not a JSON number")
+
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -138,6 +143,7 @@ _TOP_KEYS = {
     "datasets", "luminosity_invpb", "selection", "projection", "histograms",
     "workers", "cache_budget_bytes", "partition", "persist", "ntu_group_rows",
 }
+_PARTITION_KEYS = {"target_bytes", "custom"}
 
 
 def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
@@ -149,6 +155,11 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         if key not in raw:
             raise ConfigError(f"{where}: missing required key {key!r}")
         return raw[key]
+
+    def text(value, key):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: {key} must be a string, not {value!r}")
+        return value
 
     datasets = []
     entries = need("datasets")
@@ -163,9 +174,9 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         try:
             datasets.append(
                 DatasetDescriptor(
-                    glob=str(entry["glob"]),
-                    kind=str(entry.get("kind", "")),
-                    label=str(entry.get("label", f"dataset{i}")),
+                    glob=text(entry["glob"], f"datasets[{i}].glob"),
+                    kind=text(entry.get("kind", ""), f"datasets[{i}].kind"),
+                    label=text(entry.get("label", f"dataset{i}"), f"datasets[{i}].label"),
                     xsec_pb=entry.get("xsec_pb"),
                 )
             )
@@ -182,7 +193,8 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         for i, col in enumerate(raw["projection"]):
             if not isinstance(col, dict) or set(col) != {"name", "expr"}:
                 raise ConfigError(f"{where}: projection[{i}] must be {{'name', 'expr'}}")
-            cols.append((str(col["name"]), str(col["expr"])))
+            cols.append((text(col["name"], f"projection[{i}].name"),
+                         text(col["expr"], f"projection[{i}].expr")))
         projection = tuple(cols)
     else:
         projection = ()
@@ -201,7 +213,8 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
                 )
         try:
             histograms.append(
-                HistogramSpec(str(h["variable"]), h["nbins"], float(h["lo"]), float(h["hi"]))
+                HistogramSpec(text(h["variable"], f"histograms[{i}].variable"),
+                              h["nbins"], float(h["lo"]), float(h["hi"]))
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: histograms[{i}]: {exc}") from exc
@@ -209,13 +222,14 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
     part = raw.get("partition", {})
     if not isinstance(part, dict):
         raise ConfigError(f"{where}: partition must be an object")
-    extra = set(part) - {"mode", "target_bytes", "custom"}
+    extra = set(part) - _PARTITION_KEYS
     if extra:
         raise ConfigError(f"{where}: partition: unknown keys {sorted(extra)}")
+    if part.keys() == _PARTITION_KEYS:
+        raise ConfigError(f"{where}: partition: target_bytes applies only without custom")
     engine = EngineConfig(
         workers=raw.get("workers"),
         cache_budget_bytes=raw.get("cache_budget_bytes"),
-        partition_mode=part.get("mode", "auto"),
         partition_target_bytes=part.get("target_bytes", EngineConfig().partition_target_bytes),
         partition_custom=part.get("custom"),
     )
@@ -223,7 +237,7 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
     config = AnalysisConfig(
         datasets=tuple(datasets),
         luminosity_invpb=need("luminosity_invpb"),
-        selection=str(raw.get("selection", DEFAULT_SELECTION)),
+        selection=text(raw.get("selection", DEFAULT_SELECTION), "selection"),
         projection=projection,
         histograms=tuple(histograms) if histograms else DEFAULT_HISTOGRAMS,
         engine=engine,
@@ -308,10 +322,10 @@ def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimRe
     each partition's weight column in one pass; data rows carry unit
     weights. The weight is the compiled `genInfo.weight`, so the engine
     learns every leaf the skim reads from the cut, the projection and the
-    weight. `config.persist` chooses whether an mc dataset keeps its
-    decoded columns in memory for later traversals. The time to type-check
-    the expressions adds to the dataset's compute phase and the time to
-    open the writer to its write phase.
+    weight. `config.persist` chooses whether the dataset, of either kind,
+    keeps its decoded columns in memory for later traversals. The time to
+    type-check the expressions adds to the dataset's compute phase and the
+    time to open the writer to its write phase.
     """
     t0 = time.perf_counter()
     descriptor = ds.descriptor
@@ -321,9 +335,9 @@ def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimRe
     if any(name == WEIGHT_COLUMN for name, _ in user_columns):
         raise ConfigError(f"projection: column name {WEIGHT_COLUMN!r} is reserved")
 
+    if config.persist:
+        ds.persist()
     if descriptor.kind == "mc":
-        if config.persist:
-            ds.persist()
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, GEN_WEIGHT)], schema
         )

@@ -21,13 +21,15 @@ scan included, and a cached cell resets its one dataset's before each.
 compared against harnesses that cannot separate decoding from reading.
 Every cell runs one discarded warm-up repetition followed by the measured
 repetitions (at least three) and reports per-repetition samples plus the
-median per phase; medians resist interference from other load. Cached
-cells persist the dataset once, warm the cache in the warm-up pass, and
-then measure pure in-memory traversals, which must read zero storage
-bytes. The dataset's warnings, such as a cache budget overflow, are
-carried into the report. Timing never changes results: every cell of the
-same dataset and analysis produces a byte-identical ntuple, and its hash
-is recorded.
+median per phase; medians resist interference from other load. A cell
+skims with `AnalysisConfig.persist` set to whether it is cached: a cached
+cell skims one opened dataset, fills its cache in the warm-up pass, and
+then measures pure in-memory traversals, which must read zero storage
+bytes; an uncached cell opens a fresh dataset and caches nothing. The
+cell's worker count replaces the config's. The dataset's warnings, such
+as a cache budget overflow, are carried into the report. Timing never
+changes results: every cell of the same dataset and analysis produces a
+byte-identical ntuple, and its hash is recorded.
 """
 
 from __future__ import annotations
@@ -195,12 +197,8 @@ def run_benchmark(
     out_path = workdir / f"{descriptor.label}-bench.ntu"
 
     engine = replace(config.engine, workers=cell.workers)
-    # a cached cell persists its dataset here; the skims themselves never ask to
-    one_off = replace(config, persist=False)
-    shared_ds = None
-    if cell.cached:
-        shared_ds = open_dataset(descriptor, engine)
-        shared_ds.persist()
+    config = replace(config, persist=cell.cached)
+    shared_ds = open_dataset(descriptor, engine) if cell.cached else None
 
     samples: list[PhaseSample] = []
     warnings: list[str] = []
@@ -214,7 +212,7 @@ def run_benchmark(
         else:
             t0 = time.perf_counter()
             ds = open_dataset(descriptor, engine)
-        result = run_skim(one_off, ds, out_path)
+        result = run_skim(config, ds, out_path)
         total = time.perf_counter() - t0
         warnings += [w for w in ds.warnings if w not in warnings]
         if corpus is None:

@@ -226,7 +226,7 @@ def cmd_bench(args) -> int:
     config = load_config(args.config)
     out_dir = _out_dir(args)
     workdir = Path(args.workdir) if args.workdir else out_dir / "bench_work"
-    workers = args.workers if args.workers else 1
+    workers = _engine(config, args).workers or 1  # bench defaults to one worker
     cells = _parse_cells(args.cells, workers)
     reports = benchmark_matrix(
         config,

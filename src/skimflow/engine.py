@@ -47,6 +47,7 @@ the scan and every traversal.
 from __future__ import annotations
 
 import glob as globmod
+import math
 import os
 import time
 from array import array
@@ -87,8 +88,9 @@ class DatasetDescriptor:
         if self.kind not in ("data", "mc"):
             raise ConfigError(f"dataset {self.label!r}: kind must be 'data' or 'mc'")
         if self.kind == "mc":
-            if type(self.xsec_pb) not in (int, float) or not self.xsec_pb > 0:
-                raise ConfigError(f"dataset {self.label!r}: mc requires xsec_pb > 0")
+            xsec = self.xsec_pb
+            if not (type(xsec) in (int, float) and xsec > 0 and math.isfinite(xsec)):
+                raise ConfigError(f"dataset {self.label!r}: mc requires a finite xsec_pb > 0")
         elif self.xsec_pb is not None:
             raise ConfigError(f"dataset {self.label!r}: data datasets carry no xsec_pb")
 
@@ -97,16 +99,13 @@ class DatasetDescriptor:
 class EngineConfig:
     workers: int | None = None  # None -> hardware parallelism
     cache_budget_bytes: int | None = None  # None -> unlimited
-    partition_mode: str = "auto"
     partition_target_bytes: int = DEFAULT_PARTITION_TARGET_BYTES
-    partition_custom: object = None  # {"per_file": N} or {path: [[lo, hi], ...]}
+    partition_custom: object = None  # {"per_file": N} or {path: [[lo, hi], ...]}; None -> auto
 
     def __post_init__(self) -> None:
         # a JSON integer parses as exactly int; a bool is not one
         if self.workers is not None and not (type(self.workers) is int and self.workers >= 1):
             raise ConfigError("workers must be an integer >= 1")
-        if self.partition_mode not in ("auto", "custom"):
-            raise ConfigError("partition.mode must be 'auto' or 'custom'")
         target = self.partition_target_bytes
         if not (type(target) is int and target >= 1):
             raise ConfigError("partition.target_bytes must be an integer >= 1")
@@ -128,12 +127,12 @@ class Partition:
 def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Partition]:
     """Slice file block lists into partitions.
 
-    auto mode accumulates whole blocks per file until the byte target is
-    reached (a partition always takes at least one block and a block is
-    never split). custom mode validates the supplied ranges for disjoint,
-    gap-free coverage of every file.
+    A custom plan (`partition_custom`, when set) is validated for
+    disjoint, gap-free coverage of every file. Without one, the auto plan
+    accumulates whole blocks per file until the byte target is reached (a
+    partition always takes at least one block and a block is never split).
     """
-    if config.partition_mode == "auto":
+    if config.partition_custom is None:
         ranges = [_auto_ranges(f, config.partition_target_bytes) for f in files]
     else:
         ranges = _custom_ranges(files, config.partition_custom)

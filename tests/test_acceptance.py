@@ -37,8 +37,8 @@ BKG_XSEC = 120.0
 
 WORKER_COUNTS = (1, 2, 7, 16)
 PARTITION_MODES = {
-    "auto": EngineConfig(partition_mode="auto", partition_target_bytes=2 * 1024 * 1024),
-    "custom": EngineConfig(partition_mode="custom", partition_custom={"per_file": 2}),
+    "auto": EngineConfig(partition_target_bytes=2 * 1024 * 1024),
+    "custom": EngineConfig(partition_custom={"per_file": 2}),
 }
 
 

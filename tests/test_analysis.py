@@ -1,8 +1,11 @@
 import json
+import math
 import random
+import re
 import time
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +125,7 @@ def test_skim_zero_sum_of_weights_raises(tmp_path, schema):
 
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_skim_sum_weights_equals_sum_of_weights(tmp_path, small_corpus, workers):
-    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
+    engine = EngineConfig(partition_custom={"per_file": 3},
                           workers=workers)
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine)
     ds = open_dataset(config.datasets[0], config.engine)
@@ -153,7 +156,7 @@ def cache_bytes(config, out):
 def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
     """Each skim asks to persist, but after a budget overflow the dataset
     stays cold, so a later skim neither overflows again nor warns again."""
-    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    engine = EngineConfig(partition_custom={"per_file": 3})
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
     budget = cache_bytes(config, tmp_path / "sizing.ntu") // 2
     config = replace(config, engine=replace(engine, cache_budget_bytes=budget, workers=2))
@@ -169,7 +172,8 @@ def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
 
 
 def test_an_uncached_data_skim_reads_every_corpus_byte_once(tmp_path, small_corpus):
-    config = base_config([DatasetDescriptor(glob=small_corpus["glob"], kind="data", label="d")])
+    config = base_config([DatasetDescriptor(glob=small_corpus["glob"], kind="data", label="d")],
+                         persist=False)
     ds = open_dataset(config.datasets[0], config.engine)
     run_skim(config, ds, tmp_path / "d.ntu")
     assert ds.phases.bytes_read == sum(p.stat().st_size for p in small_corpus["paths"])
@@ -187,6 +191,19 @@ def test_a_cached_reskim_reads_nothing(tmp_path, small_corpus):
     assert ds.phases.bytes_decoded == filled.bytes_decoded
     assert ds.phases.bytes_cached == filled.bytes_cached
     assert ds.phases.cache_hits == len(ds.partitions) > 0
+
+
+def test_a_persisted_data_dataset_reskims_from_memory(tmp_path, small_corpus):
+    data = DatasetDescriptor(glob=small_corpus["glob"], kind="data", label="d")
+    config = base_config([data], persist=True)
+    ds = open_dataset(data, config.engine)
+    run_skim(config, ds, tmp_path / "fill.ntu")
+    filled = replace(ds.phases)
+    run_skim(config, ds, tmp_path / "cached.ntu")
+    assert ds.cache_state == "cached"
+    assert ds.phases.bytes_read == filled.bytes_read
+    assert ds.phases.cache_hits == len(ds.partitions) > 0
+    assert (tmp_path / "cached.ntu").read_bytes() == (tmp_path / "fill.ntu").read_bytes()
 
 
 def test_traversals_of_one_dataset_add_up(small_corpus):
@@ -247,7 +264,7 @@ def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, wor
     """Cold, filling and overflowing skims write the same ntuple; an
     overflow mixes admitted and streamed partitions within one skim."""
     selection, projection = SKIMS[skim]
-    engine = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    engine = EngineConfig(partition_custom={"per_file": 3})
     sizing = base_config([mc_descriptor(small_corpus["glob"])], selection=selection,
                          projection=projection, engine=engine)
     half = cache_bytes(sizing, tmp_path / "sizing.ntu") // 2
@@ -516,7 +533,7 @@ def test_load_config_round_trip(tmp_path):
     assert config.datasets[0].label == "sig"
     assert config.selection == "met.pt > 100.0"
     assert config.histograms[0].nbins == 10
-    assert config.engine.partition_mode == "auto"
+    assert config.engine.partition_custom is None
 
 
 def test_load_config_bad_json_reports_position(tmp_path):
@@ -583,7 +600,45 @@ def test_config_values_of_the_wrong_json_type_rejected(overrides):
         config_from_dict(make_raw_config(**overrides))
 
 
-@pytest.mark.parametrize("xsec", ["50", True, None])
+def key_name(key):
+    """The config path of a key: ("datasets", 0, "glob") -> datasets[0].glob."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in key).lstrip(".")
+
+
+@pytest.mark.parametrize("key, value", [
+    (("datasets", 0, "glob"), ["x"]),
+    (("datasets", 0, "kind"), 1),
+    (("datasets", 1, "label"), 3),
+    (("projection", 0, "name"), 7),
+    (("projection", 0, "expr"), 1.5),
+    (("histograms", 0, "variable"), ["met_pt"]),
+    (("selection",), True),
+], ids=lambda v: key_name(v) if isinstance(v, tuple) else repr(v))
+def test_config_text_values_must_be_json_strings(key, value):
+    raw = make_raw_config()
+    *parents, last = key
+    node = raw
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{key_name(key)} must be a string")):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_load_config_rejects_non_finite_numbers(tmp_path, literal):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_raw_config()).replace("50.0", literal))
+    with pytest.raises(ConfigError, match=rf"cfg\.json: {literal} is not a JSON number"):
+        load_config(path)
+
+
+def test_luminosity_must_be_finite():
+    with pytest.raises(ConfigError, match="luminosity_invpb must be finite"):
+        AnalysisConfig(datasets=(mc_descriptor("*.evt"),), luminosity_invpb=math.inf)
+
+
+@pytest.mark.parametrize("xsec", ["50", True, None, math.inf])
 def test_config_mc_cross_section_must_be_a_number(xsec):
     raw = make_raw_config()
     raw["datasets"][0]["xsec_pb"] = xsec
@@ -595,15 +650,38 @@ def test_config_engine_keys():
     raw = make_raw_config(
         workers=7,
         cache_budget_bytes=123456,
-        partition={"mode": "custom", "custom": {"per_file": 3}},
+        partition={"custom": {"per_file": 3}},
     )
     config = config_from_dict(raw)
     assert config.engine == EngineConfig(
         workers=7,
         cache_budget_bytes=123456,
-        partition_mode="custom",
         partition_custom={"per_file": 3},
     )
+
+
+def test_a_custom_partition_plan_is_taken_whenever_it_is_given(small_corpus):
+    raw = make_raw_config(partition={"custom": {"per_file": 3}})
+    raw["datasets"][0]["glob"] = small_corpus["glob"]
+    config = config_from_dict(raw)
+    ds = open_dataset(config.datasets[0], config.engine)
+    assert [p.file_index for p in ds.partitions] == [0, 0, 0, 1, 1, 1]
+
+
+def test_partition_target_bytes_applies_only_without_custom():
+    raw = make_raw_config(partition={"target_bytes": 1024, "custom": {"per_file": 3}})
+    with pytest.raises(ConfigError, match="target_bytes applies only without custom"):
+        config_from_dict(raw)
+
+
+def test_readme_configuration_reference_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    keys = {row.removesuffix("[]") for row in rows}
+    assert {key.split(".")[0] for key in keys} == analysis._TOP_KEYS
+    partition = {key.split(".", 1)[1] for key in keys if key.startswith("partition.")}
+    assert partition == analysis._PARTITION_KEYS
 
 
 @pytest.mark.parametrize("kind", ["f32", "f64"])
@@ -624,7 +702,7 @@ def test_weight_column_is_bitwise_the_row_formula(tmp_path, kind):
     config = base_config(
         [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
         selection="x > 0.0", projection=(("x", "x"),),
-        engine=EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
+        engine=EngineConfig(partition_custom={"per_file": 4}, workers=2),
     )
     ds = open_dataset(config.datasets[0], config.engine)
     result = run_skim(config, ds, tmp_path / "out.ntu")

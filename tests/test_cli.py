@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import zlib
 
 import pytest
@@ -161,6 +162,17 @@ def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1 and "workers" in err
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"luminosity_invpb": math.inf}, "Infinity is not a JSON number"),
+    ({"partition": {"mode": "custom", "custom": {"per_file": 3}}}, "unknown keys ['mode']"),
+])
+def test_a_config_the_parser_rejects_is_one_error_line(tmp_path, capsys, extra, named):
+    cfg = write_config(tmp_path, str(tmp_path / "*.evt"), **extra)
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])
 def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"),
@@ -203,7 +215,7 @@ def test_hist_requires_skim_outputs(corpus, capsys):
 
 def test_full_pipeline_matches_serial_oracle(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), str(corpus / "data" / "*.evt"),
-                       workers=3, partition={"mode": "auto", "target_bytes": 262144})
+                       workers=3, partition={"target_bytes": 262144})
     out = corpus / "out"
     for cmd in ("skim", "hist", "plot-data"):
         assert main([cmd, "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -278,6 +290,14 @@ def test_bench_cli_labels_thread_sums(corpus, capsys):
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("uncached+raw+w2: total ")
     assert "s wall; phases summed over 2 threads: read " in line
+
+
+def test_bench_runs_on_the_config_worker_count(corpus, capsys):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"), workers=2)
+    rc = main(["bench", "--config", str(cfg), "--out-dir", str(corpus / "bench_out"),
+               "--reps", "3", "--cells", "uncached+raw"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("uncached+raw+w2: total ")
 
 
 def test_bench_reports_cache_budget_overflow(corpus, capsys):

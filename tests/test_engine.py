@@ -76,7 +76,7 @@ def fresh_phases(ds):
 
 
 def test_engine_config_validation():
-    for bad in (dict(workers=0), dict(partition_mode="manual"), dict(partition_target_bytes=0),
+    for bad in (dict(workers=0), dict(partition_target_bytes=0),
                 dict(cache_budget_bytes=-1), dict(workers="2"), dict(workers=True),
                 dict(workers=2.5), dict(cache_budget_bytes="x"), dict(cache_budget_bytes=False),
                 dict(partition_target_bytes="big"), dict(partition_target_bytes=4.0)):
@@ -116,7 +116,7 @@ def test_auto_planner_accumulates_under_target():
 
 def test_custom_per_file():
     files = [fake_index(f"/{c}.evt", [10] * 10) for c in "abc"]
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
+    config = EngineConfig(partition_custom={"per_file": 2})
     parts = plan_partitions(files, config)
     assert len(parts) == 6
     assert all(p.block_hi - p.block_lo == 5 for p in parts)
@@ -126,7 +126,7 @@ def test_custom_per_file():
 def test_custom_explicit_ranges():
     files = [fake_index("/a.evt", [10] * 4)]
     config = EngineConfig(
-        partition_mode="custom", partition_custom={"/a.evt": [[0, 3], [3, 4]]}
+        partition_custom={"/a.evt": [[0, 3], [3, 4]]}
     )
     parts = plan_partitions(files, config)
     assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 3), (3, 4)]
@@ -134,14 +134,14 @@ def test_custom_explicit_ranges():
 
 def test_custom_plan_gap_rejected():
     files = [fake_index("/a.evt", [10] * 4)]
-    config = EngineConfig(partition_mode="custom", partition_custom={"/a.evt": [[0, 2], [3, 4]]})
+    config = EngineConfig(partition_custom={"/a.evt": [[0, 2], [3, 4]]})
     with pytest.raises(InvalidCustomPlan, match="gap"):
         plan_partitions(files, config)
 
 
 def test_custom_plan_overlap_rejected():
     files = [fake_index("/a.evt", [10] * 4)]
-    config = EngineConfig(partition_mode="custom", partition_custom={"/a.evt": [[0, 3], [2, 4]]})
+    config = EngineConfig(partition_custom={"/a.evt": [[0, 3], [2, 4]]})
     with pytest.raises(InvalidCustomPlan, match="overlap"):
         plan_partitions(files, config)
 
@@ -163,12 +163,12 @@ def test_custom_plan_overlap_rejected():
 def test_custom_plan_malformed_rejected(custom, message):
     files = [fake_index("/a.evt", [10] * 4)]
     with pytest.raises(InvalidCustomPlan, match=message):
-        plan_partitions(files, EngineConfig(partition_mode="custom", partition_custom=custom))
+        plan_partitions(files, EngineConfig(partition_custom=custom))
 
 
 def test_custom_plan_missing_file_rejected():
     files = [fake_index("/a.evt", [10])]
-    config = EngineConfig(partition_mode="custom", partition_custom={"/other.evt": [[0, 1]]})
+    config = EngineConfig(partition_custom={"/other.evt": [[0, 1]]})
     with pytest.raises(InvalidCustomPlan):
         plan_partitions(files, config)
 
@@ -237,7 +237,7 @@ def test_map_reduce_deterministic_across_workers(single_file):
     oracle = kahan_sum(ev["met"]["pt"] for ev in events)
 
     for n_parts in (1, 4, 13):
-        config = EngineConfig(partition_mode="custom", partition_custom={"per_file": n_parts})
+        config = EngineConfig(partition_custom={"per_file": n_parts})
         values = []
         for workers in (1, 2, 7, 16):
             ds = open_dataset(mc_descriptor(path), replace(config, workers=workers))
@@ -312,7 +312,7 @@ def cached_sizes(ds, leaves):
 
 
 def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 2})
+    config = EngineConfig(partition_custom={"per_file": 2})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     assert len(ds.partitions) >= 3
     sizes = cached_sizes(ds, {("genInfo", "weight")})
@@ -337,7 +337,7 @@ def test_admission_follows_partition_order(tmp_path):
     path = tmp_path / "f.evt"
     generate_evt(GeneratorSpec(seed=9, n_events=700), path, block_target=100)
     config = EngineConfig(
-        partition_mode="custom", partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
+        partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
     )
     sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config), MET_PT)
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
@@ -371,7 +371,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
     """At one worker nothing runs ahead: every partition up to the one that
     overflows sees all before it cached, and every later one sees the
     partitions that fit still cached."""
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    config = EngineConfig(partition_custom={"per_file": 3})
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     sizes = cached_sizes(ds, MET_PT)
     assert len(sizes) == 6
@@ -393,7 +393,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
 def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_corpus):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 2},
+        EngineConfig(partition_custom={"per_file": 2},
                      cache_budget_bytes=1, workers=1),
     ).persist()
 
@@ -435,7 +435,7 @@ def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
     """Over budget, the cached set is the prefix of partitions that fits,
     the same at every worker count; a second skim reads none of their
     bytes and writes the same ntuple."""
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    config = EngineConfig(partition_custom={"per_file": 3})
     plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     sizes = cached_sizes(plan, MET_PT_NJETS)
     config = replace(config, cache_budget_bytes=sum(sizes[:3]) + sizes[3] // 2)
@@ -477,7 +477,7 @@ def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
 
 
 def test_one_worker_runs_every_task_on_the_calling_thread(small_corpus, tmp_path, monkeypatch):
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    config = EngineConfig(partition_custom={"per_file": 3})
     threads = []
     run = engine._run_partitions
 
@@ -576,7 +576,7 @@ def test_filter_false_writes_empty_file(small_corpus, tmp_path):
 def test_rows_in_serial_order(small_corpus, tmp_path):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=8),
+        EngineConfig(partition_custom={"per_file": 4}, workers=8),
     )
     run_filter(ds, "met.pt > 100.0", tmp_path / "sel.ntu")
     got = read_ntu(tmp_path / "sel.ntu")
@@ -595,7 +595,7 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
     """Cold, and persisted with a cache budget that overflows mid-way: the
     same ntuple and the same warnings at every worker count."""
     plan = open_dataset(mc_descriptor(small_corpus["glob"]))
-    overflow = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3},
+    overflow = EngineConfig(partition_custom={"per_file": 3},
                             cache_budget_bytes=sum(cached_sizes(plan, MET_PT_NJETS)) // 2)
     for config, persist in ((EngineConfig(), False), (overflow, True)):
         digests = set()
@@ -680,7 +680,7 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
     is emptied and refilled at the union, in partition order, until the
     budget stops it. The partitions that fit serve later skims within the
     union, and every ntuple equals a cold one."""
-    config = EngineConfig(partition_mode="custom", partition_custom={"per_file": 3})
+    config = EngineConfig(partition_custom={"per_file": 3})
     plan = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, workers=1))
     wide = {("met", "pt"), ("jets", "pt")}  # the jets offsets come with their pt
     sizes = cached_sizes(plan, wide)
@@ -718,7 +718,7 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
 def test_map_reduce_compiled_value_equals_callable(small_corpus):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 1}),
+        EngineConfig(partition_custom={"per_file": 1}),
     )
     assert len(ds.partitions) == 2
     partials = [
@@ -742,7 +742,7 @@ def test_decode_errors_identify_partition(tmp_path, schema):
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
+        EngineConfig(partition_custom={"per_file": 4}, workers=2),
     )
     with pytest.raises(CrcMismatch, match=r"partition 2 .*block"):
         total(ds, "1.0")
@@ -914,7 +914,7 @@ def test_corrupt_block_in_a_filling_skim_restores_the_collector(tmp_path, collec
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 4}, workers=2),
+        EngineConfig(partition_custom={"per_file": 4}, workers=2),
     ).persist()
     gc.enable()
     with pytest.raises(DataError, match=r"partition 1 .*block 1"):
@@ -928,7 +928,7 @@ def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_
 
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_mode="custom", partition_custom={"per_file": 3}, workers=2),
+        EngineConfig(partition_custom={"per_file": 3}, workers=2),
     )
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([], ds.schema)

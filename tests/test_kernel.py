@@ -258,7 +258,7 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
         decoded = list(read_evt(path)[1])
         ds = open_dataset(
             DatasetDescriptor(str(path), "mc", "mc", 1.0),
-            EngineConfig(partition_mode="custom", partition_custom={"per_file": parts},
+            EngineConfig(partition_custom={"per_file": parts},
                          workers=workers),
         )
         typed_weight = typecheck_value(weight, schema)

@@ -19,7 +19,7 @@ from .engine import (
     plan_partitions,
 )
 from .errors import SkimflowError
-from .events import analysis_schema, make_event, make_particle, validate_event
+from .events import analysis_schema, make_event, make_particle
 from .expr import parse_expr, typecheck_cut, typecheck_projection, typecheck_value
 from .generator import GeneratorSpec, generate_corpus, generate_events, generate_evt
 from .histogram import Histogram, HistogramSpec, fill_histogram
@@ -70,7 +70,6 @@ __all__ = [
     "typecheck_cut",
     "typecheck_projection",
     "typecheck_value",
-    "validate_event",
     "write_evt",
     "write_ntu",
 ]

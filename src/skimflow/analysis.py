@@ -28,7 +28,6 @@ The analysis configuration is one JSON document:
       "workers": 4,                       # optional engine settings
       "cache_budget_bytes": null,
       "partition": {"target_bytes": 4194304},   # or {"custom": {"per_file": 3}}
-      "persist": true,
       "ntu_group_rows": 65536
     }
 
@@ -141,7 +140,7 @@ def load_config(path) -> AnalysisConfig:
 
 _TOP_KEYS = {
     "datasets", "luminosity_invpb", "selection", "projection", "histograms",
-    "workers", "cache_budget_bytes", "partition", "persist", "ntu_group_rows",
+    "workers", "cache_budget_bytes", "partition", "ntu_group_rows",
 }
 _PARTITION_KEYS = {"target_bytes", "custom"}
 
@@ -241,7 +240,6 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         projection=projection,
         histograms=tuple(histograms) if histograms else DEFAULT_HISTOGRAMS,
         engine=engine,
-        persist=raw.get("persist", True),
         ntu_group_rows=raw.get("ntu_group_rows", DEFAULT_GROUP_ROWS),
     )
     _validate_expression_syntax(config, where)

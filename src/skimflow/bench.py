@@ -240,22 +240,6 @@ def run_benchmark(
     )
 
 
-def benchmark_matrix(
-    config: AnalysisConfig,
-    cells,
-    *,
-    dataset_label: str | None = None,
-    repetitions: int = 3,
-    workdir,
-) -> list[TimingReport]:
-    return [
-        run_benchmark(
-            config, cell, dataset_label=dataset_label, repetitions=repetitions, workdir=workdir
-        )
-        for cell in cells
-    ]
-
-
 def compare_reports(a: TimingReport, b: TimingReport) -> dict:
     """Per-phase ratios a/b of the medians, plus the total-wall ratio.
 

@@ -27,7 +27,7 @@ from .analysis import (
     run_skim,
     sum_of_weights,
 )
-from .bench import BenchCell, benchmark_matrix, compare_reports, reports_to_csv, reports_to_json
+from .bench import BenchCell, compare_reports, reports_to_csv, reports_to_json, run_benchmark
 from .engine import EngineConfig, open_dataset
 from .errors import BadMagic, KindMismatch, SkimflowError, UsageError
 from .generator import GeneratorSpec, generate_corpus, generate_evt
@@ -158,8 +158,6 @@ def cmd_skim(args) -> int:
     for descriptor in _select_datasets(config, args.dataset):
         ds = open_dataset(descriptor, engine)
         result = run_skim(one_off, ds, _ntu_path(out_dir, descriptor.label))
-        for warning in ds.warnings:
-            print(f"warning: {descriptor.label}: {warning}", file=sys.stderr)
         print(
             f"{descriptor.label}: {result.n_input} -> {result.n_output} rows "
             f"(reduction factor {result.reduction_factor:.6g}) -> {result.path}"
@@ -228,13 +226,11 @@ def cmd_bench(args) -> int:
     workdir = Path(args.workdir) if args.workdir else out_dir / "bench_work"
     workers = _engine(config, args).workers or 1  # bench defaults to one worker
     cells = _parse_cells(args.cells, workers)
-    reports = benchmark_matrix(
-        config,
-        cells,
-        dataset_label=args.dataset,
-        repetitions=args.reps,
-        workdir=workdir,
-    )
+    reports = [
+        run_benchmark(config, cell, dataset_label=args.dataset, repetitions=args.reps,
+                      workdir=workdir)
+        for cell in cells
+    ]
     json_path = out_dir / "bench_report.json"
     csv_path = out_dir / "bench_report.csv"
     json_path.write_text(reports_to_json(reports), encoding="utf-8")

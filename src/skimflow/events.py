@@ -1,4 +1,4 @@
-"""The concrete analysis event layout and event conformance checking.
+"""The concrete analysis event layout.
 
 Events are plain nested dicts: records are dicts, arrays are lists, and
 primitives are Python numbers/bools. The standard analysis layout carries
@@ -8,9 +8,6 @@ five particle collections, each a list of flat kinematic records.
 
 from __future__ import annotations
 
-import math
-
-from .errors import SchemaViolation
 from .schema import Array, Primitive, Record, Schema, SchemaNode
 
 PARTICLE_COLLECTIONS = ("muons", "electrons", "taus", "photons", "jets")
@@ -56,53 +53,3 @@ def make_event(run=1, lumi=1, event=1, weight=1.0, met_pt=0.0, met_phi=0.0, **co
 
 def make_particle(pt=30.0, eta=0.0, phi=0.0, mass=0.0, id=0) -> dict:
     return {"pt": pt, "eta": eta, "phi": phi, "mass": mass, "id": id}
-
-
-_I32_RANGE = (-(2**31), 2**31 - 1)
-_I64_RANGE = (-(2**63), 2**63 - 1)
-
-
-def validate_event(event, schema: Schema, *, _where: str = "event") -> None:
-    """Structural conformance check: exact field sets, list-shaped arrays,
-    primitives of the declared kind (ints in range, no bools where numbers
-    are expected). Raises SchemaViolation on the first offence."""
-    _check(event, schema.root, _where)
-
-
-def _check(value, node: SchemaNode, where: str) -> None:
-    if isinstance(node, Primitive):
-        kind = node.kind
-        if kind == "bool":
-            if not isinstance(value, bool):
-                raise SchemaViolation(f"{where}: expected bool, got {type(value).__name__}")
-        elif kind in ("f64", "f32"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaViolation(f"{where}: expected {kind}, got {type(value).__name__}")
-            if isinstance(value, float) and math.isnan(value):
-                return
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaViolation(f"{where}: expected {kind}, got {type(value).__name__}")
-            lo, hi = _I32_RANGE if kind == "i32" else _I64_RANGE
-            if not lo <= value <= hi:
-                raise SchemaViolation(f"{where}: {value} out of range for {kind}")
-    elif isinstance(node, Array):
-        if not isinstance(value, list):
-            raise SchemaViolation(f"{where}: expected list, got {type(value).__name__}")
-        for i, item in enumerate(value):
-            _check(item, node.element, f"{where}[{i}]")
-    else:
-        if not isinstance(value, dict):
-            raise SchemaViolation(f"{where}: expected record, got {type(value).__name__}")
-        names = node.names()
-        if set(value.keys()) != set(names):
-            extra = set(value) - set(names)
-            missing = set(names) - set(value)
-            detail = []
-            if missing:
-                detail.append(f"missing {sorted(missing)}")
-            if extra:
-                detail.append(f"unexpected {sorted(extra)}")
-            raise SchemaViolation(f"{where}: field mismatch ({'; '.join(detail)})")
-        for name, child in node.fields:
-            _check(value[name], child, f"{where}.{name}")

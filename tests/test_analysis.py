@@ -587,7 +587,7 @@ def test_config_defaults():
     {"cache_budget_bytes": "x"}, {"cache_budget_bytes": 1e6},
     {"partition": {"target_bytes": "big"}},
     {"ntu_group_rows": "abc"}, {"ntu_group_rows": 64.0},
-    {"persist": "no"}, {"persist": 0},
+    {"cache_budget_bytes": True}, {"partition": {"target_bytes": 1.5}},
     {"histograms": [{"variable": "met_pt", "nbins": 2.5, "lo": 0, "hi": 500}]},
     {"histograms": [{"variable": "met_pt", "nbins": True, "lo": 0, "hi": 500}]},
     {"luminosity_invpb": True}, {"luminosity_invpb": "1000"},

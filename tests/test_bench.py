@@ -5,7 +5,6 @@ import pytest
 from skimflow.analysis import AnalysisConfig
 from skimflow.bench import (
     BenchCell,
-    benchmark_matrix,
     compare_reports,
     run_benchmark,
     reports_to_csv,
@@ -69,7 +68,8 @@ def test_cached_reps_read_zero_bytes(bench_setup, tmp_path):
 
 def test_outputs_identical_across_cells(bench_setup, tmp_path):
     cells = [BenchCell(False, False), BenchCell(True, False), BenchCell(False, True)]
-    reports = benchmark_matrix(bench_setup["config"], cells, repetitions=3, workdir=tmp_path)
+    reports = [run_benchmark(bench_setup["config"], cell, repetitions=3, workdir=tmp_path)
+               for cell in cells]
     assert len({r.output_sha256 for r in reports}) == 1
     assert len({r.median.rows_out for r in reports}) == 1
 
@@ -118,8 +118,8 @@ def test_incomparable_reports_rejected(bench_setup, tmp_path, tmp_path_factory):
 
 
 def test_report_serialization(bench_setup, tmp_path):
-    reports = benchmark_matrix(bench_setup["config"], [BenchCell(False, False)],
-                               repetitions=3, workdir=tmp_path)
+    reports = [run_benchmark(bench_setup["config"], BenchCell(False, False),
+                             repetitions=3, workdir=tmp_path)]
     parsed = json.loads(reports_to_json(reports))
     assert parsed[0]["cell"] == {"cached": False, "compressed": False, "workers": 1}
     assert set(parsed[0]["median"]) >= {"read_s", "decode_s", "compute_s", "write_s",

@@ -165,6 +165,7 @@ def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys)
 @pytest.mark.parametrize("extra, named", [
     ({"luminosity_invpb": math.inf}, "Infinity is not a JSON number"),
     ({"partition": {"mode": "custom", "custom": {"per_file": 3}}}, "unknown keys ['mode']"),
+    ({"persist": True}, "unknown keys ['persist']"),
 ])
 def test_a_config_the_parser_rejects_is_one_error_line(tmp_path, capsys, extra, named):
     cfg = write_config(tmp_path, str(tmp_path / "*.evt"), **extra)

@@ -1,7 +1,7 @@
 import pytest
 
 from skimflow.errors import SchemaError
-from skimflow.events import analysis_schema, make_event, make_particle, validate_event
+from skimflow.events import analysis_schema
 from skimflow.schema import Array, Primitive, Record, Schema
 
 
@@ -63,30 +63,3 @@ def test_from_json_rejects_garbage():
     ]:
         with pytest.raises(SchemaError):
             Schema.from_json(text)
-
-
-def test_validate_event_accepts_generated_shape():
-    ev = make_event(met_pt=200.0, jets=[make_particle(pt=45.0)])
-    validate_event(ev, analysis_schema())
-
-
-def test_validate_event_rejects_bad_shapes():
-    schema = analysis_schema()
-    ev = make_event()
-    ev["met"]["pt"] = "high"
-    with pytest.raises(Exception, match="met.pt"):
-        validate_event(ev, schema)
-
-    ev = make_event()
-    del ev["jets"]
-    with pytest.raises(Exception, match="missing"):
-        validate_event(ev, schema)
-
-    ev = make_event(jets=[{"pt": 1.0}])
-    with pytest.raises(Exception):
-        validate_event(ev, schema)
-
-    ev = make_event()
-    ev["run"] = 2**70
-    with pytest.raises(Exception, match="range"):
-        validate_event(ev, schema)

@@ -181,6 +181,7 @@ def _with(**changes):
     pytest.param(None, _with(met={"pt": "1.0", "phi": 0.0}), id="str-in-f64"),
     pytest.param(None, _with(jets=[make_particle(id=1.5)]), id="float-in-i32"),
     pytest.param(None, _with(jets=[make_particle(id=2**31)]), id="i32-out-of-range"),
+    pytest.param(None, _with(run=2**70), id="i64-out-of-range"),
     pytest.param(None, _with(jets=None), id="none-for-array"),
     pytest.param(None, _with(jets=[{"pt": 1.0, "eta": 0.0, "phi": 0.0, "mass": 0.0}]),
                  id="missing-element-field"),

@@ -129,8 +129,17 @@ def load_config(path) -> AnalysisConfig:
     def non_finite(literal):  # json accepts Infinity, -Infinity and NaN; JSON does not
         raise ConfigError(f"{path}: {literal} is not a JSON number")
 
+    def unique(pairs):  # json keeps the last of repeated keys
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite)
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite,
+                         object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):

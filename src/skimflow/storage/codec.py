@@ -14,7 +14,11 @@ checked.
 
 Encoding covers the whole event and reads every field, so an event that
 lacks one, or holds a value its struct format rejects, raises
-SchemaViolation. The encoder of a codec is compiled on its first encode.
+SchemaViolation. It checks nothing more: a field the schema does not
+name is ignored, True or False passes for a number, any value passes for
+a bool (and is stored as its truth value), and any sequence, a tuple
+say, passes for an array. The encoder of a codec is compiled on its
+first encode.
 Each run of fixed-width fields becomes one struct call, and each array
 its u32 count followed by a loop over its elements.
 

@@ -3,7 +3,8 @@
 Byte layout (all integers little-endian):
 
     magic   4 bytes  "NTU1"
-    header  u32 length, then canonical JSON: {"columns": [["name","kind"], ...]}
+    header  u32 length, then canonical JSON: {"columns": [["name","kind"], ...]},
+            with unique names; names and kinds are JSON strings
     groups  repeated, each:
                 u32 row count
                 for every column, in header order: row-count values packed
@@ -11,13 +12,17 @@ Byte layout (all integers little-endian):
     footer  u64 total row count, u32 group count
 
 Column kinds are f64/f32/i64/i32/bool with widths 8/4/8/4/1 bytes (a bool
-is 0 or 1), so the offset of any column within a group is computable from
-the row count alone; reading a column subset seeks over the others and the
-bytes read stay proportional to the columns requested.
+is 0 or 1; a reader returns any other byte as its signed value, so 0xff
+reads back as -1), so the offset of any column within a group is
+computable from the row count alone; reading a column subset seeks over
+the others and the bytes read stay proportional to the columns requested.
+A group whose row count would carry its columns past the footer is
+rejected before any of them is read.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from array import array
@@ -254,17 +259,22 @@ def read_ntu(
             raise CorruptHeader(f"{path}: truncated header")
         bytes_read += 8 + hlen
         try:
-            import json
-
             header = json.loads(header_raw.decode("utf-8"))
-            all_columns = tuple((str(n), str(k)) for n, k in header["columns"])
+            entries = header["columns"]
+            if type(entries) is not list or any(type(e) is not list for e in entries):
+                raise ValueError("columns must be a list of [name, kind] lists")
+            all_columns = tuple((n, k) for n, k in entries)
         except Exception as exc:
             raise CorruptHeader(f"{path}: bad header: {exc}") from exc
         for name, kind in all_columns:
+            if type(name) is not str or type(kind) is not str:
+                raise CorruptHeader(f"{path}: column {name!r}: name and kind must be strings")
             if kind not in KIND_INFO:
                 raise CorruptHeader(f"{path}: column {name!r} has unknown kind {kind!r}")
 
         known = {name for name, _ in all_columns}
+        if len(known) != len(all_columns):
+            raise CorruptHeader(f"{path}: duplicate column names")
         if columns is None:
             wanted = [name for name, _ in all_columns]
         else:
@@ -278,12 +288,14 @@ def read_ntu(
         if file_size < f.tell() + _FOOTER.size:
             raise FooterMismatch(f"{path}: file too short for footer")
         data_start = f.tell()
-        f.seek(file_size - _FOOTER.size)
+        data_end = file_size - _FOOTER.size
+        f.seek(data_end)
         total_rows, n_groups = _FOOTER.unpack(f.read(_FOOTER.size))
         bytes_read += _FOOTER.size
         f.seek(data_start)
 
         out = {name: array(KIND_INFO[kinds[name]][0]) for name in wanted}
+        row_width = sum(KIND_INFO[kind][1] for _, kind in all_columns)
         rows_seen = 0
         for g in range(n_groups):
             raw = f.read(4)
@@ -291,6 +303,9 @@ def read_ntu(
                 raise FooterMismatch(f"{path}: group {g}: truncated group header")
             (nrows,) = _U32.unpack(raw)
             bytes_read += 4
+            # bound every column's read and seek by the bytes before the footer
+            if nrows * row_width > data_end - f.tell():
+                raise FooterMismatch(f"{path}: group {g}: {nrows} rows run past the footer")
             for name, kind in all_columns:
                 nbytes = nrows * KIND_INFO[kind][1]
                 if name in wanted_set:
@@ -302,7 +317,7 @@ def read_ntu(
                 else:
                     f.seek(nbytes, os.SEEK_CUR)
             rows_seen += nrows
-        if f.tell() != file_size - _FOOTER.size:
+        if f.tell() != data_end:
             raise FooterMismatch(f"{path}: data section does not end at the footer")
         if rows_seen != total_rows:
             raise FooterMismatch(

@@ -633,6 +633,19 @@ def test_load_config_rejects_non_finite_numbers(tmp_path, literal):
         load_config(path)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"luminosity_invpb": 1000.0', '"luminosity_invpb": 1000.0, "luminosity_invpb": 1.0',
+     "luminosity_invpb"),
+    ('"label": "sig"', '"label": "sig", "label": "other"', "label"),
+    ('"nbins": 10', '"nbins": 10, "nbins": 20', "nbins"),
+], ids=["top-level", "in-a-dataset", "in-a-histogram"])
+def test_load_config_rejects_a_repeated_key_at_any_depth(tmp_path, old, new, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make_raw_config()).replace(old, new))
+    with pytest.raises(ConfigError, match=rf"cfg\.json: duplicate key '{key}'"):
+        load_config(path)
+
+
 def test_luminosity_must_be_finite():
     with pytest.raises(ConfigError, match="luminosity_invpb must be finite"):
         AnalysisConfig(datasets=(mc_descriptor("*.evt"),), luminosity_invpb=math.inf)

@@ -174,6 +174,14 @@ def test_a_config_the_parser_rejects_is_one_error_line(tmp_path, capsys, extra, 
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
+def test_a_repeated_config_key_is_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, str(tmp_path / "*.evt"), workers=1)
+    cfg.write_text(cfg.read_text().replace('"workers": 1', '"workers": 1, "workers": 4'))
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "duplicate key 'workers'" in err
+
+
 @pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])
 def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"),

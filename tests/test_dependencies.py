@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import skimflow
+import skimflow.storage
 
 # imports the package and every submodule, and prints the top-level names
 # of the modules that loaded and are neither the standard library nor skimflow
@@ -24,3 +27,8 @@ def test_runtime_imports_only_the_standard_library():
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", [skimflow, skimflow.storage], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

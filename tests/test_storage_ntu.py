@@ -1,13 +1,14 @@
 import json
 import random
 import struct
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skimflow.errors import ArityMismatch, BadMagic, FooterMismatch, UnknownColumn
+from skimflow.errors import ArityMismatch, BadMagic, CorruptHeader, FooterMismatch, UnknownColumn
 from skimflow.storage import NtuWriter, read_ntu, write_ntu
 from skimflow.storage.ntu import KIND_INFO
 
@@ -111,6 +112,37 @@ def test_truncation_detected(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(FooterMismatch):
         read_ntu(path)
+
+
+@pytest.mark.parametrize("columns, match", [
+    pytest.param('[["a", "f64"], ["a", "f64"]]', "duplicate column names", id="duplicate-name"),
+    pytest.param('[[1, "f64"]]', "must be strings", id="number-name"),
+    pytest.param('[[null, "f64"]]', "must be strings", id="null-name"),
+    pytest.param('[["a", ["f64"]]]', "must be strings", id="list-kind"),
+    pytest.param('[{"a": 0, "f64": 1}]', "list of", id="object-entry"),
+])
+def test_header_columns_are_unique_json_strings(tmp_path, columns, match):
+    header = f'{{"columns": {columns}}}'.encode()
+    path = tmp_path / "f.ntu"
+    path.write_bytes(b"NTU1" + struct.pack("<I", len(header)) + header + struct.pack("<QI", 0, 0))
+    with pytest.raises(CorruptHeader, match=match):
+        read_ntu(path)
+
+
+@pytest.mark.parametrize("columns", [None, []], ids=["read", "skipped"])
+def test_a_group_row_count_is_bounded_before_the_read(tmp_path, columns):
+    raw = bytearray(reference_ntu([(1.0,), (2.0,)], [("x", "f64")], 2))
+    struct.pack_into("<I", raw, len(raw) - 12 - 2 * 8 - 4, 2**22)  # the group's row count
+    path = tmp_path / "f.ntu"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FooterMismatch, match="past the footer"):
+            read_ntu(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_arity_and_kind_mismatch(tmp_path):

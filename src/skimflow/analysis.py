@@ -27,8 +27,7 @@ The analysis configuration is one JSON document:
       "histograms": [{"variable": "met_pt", "nbins": 40, "lo": 0, "hi": 1000}],
       "workers": 4,                       # optional engine settings
       "cache_budget_bytes": null,
-      "partition": {"target_bytes": 4194304},   # or {"custom": {"per_file": 3}}
-      "ntu_group_rows": 65536
+      "partition": {"target_bytes": 4194304}   # or {"custom": {"per_file": 3}}
     }
 
 An empty/omitted projection defaults to every scalar leaf of the schema,
@@ -59,7 +58,6 @@ from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Schema
 from .storage import NtuWriter, read_ntu
 from .storage.flatten import flatten_paths
-from .storage.ntu import DEFAULT_GROUP_ROWS
 
 DEFAULT_SELECTION = (
     "met.pt > 150.0 and size(muons) == 0 and size(electrons) == 0 "
@@ -93,7 +91,6 @@ class AnalysisConfig:
     histograms: tuple[HistogramSpec, ...] = DEFAULT_HISTOGRAMS
     engine: EngineConfig = EngineConfig()
     persist: bool = True
-    ntu_group_rows: int = DEFAULT_GROUP_ROWS
 
     def __post_init__(self) -> None:
         if not self.datasets:
@@ -111,8 +108,6 @@ class AnalysisConfig:
             raise ConfigError("projection: column names must be unique")
         if not isinstance(self.persist, bool):
             raise ConfigError("persist must be true or false")
-        if not (type(self.ntu_group_rows) is int and self.ntu_group_rows >= 1):
-            raise ConfigError("ntu_group_rows must be an integer >= 1")
 
     def dataset(self, label: str) -> DatasetDescriptor:
         for d in self.datasets:
@@ -125,23 +120,12 @@ def load_config(path) -> AnalysisConfig:
     """Parse and validate an analysis configuration file. All structural
     and expression-syntax problems are reported here, before any event I/O."""
     path = Path(path)
-
-    def non_finite(literal):  # json accepts Infinity, -Infinity and NaN; JSON does not
-        raise ConfigError(f"{path}: {literal} is not a JSON number")
-
-    def unique(pairs):  # json keeps the last of repeated keys
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ConfigError(f"{path}: duplicate key {key!r}")
-            obj[key] = value
-        return obj
-
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=non_finite,
-                         object_pairs_hook=unique)
+        raw = canonical.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(raw, where=str(path))
@@ -149,7 +133,7 @@ def load_config(path) -> AnalysisConfig:
 
 _TOP_KEYS = {
     "datasets", "luminosity_invpb", "selection", "projection", "histograms",
-    "workers", "cache_budget_bytes", "partition", "ntu_group_rows",
+    "workers", "cache_budget_bytes", "partition",
 }
 _PARTITION_KEYS = {"target_bytes", "custom"}
 
@@ -249,7 +233,6 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         projection=projection,
         histograms=tuple(histograms) if histograms else DEFAULT_HISTOGRAMS,
         engine=engine,
-        ntu_group_rows=raw.get("ntu_group_rows", DEFAULT_GROUP_ROWS),
     )
     _validate_expression_syntax(config, where)
     return config
@@ -373,9 +356,9 @@ def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimRe
         weight = finalize = None
 
     t1 = time.perf_counter()
-    sink = NtuWriter(out_path, projection.columns, group_target=config.ntu_group_rows)
-    ds.phases.compute += t1 - t0
-    ds.phases.write += time.perf_counter() - t1
+    sink = NtuWriter(out_path, projection.columns)
+    ds.phases.compute_s += t1 - t0
+    ds.phases.write_s += time.perf_counter() - t1
     n_out, sumw = filter_map_write(
         ds, cut, projection, sink=sink, weight=weight, finalize=finalize
     )

@@ -2,23 +2,23 @@
 
 Each benchmark cell fixes three axes — cached or cold input, deflated or
 raw input, and the worker count — and times the full skim of one dataset
-(one traversal, for mc as for data), attributing wall time to four
-non-overlapping phases:
+(one traversal, for mc as for data), attributing wall time to the four
+non-overlapping phases of `PhaseTimers`:
 
-    read     raw storage reads
-    decode   CRC checks, decompression, deserialization to columns
-    compute  type-checking the expressions, compiling and running the
-             skim loop (cut, projection and weight sum) and weight
-             normalization
-    write    opening the ntuple, writing each partition's column arrays
-             into its row groups, and freeing them once written
+    read_s     raw storage reads
+    decode_s   CRC checks, decompression, deserialization to columns
+    compute_s  type-checking the expressions, compiling and running the
+               skim loop (cut, projection and weight sum) and weight
+               normalization
+    write_s    opening the ntuple, writing each partition's column arrays
+               into its row groups, and freeing them once written
 
 The harness reads the phases from the dataset, which owns them
 (`PartitionedDataset.phases`): an uncached repetition opens a dataset,
 scan included, and a cached cell resets its one dataset's before each.
 
-`read_compute` (read + decode + compute) is also reported so runs can be
-compared against harnesses that cannot separate decoding from reading.
+`read_compute_s` (read + decode + compute) is also reported so runs can
+be compared against harnesses that cannot separate decoding from reading.
 Every cell runs one discarded warm-up repetition followed by the measured
 repetitions (at least three) and reports per-repetition samples plus the
 median per phase; medians resist interference from other load. A cell
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import canonical
@@ -64,40 +64,17 @@ class BenchCell:
         )
 
 
-@dataclass(frozen=True)
-class PhaseSample:
-    """One repetition: the `PhaseTimers.as_dict()` fields, the wall time
-    and the rows written."""
+@dataclass
+class PhaseSample(PhaseTimers):
+    """One repetition: the dataset's phases, the wall time and the rows
+    written."""
 
-    read_s: float
-    decode_s: float
-    compute_s: float
-    write_s: float
-    total_s: float
-    bytes_read: int
-    bytes_decoded: int
-    bytes_cached: int
-    cache_hits: int
-    rows_out: int
+    total_s: float = 0.0
+    rows_out: int = 0
 
     @property
     def read_compute_s(self) -> float:
         return self.read_s + self.decode_s + self.compute_s
-
-    def as_dict(self) -> dict:
-        return {
-            "read_s": self.read_s,
-            "decode_s": self.decode_s,
-            "compute_s": self.compute_s,
-            "write_s": self.write_s,
-            "read_compute_s": self.read_compute_s,
-            "total_s": self.total_s,
-            "bytes_read": self.bytes_read,
-            "bytes_decoded": self.bytes_decoded,
-            "bytes_cached": self.bytes_cached,
-            "cache_hits": self.cache_hits,
-            "rows_out": self.rows_out,
-        }
 
 
 def _median_sample(samples: list[PhaseSample]) -> PhaseSample:
@@ -106,6 +83,10 @@ def _median_sample(samples: list[PhaseSample]) -> PhaseSample:
         return value if f.type == "float" else int(value)
 
     return PhaseSample(**{f.name: med(f) for f in fields(PhaseSample)})
+
+
+def _sample_dict(sample: PhaseSample) -> dict:
+    return {**asdict(sample), "read_compute_s": sample.read_compute_s}
 
 
 @dataclass(frozen=True)
@@ -125,20 +106,16 @@ class TimingReport:
     def to_dict(self) -> dict:
         return {
             "dataset": self.dataset_label,
-            "cell": {
-                "cached": self.cell.cached,
-                "compressed": self.cell.compressed,
-                "workers": self.cell.workers,
-            },
+            "cell": asdict(self.cell),
             "repetitions": self.repetitions,
             "corpus": {
                 "files": self.corpus_files,
                 "events": self.corpus_events,
                 "storage_bytes": self.corpus_bytes,
             },
-            "warmup": self.warmup.as_dict(),
-            "reps": [s.as_dict() for s in self.reps],
-            "median": self.median.as_dict(),
+            "warmup": _sample_dict(self.warmup),
+            "reps": [_sample_dict(s) for s in self.reps],
+            "median": _sample_dict(self.median),
             "output_sha256": self.output_sha256,
             "warnings": list(self.warnings),
         }
@@ -217,7 +194,7 @@ def run_benchmark(
         warnings += [w for w in ds.warnings if w not in warnings]
         if corpus is None:
             corpus = (len(ds.files), ds.n_events, ds.n_bytes)
-        sample = PhaseSample(**ds.phases.as_dict(), total_s=total, rows_out=result.n_output)
+        sample = PhaseSample(**asdict(ds.phases), total_s=total, rows_out=result.n_output)
         sha = _sha256_file(out_path)
         if output_sha is None:
             output_sha = sha

@@ -1,8 +1,9 @@
-"""Canonical JSON encoding shared by file headers and report emitters.
+"""Canonical JSON shared by file headers, configs and report emitters.
 
 Canonical form: compact separators, no key sorting (construction order is
 the declared order), UTF-8 without ASCII escaping, and no NaN/Infinity.
-Identical objects always serialize to identical bytes.
+Identical objects always serialize to identical bytes. `loads` reads
+JSON as strictly as `dumps` writes it.
 """
 
 from __future__ import annotations
@@ -16,3 +17,24 @@ def dumps(obj) -> str:
 
 def dump_bytes(obj) -> bytes:
     return dumps(obj).encode("utf-8")
+
+
+def loads(text: str):
+    """Parse JSON text, rejecting what `json.loads` lets through: a key
+    repeated within one object (it keeps the last) and `Infinity`,
+    `-Infinity` or `NaN`. Raises `ValueError`, a `json.JSONDecodeError`
+    for bad syntax."""
+    return json.loads(text, parse_constant=_non_finite, object_pairs_hook=_unique)
+
+
+def _non_finite(literal):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+def _unique(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj

@@ -404,7 +404,7 @@ def _traverse(
     cached = ds._cache if wide == ds._leaves else {}
     if any(part.index not in cached for part in ds.partitions):
         codec = EventCodec(ds.schema, wide if ds._want_cache else leaves)
-    ds.phases.compute += time.perf_counter() - t0
+    ds.phases.compute_s += time.perf_counter() - t0
 
     def task(part: Partition):
         t = PhaseTimers()
@@ -412,7 +412,7 @@ def _traverse(
         columns = [array(typecode) for typecode in typecodes]
         blocks = ds._partition_columns(part, t, None if part.index in cached else codec)
         partial, n = kernel(blocks, columns)
-        t.compute += max(time.perf_counter() - t0 - t.read - t.decode, 0.0)
+        t.compute_s += max(time.perf_counter() - t0 - t.read_s - t.decode_s, 0.0)
         return part, (columns, n, partial), blocks, t
 
     results = []
@@ -495,14 +495,14 @@ def filter_map_write(
             finish = finalize(sumw)
             for columns, _, _ in results:
                 finish(columns)
-            ds.phases.compute += time.perf_counter() - t0
+            ds.phases.compute_s += time.perf_counter() - t0
         t0 = time.perf_counter()
         for columns, n, _ in results:
             sink.append_columns(columns, n)
             count += n
             columns.clear()  # free each partition's arrays once written
         sink.close()
-        ds.phases.write += time.perf_counter() - t0
+        ds.phases.write_s += time.perf_counter() - t0
     except BaseException:
         sink.abort()
         raise

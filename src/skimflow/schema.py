@@ -67,11 +67,9 @@ class Schema:
 
     @staticmethod
     def from_json(text: str) -> "Schema":
-        import json
-
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+            obj = canonical.loads(text)
+        except ValueError as exc:
             raise SchemaError(f"schema is not valid JSON: {exc}") from exc
         return Schema(_node_from_obj(obj))
 

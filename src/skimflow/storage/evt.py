@@ -30,7 +30,7 @@ from pathlib import Path
 from struct import Struct
 from typing import Iterable, Iterator
 
-from ..errors import BadMagic, CorruptHeader, CrcMismatch, TruncatedBlock
+from ..errors import BadMagic, ConfigError, CorruptHeader, CrcMismatch, TruncatedBlock
 from ..schema import Array, Primitive, Record, Schema, SchemaNode
 from ..timing import PhaseTimers
 from .codec import ColumnSet, EventCodec
@@ -138,7 +138,7 @@ def _write_blocks(
 
 def _check_block_target(block_target: int) -> None:
     if block_target < 1:
-        raise ValueError("block_target must be >= 1")
+        raise ConfigError(f"block_target must be >= 1, not {block_target}")
 
 
 def write_evt(
@@ -206,14 +206,14 @@ def scan_evt(path, timers: PhaseTimers | None = None) -> EvtIndex:
         t0 = time.perf_counter()
         schema, text, flags = _read_header(f, path)
         pos = f.tell()
-        timers.read += time.perf_counter() - t0
+        timers.read_s += time.perf_counter() - t0
         timers.bytes_read += pos
         blocks = []
         index = 0
         while pos < file_size:
             t0 = time.perf_counter()
             raw = f.read(8)
-            timers.read += time.perf_counter() - t0
+            timers.read_s += time.perf_counter() - t0
             timers.bytes_read += len(raw)
             if len(raw) < 8:
                 raise TruncatedBlock(f"{path}: block {index}: truncated block header")
@@ -239,7 +239,7 @@ def _stored_blocks(
             f.seek(block.offset + 8)
             t0 = time.perf_counter()
             data = f.read(block.payload_len + 4)
-            timers.read += time.perf_counter() - t0
+            timers.read_s += time.perf_counter() - t0
             timers.bytes_read += len(data)
             yield i, data
 
@@ -295,7 +295,7 @@ def _decode_stored_block(
     payload = _verified_payload(data, index, i)
     with _in_block(index, i):
         columns = codec.decode_block(payload, index.blocks[i].n_events)
-    timers.decode += time.perf_counter() - t0
+    timers.decode_s += time.perf_counter() - t0
     timers.bytes_decoded += len(payload)
     return columns
 
@@ -353,8 +353,8 @@ def convert_evt(
     stored as a byte other than 0 or 1 (read as True, encoded as 1), and
     an f32 signalling NaN (quieted by the conversion to a Python float).
     """
-    index = scan_evt(src)
     _check_block_target(block_target)
+    index = scan_evt(src)
     walker = EventCodec(index.schema, ())
 
     def blocks():

@@ -4,7 +4,8 @@ Byte layout (all integers little-endian):
 
     magic   4 bytes  "NTU1"
     header  u32 length, then canonical JSON: {"columns": [["name","kind"], ...]},
-            with unique names; names and kinds are JSON strings
+            and no other key, with unique names; names and kinds are JSON
+            strings (read by `canonical.loads`, so no key repeats)
     groups  repeated, each:
                 u32 row count
                 for every column, in header order: row-count values packed
@@ -22,7 +23,6 @@ rejected before any of them is read.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from array import array
@@ -259,7 +259,9 @@ def read_ntu(
             raise CorruptHeader(f"{path}: truncated header")
         bytes_read += 8 + hlen
         try:
-            header = json.loads(header_raw.decode("utf-8"))
+            header = canonical.loads(header_raw.decode("utf-8"))
+            if type(header) is not dict or header.keys() != {"columns"}:
+                raise ValueError("header must be an object whose only key is 'columns'")
             entries = header["columns"]
             if type(entries) is not list or any(type(e) is not list for e in entries):
                 raise ValueError("columns must be a list of [name, kind] lists")

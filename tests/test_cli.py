@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 import zlib
 
 import pytest
@@ -47,11 +48,6 @@ def test_inspect_empty_evt(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "e.evt"), "--events", "0"]) == 0
     assert main(["inspect", str(tmp_path / "e.evt")]) == 0
     assert "0 events, 0 blocks" in capsys.readouterr().out
-
-
-def test_gen_negative_events_usage_error(tmp_path, capsys):
-    assert main(["gen", "--out", str(tmp_path / "f.evt"), "--events", "-1"]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_gen_unwritable_path_is_io_error(tmp_path, capsys):
@@ -111,6 +107,40 @@ def test_convert_round_trip(tmp_path, capsys):
     assert (tmp_path / "u.evt").read_bytes() == (tmp_path / "f.evt").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "g.evt", "--events", "-1"],
+    ["gen", "--out", "g", "--events", "10", "--files", "0"],
+    ["gen", "--out", "g.evt", "--events", "10", "--block-events", "0"],
+    ["convert", "f.evt", "g.evt", "--compress", "--block-events", "0"],
+    ["bench", "--config", "cfg.json", "--out-dir", "g", "--reps", "2"],
+    ["skim", "--config", "cfg.json", "--out-dir", "g", "--workers", "0"],
+], ids=["gen-events", "gen-files", "gen-block-events", "convert-block-events", "bench-reps",
+        "skim-workers"])
+def test_a_bad_numeric_flag_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "f.evt", "--events", "100", "--seed", "3"]) == 0
+    write_config(tmp_path, "f.evt")
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("g*.evt")) and not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("name, magic, header", [
+    ("f.ntu", b"NTU1", b'{"columns":[["a","f64"]],"columns":[["a","f64"]],"extra":1}'),
+    ("f.evt", b"EVT1", b'{"record":[["a","f64"]],"record":[["b","i64"]]}'),
+], ids=["ntu", "evt"])
+def test_inspect_of_a_header_with_a_repeated_key_is_a_data_error(tmp_path, capsys, name,
+                                                                 magic, header):
+    path = tmp_path / name
+    path.write_bytes(magic + struct.pack("<I", len(header)) + header + bytes(13))
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "duplicate key" in err
+
+
 def test_sum_weights_on_data_only_config_is_kind_mismatch(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "d.evt"), "--events", "100",
                  "--seed", "5", "--kind", "data"]) == 0
@@ -166,6 +196,7 @@ def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys)
     ({"luminosity_invpb": math.inf}, "Infinity is not a JSON number"),
     ({"partition": {"mode": "custom", "custom": {"per_file": 3}}}, "unknown keys ['mode']"),
     ({"persist": True}, "unknown keys ['persist']"),
+    ({"ntu_group_rows": 65536}, "unknown keys ['ntu_group_rows']"),
 ])
 def test_a_config_the_parser_rejects_is_one_error_line(tmp_path, capsys, extra, named):
     cfg = write_config(tmp_path, str(tmp_path / "*.evt"), **extra)
@@ -180,6 +211,14 @@ def test_a_repeated_config_key_is_one_error_line(tmp_path, capsys):
     assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "duplicate key 'workers'" in err
+
+
+def test_a_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"luminosity_invpb": 1000.0, "selection": "\xff"}')
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
 
 
 @pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])

@@ -5,7 +5,7 @@ import threading
 import weakref
 import zlib
 from array import array
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -279,8 +279,8 @@ def test_persisting_pass_reports_compute(small_corpus):
     ds.persist()
     t = fresh_phases(ds)
     total(ds, "genInfo.weight")
-    assert t.decode > 0
-    assert t.compute > 0
+    assert t.decode_s > 0
+    assert t.compute_s > 0
 
 
 def test_cache_budget_overflow_falls_back_to_cold(small_corpus):
@@ -470,7 +470,7 @@ def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
     total(ds, "met.pt")
     assert ds.cache_state == "cached"
     assert filling.bytes_cached == ds._cache_bytes == sum(cached_sizes(ds, MET_PT)) > 0
-    assert filling.as_dict()["bytes_cached"] == filling.bytes_cached
+    assert asdict(filling)["bytes_cached"] == filling.bytes_cached
     cached = fresh_phases(ds)
     total(ds, "met.pt")
     assert cached.bytes_cached == 0

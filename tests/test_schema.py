@@ -60,6 +60,8 @@ def test_from_json_rejects_garbage():
         '{"record": [[1, "f64"]]}',  # a field name that is not a string
         '{"record": [["x", 8]]}',  # a node that is neither text nor an object
         '{"record": [["x", {"array": "f64", "n": 2}]]}',  # an object with extra keys
+        '{"record": [["a", "f64"]], "record": [["b", "i64"]]}',  # a repeated key
+        '{"record": [["a", {"array": "f64", "array": "i64"}]]}',
     ]:
         with pytest.raises(SchemaError):
             Schema.from_json(text)

@@ -110,6 +110,7 @@ EMPTY_RECORDS_FILE = (
     pytest.param(b"EVT1" + (16 * 1024 * 1024 + 1).to_bytes(4, "little"), id="length-over-16-MiB"),
     pytest.param(b"EVT1" + (100).to_bytes(4, "little") + b'{"record"', id="truncated-text"),
     pytest.param(_header(b'{"record":[["x",'), id="invalid-json"),
+    pytest.param(_header(b'{"record":[["a","f64"]],"record":[["b","i64"]]}'), id="repeated-key"),
     pytest.param(EMPTY_RECORDS_FILE, id="record-without-fields"),
     pytest.param(_header(VALID_HEADER_TEXT, flags=b""), id="missing-flags-byte"),
     pytest.param(_header(VALID_HEADER_TEXT, flags=b"\x02"), id="unknown-flag-bits"),

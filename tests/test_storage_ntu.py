@@ -114,15 +114,21 @@ def test_truncation_detected(tmp_path):
         read_ntu(path)
 
 
-@pytest.mark.parametrize("columns, match", [
-    pytest.param('[["a", "f64"], ["a", "f64"]]', "duplicate column names", id="duplicate-name"),
-    pytest.param('[[1, "f64"]]', "must be strings", id="number-name"),
-    pytest.param('[[null, "f64"]]', "must be strings", id="null-name"),
-    pytest.param('[["a", ["f64"]]]', "must be strings", id="list-kind"),
-    pytest.param('[{"a": 0, "f64": 1}]', "list of", id="object-entry"),
+@pytest.mark.parametrize("header, match", [
+    pytest.param('{"columns": [["a", "f64"], ["a", "f64"]]}', "duplicate column names",
+                 id="duplicate-name"),
+    pytest.param('{"columns": [[1, "f64"]]}', "must be strings", id="number-name"),
+    pytest.param('{"columns": [[null, "f64"]]}', "must be strings", id="null-name"),
+    pytest.param('{"columns": [["a", ["f64"]]]}', "must be strings", id="list-kind"),
+    pytest.param('{"columns": [{"a": 0, "f64": 1}]}', "list of", id="object-entry"),
+    pytest.param('{"columns":[["a","f64"]],"columns":[["a","f64"]],"extra":1}',
+                 "duplicate key 'columns'", id="repeated-key"),
+    pytest.param('{"columns": [["a", "f64"]], "extra": 1}', "only key", id="extra-key"),
+    pytest.param('[["a", "f64"]]', "only key", id="not-an-object"),
+    pytest.param('{"columns": [["a", "f64"]], "x": NaN}', "NaN is not a JSON number", id="nan"),
 ])
-def test_header_columns_are_unique_json_strings(tmp_path, columns, match):
-    header = f'{{"columns": {columns}}}'.encode()
+def test_header_columns_are_unique_json_strings(tmp_path, header, match):
+    header = header.encode()
     path = tmp_path / "f.ntu"
     path.write_bytes(b"NTU1" + struct.pack("<I", len(header)) + header + struct.pack("<QI", 0, 0))
     with pytest.raises(CorruptHeader, match=match):

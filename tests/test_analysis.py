@@ -586,6 +586,8 @@ def test_config_defaults():
     {"workers": "2"}, {"workers": True}, {"workers": 2.5},
     {"cache_budget_bytes": "x"}, {"cache_budget_bytes": 1e6},
     {"partition": {"target_bytes": "big"}},
+    {"partition": {"target_bytes": True}},
+    {"histograms": [{"variable": "met_pt", "nbins": "10", "lo": 0, "hi": 500}]},
     {"cache_budget_bytes": True}, {"partition": {"target_bytes": 1.5}},
     {"histograms": [{"variable": "met_pt", "nbins": 2.5, "lo": 0, "hi": 500}]},
     {"histograms": [{"variable": "met_pt", "nbins": True, "lo": 0, "hi": 500}]},

@@ -35,6 +35,7 @@ byte-identical ntuple, and its hash is recorded.
 from __future__ import annotations
 
 import hashlib
+import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -124,7 +125,9 @@ class TimingReport:
 def prepare_input(descriptor, compressed: bool, workdir) -> str:
     """Return a glob for the dataset in the requested compression variant,
     converting files into the workdir only when the source flag differs.
-    Existing converted copies are reused."""
+    Each converted copy carries its source's modification time, and is
+    reused only while the two times are equal, so a regenerated source is
+    converted again."""
     import glob as globmod
 
     paths = sorted(globmod.glob(descriptor.glob))
@@ -139,8 +142,10 @@ def prepare_input(descriptor, compressed: bool, workdir) -> str:
     variant_dir.mkdir(parents=True, exist_ok=True)
     for path in paths:
         target = variant_dir / Path(path).name
-        if not target.exists():
+        stamp = os.stat(path).st_mtime_ns
+        if not (target.exists() and target.stat().st_mtime_ns == stamp):
             convert_evt(path, target, compress=compressed)
+            os.utime(target, ns=(stamp, stamp))
     return str(variant_dir / "*.evt")
 
 

@@ -22,9 +22,12 @@ def dump_bytes(obj) -> bytes:
 def loads(text: str):
     """Parse JSON text, rejecting what `json.loads` lets through: a key
     repeated within one object (it keeps the last) and `Infinity`,
-    `-Infinity` or `NaN`. Raises `ValueError`, a `json.JSONDecodeError`
-    for bad syntax."""
-    return json.loads(text, parse_constant=_non_finite, object_pairs_hook=_unique)
+    `-Infinity` or `NaN`, and nesting too deep for the parser's recursion.
+    Raises `ValueError`, a `json.JSONDecodeError` for bad syntax."""
+    try:
+        return json.loads(text, parse_constant=_non_finite, object_pairs_hook=_unique)
+    except RecursionError as exc:
+        raise ValueError("JSON nests too deeply") from exc
 
 
 def _non_finite(literal):

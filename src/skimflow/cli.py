@@ -2,10 +2,12 @@
 
 Subcommands: gen, convert, inspect, sum-weights, skim, hist, plot-data,
 bench. Exit codes: 0 success, 1 usage/config error, 2 data error, 3 I/O
-error. Every failure prints one diagnostic line to stderr. Rerunning a
-subcommand with identical inputs rewrites byte-identical artifacts (bench
-reports excepted: measured seconds are not reproducible, though benchmark
-analysis outputs are).
+error. Every failure prints one diagnostic line to stderr. A subcommand
+creates --out-dir right before its first write into it, so one that fails
+before then leaves no directory; hist and plot-data read the skim outputs
+from it and create nothing. Rerunning a subcommand with identical inputs
+rewrites byte-identical artifacts (bench reports excepted: measured seconds
+are not reproducible, though benchmark analysis outputs are).
 """
 
 from __future__ import annotations
@@ -46,12 +48,6 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^-\w.]", "_", label)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _ntu_path(out_dir: Path, label: str) -> Path:
     return out_dir / f"{_sanitize(label)}.ntu"
 
@@ -72,12 +68,6 @@ def _select_datasets(config: AnalysisConfig, label: str | None):
 
 
 def cmd_gen(args) -> int:
-    if args.events < 0:
-        raise UsageError("--events must be >= 0")
-    if args.files < 1:
-        raise UsageError("--files must be >= 1")
-    if args.block_events < 1:
-        raise UsageError("--block-events must be >= 1")
     spec = GeneratorSpec(
         seed=args.seed,
         n_events=args.events,
@@ -133,7 +123,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_sum_weights(args) -> int:
     config = load_config(args.config)
-    out_dir = _out_dir(args)
+    engine = _engine(config, args)
     targets = _select_datasets(config, args.dataset)
     if args.dataset is None:
         targets = tuple(d for d in targets if d.kind == "mc")
@@ -141,9 +131,11 @@ def cmd_sum_weights(args) -> int:
             raise KindMismatch("config has no mc datasets; sum of weights is defined for mc only")
     results = {}
     for descriptor in targets:
-        value = sum_of_weights(open_dataset(descriptor, _engine(config, args)))
+        value = sum_of_weights(open_dataset(descriptor, engine))
         results[descriptor.label] = value
         print(f"{descriptor.label}: sum_of_weights = {value!r}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sum_of_weights.json"
     path.write_text(canonical.dumps(results) + "\n", encoding="utf-8")
     return 0
@@ -151,12 +143,13 @@ def cmd_sum_weights(args) -> int:
 
 def cmd_skim(args) -> int:
     config = load_config(args.config)
-    out_dir = _out_dir(args)
     engine = _engine(config, args)
+    out_dir = Path(args.out_dir)
     # each opened dataset is skimmed once, so caching its events gains nothing
     one_off = replace(config, persist=False)
     for descriptor in _select_datasets(config, args.dataset):
         ds = open_dataset(descriptor, engine)
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = run_skim(one_off, ds, _ntu_path(out_dir, descriptor.label))
         print(
             f"{descriptor.label}: {result.n_input} -> {result.n_output} rows "
@@ -179,7 +172,7 @@ def _fill_all(config: AnalysisConfig, out_dir: Path, label: str | None):
 
 def cmd_hist(args) -> int:
     config = load_config(args.config)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out_dir)
     hists = _fill_all(config, out_dir, args.dataset)
     doc = {
         label: {var: h.to_dict() for var, h in by_var.items()}
@@ -194,7 +187,7 @@ def cmd_hist(args) -> int:
 
 def cmd_plot_data(args) -> int:
     config = load_config(args.config)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out_dir)
     hists = _fill_all(config, out_dir, None)
     bundle = build_plot_bundle(config, hists)
     json_path = out_dir / "plot_bundle.json"
@@ -222,7 +215,7 @@ def _parse_cells(text: str, workers: int) -> list[BenchCell]:
 
 def cmd_bench(args) -> int:
     config = load_config(args.config)
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out_dir)
     workdir = Path(args.workdir) if args.workdir else out_dir / "bench_work"
     workers = _engine(config, args).workers or 1  # bench defaults to one worker
     cells = _parse_cells(args.cells, workers)
@@ -231,6 +224,7 @@ def cmd_bench(args) -> int:
                       workdir=workdir)
         for cell in cells
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "bench_report.json"
     csv_path = out_dir / "bench_report.csv"
     json_path.write_text(reports_to_json(reports), encoding="utf-8")
@@ -335,8 +329,6 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise UsageError("--workers must be >= 1")
         return args.func(args)
     except SkimflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,7 +100,7 @@ class EngineConfig:
     workers: int | None = None  # None -> hardware parallelism
     cache_budget_bytes: int | None = None  # None -> unlimited
     partition_target_bytes: int = DEFAULT_PARTITION_TARGET_BYTES
-    partition_custom: object = None  # {"per_file": N} or {path: [[lo, hi], ...]}; None -> auto
+    partition_custom: dict | None = None  # {"per_file": N}; None -> auto
 
     def __post_init__(self) -> None:
         # a JSON integer parses as exactly int; a bool is not one
@@ -112,6 +112,15 @@ class EngineConfig:
         budget = self.cache_budget_bytes
         if budget is not None and not (type(budget) is int and budget >= 0):
             raise ConfigError("cache_budget_bytes must be an integer >= 0")
+        custom = self.partition_custom
+        if custom is not None:
+            if type(custom) is not dict or custom.keys() != {"per_file"}:
+                raise InvalidCustomPlan(
+                    f"partition.custom must be {{'per_file': N}}, not {custom!r}"
+                )
+            per_file = custom["per_file"]
+            if not (type(per_file) is int and per_file >= 1):
+                raise InvalidCustomPlan(f"per_file must be a positive integer, not {per_file!r}")
 
 
 @dataclass(frozen=True)
@@ -127,15 +136,17 @@ class Partition:
 def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Partition]:
     """Slice file block lists into partitions.
 
-    A custom plan (`partition_custom`, when set) is validated for
-    disjoint, gap-free coverage of every file. Without one, the auto plan
+    A custom plan (`partition_custom`, when set) splits each file evenly
+    into `per_file` partitions of whole blocks. Without one, the auto plan
     accumulates whole blocks per file until the byte target is reached (a
     partition always takes at least one block and a block is never split).
+    Either way every block of every file is in exactly one partition, so
+    planning cannot fail.
     """
     if config.partition_custom is None:
         ranges = [_auto_ranges(f, config.partition_target_bytes) for f in files]
     else:
-        ranges = _custom_ranges(files, config.partition_custom)
+        ranges = [_even_ranges(f, config.partition_custom["per_file"]) for f in files]
     partitions: list[Partition] = []
     for file_index, (evt_index, file_ranges) in enumerate(zip(files, ranges)):
         for lo, hi in file_ranges:
@@ -170,58 +181,18 @@ def _auto_ranges(evt_index: EvtIndex, target_bytes: int) -> list[tuple[int, int]
     return ranges
 
 
-def _custom_ranges(files: Sequence[EvtIndex], custom) -> list[list[tuple[int, int]]]:
-    if isinstance(custom, dict) and set(custom) == {"per_file"}:
-        per_file = custom["per_file"]
-        if type(per_file) is not int or per_file < 1:
-            raise InvalidCustomPlan("per_file must be a positive integer")
-        out = []
-        for f in files:
-            n = len(f.blocks)
-            k = min(per_file, n) if n else 0
-            ranges = []
-            start = 0
-            for i in range(k):
-                count = n // k + (1 if i < n % k else 0)
-                ranges.append((start, start + count))
-                start += count
-            out.append(ranges)
-        return out
-    if isinstance(custom, dict):
-        out = []
-        for f in files:
-            key = str(f.path)
-            if key not in custom:
-                raise InvalidCustomPlan(f"custom plan is missing file {key!r}")
-            ranges = custom[key]
-            if not isinstance(ranges, list) or not all(_is_range(r) for r in ranges):
-                raise InvalidCustomPlan(
-                    f"{key}: custom block ranges must be a list of [lo, hi] integer pairs"
-                )
-            ranges = [tuple(r) for r in ranges]
-            _check_coverage(ranges, len(f.blocks), key)
-            out.append(ranges)
-        return out
-    raise InvalidCustomPlan(
-        "partition.custom must be {'per_file': N} or a mapping of file path to block ranges"
-    )
-
-
-def _is_range(r) -> bool:
-    return isinstance(r, list) and len(r) == 2 and all(type(b) is int for b in r)
-
-
-def _check_coverage(ranges: list[tuple[int, int]], n_blocks: int, path: str) -> None:
-    expect = 0
-    for lo, hi in sorted(ranges):
-        if lo != expect:
-            kind = "overlaps" if lo < expect else "leaves a gap"
-            raise InvalidCustomPlan(f"{path}: custom plan {kind} at block {min(lo, expect)}")
-        if hi <= lo:
-            raise InvalidCustomPlan(f"{path}: empty range [{lo}, {hi})")
-        expect = hi
-    if expect != n_blocks:
-        raise InvalidCustomPlan(f"{path}: custom plan covers {expect} of {n_blocks} blocks")
+def _even_ranges(evt_index: EvtIndex, per_file: int) -> list[tuple[int, int]]:
+    """`per_file` ranges of whole blocks (fewer when the file has fewer
+    blocks), their lengths differing by at most one, longer ones first."""
+    n = len(evt_index.blocks)
+    k = min(per_file, n)
+    ranges = []
+    start = 0
+    for i in range(k):
+        count = n // k + (1 if i < n % k else 0)
+        ranges.append((start, start + count))
+        start += count
+    return ranges
 
 
 class PartitionedDataset:

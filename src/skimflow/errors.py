@@ -46,7 +46,7 @@ class KindMismatch(ConfigError):
 
 
 class InvalidCustomPlan(ConfigError):
-    """A custom partition plan overlaps blocks or leaves gaps."""
+    """A custom partition plan is not {"per_file": N} with an integer N >= 1."""
 
 
 class IncomparableConfigs(ConfigError):

@@ -170,7 +170,7 @@ def write_evt(
     return _write_blocks(path, schema, compress, blocks())
 
 
-def _read_header(f, path) -> tuple[Schema, str, int]:
+def _read_header(f, path, file_size: int) -> tuple[Schema, str, int]:
     magic = f.read(4)
     if magic != MAGIC:
         raise BadMagic(f"{path}: not an EVT file (magic {magic!r})")
@@ -180,9 +180,10 @@ def _read_header(f, path) -> tuple[Schema, str, int]:
     (hlen,) = _U32.unpack(raw)
     if hlen > _MAX_HEADER:
         raise CorruptHeader(f"{path}: implausible header length {hlen}")
-    header = f.read(hlen)
-    if len(header) < hlen:
+    # a buffered read allocates its length first: check it against the file
+    if hlen > file_size - f.tell():
         raise CorruptHeader(f"{path}: truncated schema header")
+    header = f.read(hlen)
     try:
         text = header.decode("utf-8")
         schema = Schema.from_json(text)
@@ -204,7 +205,7 @@ def scan_evt(path, timers: PhaseTimers | None = None) -> EvtIndex:
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         t0 = time.perf_counter()
-        schema, text, flags = _read_header(f, path)
+        schema, text, flags = _read_header(f, path, file_size)
         pos = f.tell()
         timers.read_s += time.perf_counter() - t0
         timers.bytes_read += pos

@@ -17,8 +17,9 @@ is 0 or 1; a reader returns any other byte as its signed value, so 0xff
 reads back as -1), so the offset of any column within a group is
 computable from the row count alone; reading a column subset seeks over
 the others and the bytes read stay proportional to the columns requested.
-A group whose row count would carry its columns past the footer is
-rejected before any of them is read.
+A header length that runs past the end of the file, and a group whose row
+count would carry its columns past the footer, are rejected before the
+read.
 """
 
 from __future__ import annotations
@@ -254,9 +255,10 @@ def read_ntu(
         (hlen,) = _U32.unpack(raw)
         if hlen > _MAX_HEADER:
             raise CorruptHeader(f"{path}: implausible header length {hlen}")
-        header_raw = f.read(hlen)
-        if len(header_raw) < hlen:
+        # a buffered read allocates its length first: check it against the file
+        if hlen > file_size - f.tell():
             raise CorruptHeader(f"{path}: truncated header")
+        header_raw = f.read(hlen)
         bytes_read += 8 + hlen
         try:
             header = canonical.loads(header_raw.decode("utf-8"))

@@ -158,3 +158,20 @@ def test_bytes_read_scales_linearly_with_events(tmp_path):
     syy = sum((y - my) ** 2 for y in ys)
     r_squared = sxy * sxy / (sxx * syy)
     assert r_squared > 0.99
+
+
+def test_a_regenerated_source_is_converted_again(tmp_path):
+    """The deflate cell skims a fresh copy of a corpus regenerated under
+    the same glob, not the copy converted from the old one."""
+    config = AnalysisConfig(
+        datasets=(DatasetDescriptor(glob=str(tmp_path / "mc" / "*.evt"), kind="mc",
+                                    label="sample", xsec_pb=10.0),),
+        luminosity_invpb=1000.0,
+    )
+    cells = [BenchCell(cached=False, compressed=False), BenchCell(cached=False, compressed=True)]
+    for seed in (1, 2):
+        generate_corpus(GeneratorSpec(seed=seed, n_events=3000), tmp_path / "mc", 2)
+        raw, deflate = (run_benchmark(config, cell, repetitions=3, workdir=tmp_path / "work")
+                        for cell in cells)
+        assert raw.median.rows_out == deflate.median.rows_out
+        assert raw.output_sha256 == deflate.output_sha256

@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 import oracle
-from skimflow import cli
+from skimflow import cli, engine
 from skimflow.cli import main
 from skimflow.storage import read_ntu, scan_evt
 
@@ -111,11 +111,12 @@ def test_convert_round_trip(tmp_path, capsys):
     ["gen", "--out", "g.evt", "--events", "-1"],
     ["gen", "--out", "g", "--events", "10", "--files", "0"],
     ["gen", "--out", "g.evt", "--events", "10", "--block-events", "0"],
+    ["gen", "--out", "g", "--events", "10", "--files", "2", "--block-events", "0"],
     ["convert", "f.evt", "g.evt", "--compress", "--block-events", "0"],
     ["bench", "--config", "cfg.json", "--out-dir", "g", "--reps", "2"],
     ["skim", "--config", "cfg.json", "--out-dir", "g", "--workers", "0"],
-], ids=["gen-events", "gen-files", "gen-block-events", "convert-block-events", "bench-reps",
-        "skim-workers"])
+], ids=["gen-events", "gen-files", "gen-block-events", "gen-files-block-events",
+        "convert-block-events", "bench-reps", "skim-workers"])
 def test_a_bad_numeric_flag_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "--out", "f.evt", "--events", "100", "--seed", "3"]) == 0
@@ -125,7 +126,32 @@ def test_a_bad_numeric_flag_is_one_error_line(tmp_path, capsys, monkeypatch, arg
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not list(tmp_path.rglob("g*.evt")) and not list(tmp_path.rglob("*.tmp"))
+    assert not list(tmp_path.glob("g*")) and not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_bad_partition_plan_is_one_error_line_before_any_file_is_read(tmp_path, capsys,
+                                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "mc", "--files", "2", "--events", "100"]) == 0
+    scanned = []
+    monkeypatch.setattr(engine, "scan_evt", lambda path, timers=None: scanned.append(path))
+    for glob in ("mc/*.evt", "none/*.evt"):
+        write_config(tmp_path, glob, partition={"custom": {"per_file": 0}})
+        capsys.readouterr()
+        assert main(["skim", "--config", "cfg.json", "--out-dir", "g"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "per_file must be a positive integer" in err
+    assert scanned == [] and not list(tmp_path.glob("g*"))
+
+
+@pytest.mark.parametrize("cmd", ["skim", "sum-weights"])
+def test_a_glob_that_matches_no_file_leaves_no_directory(tmp_path, capsys, cmd):
+    cfg = write_config(tmp_path, str(tmp_path / "none" / "*.evt"))
+    assert main([cmd, "--config", str(cfg), "--out-dir", str(tmp_path / "g")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("name, magic, header", [
@@ -221,6 +247,14 @@ def test_a_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err
 
 
+def test_a_config_nested_too_deeply_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"datasets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nests too deeply" in err
+
+
 @pytest.mark.parametrize("expr", ["met.pt + (met.phi > 1.0)", "-(met.pt > 1.0)"])
 def test_skim_boolean_operand_in_projection_is_config_error(corpus, capsys, expr):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"),
@@ -259,6 +293,19 @@ def test_hist_requires_skim_outputs(corpus, capsys):
     cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
     assert main(["hist", "--config", str(cfg), "--out-dir", str(corpus / "empty_out")]) == 2
     assert "skim" in capsys.readouterr().err
+
+
+def test_hist_of_an_ntuple_cut_inside_its_footer_is_a_data_error(corpus, capsys):
+    cfg = write_config(corpus, str(corpus / "mc" / "*.evt"))
+    out = corpus / "out"
+    assert main(["skim", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    ntu = out / "sig.ntu"
+    ntu.write_bytes(ntu.read_bytes()[:-5])
+    capsys.readouterr()
+    assert main(["hist", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "histograms.json").exists()
 
 
 def test_full_pipeline_matches_serial_oracle(corpus, capsys):

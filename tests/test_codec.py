@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutation import MUTATIONS, mutate
 from randgen import HAND_BUILT, hostile, random_events, random_schema
 from skimflow.errors import DataError, SchemaError, TruncatedBlock
 from skimflow.events import analysis_schema, make_event, make_particle
@@ -327,33 +328,6 @@ FUZZ_PAYLOAD = b"".join(
 FUZZ_PEAK_BYTES = 16 << 20
 FUZZ_SECONDS = 2.0
 
-_position = st.integers(0, 1 << 16)
-_mutation = st.one_of(
-    st.tuples(st.just("xor"), _position, st.integers(1, 255)),
-    st.tuples(st.just("u32"), _position, st.integers(0, (1 << 32) - 1)),
-    st.tuples(st.just("insert"), _position, st.binary(min_size=1, max_size=16)),
-    st.tuples(st.just("delete"), _position, st.integers(1, 16)),
-    st.tuples(st.just("truncate"), _position, st.just(None)),
-)
-
-
-def mutate(data: bytes, mutations) -> bytes:
-    out = bytearray(data)
-    for kind, pos, arg in mutations:
-        pos %= len(out) + 1
-        if kind == "xor" and pos < len(out):
-            out[pos] ^= arg
-        elif kind == "u32":
-            out[pos:pos + 4] = arg.to_bytes(4, "little")
-        elif kind == "insert":
-            out[pos:pos] = arg
-        elif kind == "delete":
-            del out[pos:pos + arg]
-        elif kind == "truncate":
-            del out[pos:]
-    return bytes(out)
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -413,7 +387,7 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
 @given(
     compress=st.booleans(),
     mutate_stored=st.booleans(),
-    mutations=st.lists(_mutation, min_size=1, max_size=4),
+    mutations=MUTATIONS,
 )
 @settings(max_examples=300, deadline=None)
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
@@ -430,7 +404,7 @@ def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, muta
     renamed=st.booleans(),
     compress=st.booleans(),
     mutate_stored=st.booleans(),
-    mutations=st.lists(_mutation, min_size=1, max_size=4),
+    mutations=MUTATIONS,
 )
 @settings(max_examples=500, deadline=None)
 def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress,
@@ -465,7 +439,7 @@ def raw_payloads(path) -> bytes:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     compress=st.booleans(),
     mutate_stored=st.booleans(),
-    mutations=st.lists(_mutation, min_size=1, max_size=4),
+    mutations=MUTATIONS,
     block_target=st.integers(1, 4),
 )
 @settings(max_examples=300, deadline=None)

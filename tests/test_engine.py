@@ -121,56 +121,30 @@ def test_custom_per_file():
     assert len(parts) == 6
     assert all(p.block_hi - p.block_lo == 5 for p in parts)
     assert [p.index for p in parts] == list(range(6))
-
-
-def test_custom_explicit_ranges():
-    files = [fake_index("/a.evt", [10] * 4)]
-    config = EngineConfig(
-        partition_custom={"/a.evt": [[0, 3], [3, 4]]}
-    )
-    parts = plan_partitions(files, config)
-    assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 3), (3, 4)]
-
-
-def test_custom_plan_gap_rejected():
-    files = [fake_index("/a.evt", [10] * 4)]
-    config = EngineConfig(partition_custom={"/a.evt": [[0, 2], [3, 4]]})
-    with pytest.raises(InvalidCustomPlan, match="gap"):
-        plan_partitions(files, config)
-
-
-def test_custom_plan_overlap_rejected():
-    files = [fake_index("/a.evt", [10] * 4)]
-    config = EngineConfig(partition_custom={"/a.evt": [[0, 3], [2, 4]]})
-    with pytest.raises(InvalidCustomPlan, match="overlap"):
-        plan_partitions(files, config)
+    # uneven: longer ranges first; a file of fewer blocks gets one per block
+    files = [fake_index("/a.evt", [10] * 7), fake_index("/b.evt", [10] * 2),
+             fake_index("/c.evt", [])]
+    parts = plan_partitions(files, EngineConfig(partition_custom={"per_file": 3}))
+    assert [(p.file_index, p.block_lo, p.block_hi) for p in parts] == [
+        (0, 0, 3), (0, 3, 5), (0, 5, 7), (1, 0, 1), (1, 1, 2),
+    ]
 
 
 @pytest.mark.parametrize("custom, message", [
     ({"per_file": 0}, "per_file must be a positive integer"),
-    ([[0, 4]], "a mapping of file path to block ranges"),
-    ({"/a.evt": [[0, 2], [2, 2], [2, 4]]}, r"empty range \[2, 2\)"),
-    ({"/a.evt": [[0, 3]]}, "covers 3 of 4 blocks"),
+    ([[0, 4]], r"must be \{'per_file': N\}"),
+    ({"/a.evt": [[0, 4]]}, r"must be \{'per_file': N\}"),
+    ({"per_file": 2, "/a.evt": [[0, 4]]}, r"must be \{'per_file': N\}"),
     ({"per_file": True}, "per_file must be a positive integer"),
-    ({"/a.evt": [[0, 2.5], [2, 4]]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": [["0", "4"]]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": [[False, True], [1, 4]]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": [[0, 4, 9]]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": [[0]]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": [(0, 4)]}, r"list of \[lo, hi\] integer pairs"),
-    ({"/a.evt": 4}, r"list of \[lo, hi\] integer pairs"),
+    ({"per_file": 2.0}, "per_file must be a positive integer"),
+    ({"per_file": "2"}, "per_file must be a positive integer"),
+    ({}, r"must be \{'per_file': N\}"),
 ])
 def test_custom_plan_malformed_rejected(custom, message):
-    files = [fake_index("/a.evt", [10] * 4)]
+    """A plan other than {"per_file": N}, a path-keyed one included, is
+    rejected with the settings, before any file is scanned."""
     with pytest.raises(InvalidCustomPlan, match=message):
-        plan_partitions(files, EngineConfig(partition_custom=custom))
-
-
-def test_custom_plan_missing_file_rejected():
-    files = [fake_index("/a.evt", [10])]
-    config = EngineConfig(partition_custom={"/other.evt": [[0, 1]]})
-    with pytest.raises(InvalidCustomPlan):
-        plan_partitions(files, config)
+        EngineConfig(partition_custom=custom)
 
 
 # -- opening ------------------------------------------------------------------------
@@ -336,9 +310,7 @@ def test_admission_follows_partition_order(tmp_path):
     partition order, so the overflow and its warning are the serial run's."""
     path = tmp_path / "f.evt"
     generate_evt(GeneratorSpec(seed=9, n_events=700), path, block_target=100)
-    config = EngineConfig(
-        partition_custom={str(path): [[0, 1], [1, 5], [5, 7]]}
-    )
+    config = EngineConfig(partition_custom={"per_file": 3})  # blocks 3, 2, 2
     sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config), MET_PT)
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
 

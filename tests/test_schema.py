@@ -62,6 +62,7 @@ def test_from_json_rejects_garbage():
         '{"record": [["x", {"array": "f64", "n": 2}]]}',  # an object with extra keys
         '{"record": [["a", "f64"]], "record": [["b", "i64"]]}',  # a repeated key
         '{"record": [["a", {"array": "f64", "array": "i64"}]]}',
+        "[" * 100_000 + "]" * 100_000,  # nested past the parser's recursion limit
     ]:
         with pytest.raises(SchemaError):
             Schema.from_json(text)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import zlib
 
 import pytest
@@ -122,6 +123,22 @@ def test_malformed_header_raises_corrupt_header(tmp_path, data):
         scan_evt(path)
     with pytest.raises(CorruptHeader):
         read_evt(path)
+
+
+def test_a_header_length_is_bounded_by_the_file_before_the_read(tmp_path, schema):
+    path = tmp_path / "f.evt"
+    write_evt(path, generate_events(GeneratorSpec(seed=5, n_events=3)), schema)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (16 * 1024 * 1024).to_bytes(4, "little")
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptHeader, match="truncated schema header"):
+            scan_evt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_inspect_of_a_record_without_fields_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import time
 import tracemalloc
 from array import array
 
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skimflow.errors import ArityMismatch, BadMagic, CorruptHeader, FooterMismatch, UnknownColumn
+from skimflow.errors import (
+    ArityMismatch, BadMagic, CorruptHeader, DataError, FooterMismatch, UnknownColumn,
+)
 from skimflow.storage import NtuWriter, read_ntu, write_ntu
 from skimflow.storage.ntu import KIND_INFO
 
+from mutation import MUTATIONS, mutate
 from randgen import f32_exact
 
 COLS3 = [("x", "f64"), ("n", "i64"), ("flag", "bool")]
@@ -145,6 +149,21 @@ def test_a_group_row_count_is_bounded_before_the_read(tmp_path, columns):
     try:
         with pytest.raises(FooterMismatch, match="past the footer"):
             read_ntu(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_header_length_is_bounded_by_the_file_before_the_read(tmp_path):
+    raw = bytearray(reference_ntu([(1.0,), (2.0,)], [("x", "f64")], 2))
+    struct.pack_into("<I", raw, 4, 16 * 1024 * 1024)
+    path = tmp_path / "f.ntu"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptHeader, match="truncated header"):
+            read_ntu(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,3 +315,54 @@ def test_zero_columns_count_rows(tmp_path):
     assert (tmp_path / "cols.ntu").read_bytes() == want
     assert (tmp_path / "rows.ntu").read_bytes() == want
     assert read_ntu(tmp_path / "cols.ntu").n_groups == 3
+
+
+# -- malformed files -----------------------------------------------------------------
+
+FUZZ_COLUMNS = [("a", "f64"), ("b", "f32"), ("c", "i64"), ("d", "i32"), ("e", "bool")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """An NTU file of every kind in three groups (3, 3 and 1 rows), written
+    by `append_columns`, the byte range of each of its regions, and a
+    directory for the mutated copies."""
+    root = tmp_path_factory.mktemp("ntu_fuzz")
+    writer = NtuWriter(root / "f.ntu", FUZZ_COLUMNS, group_target=3)
+    writer.append_columns(
+        [array(KIND_INFO[kind][0], [i % 2 if kind == "bool" else i - 3 for i in range(7)])
+         for _, kind in FUZZ_COLUMNS],
+        7,
+    )
+    writer.close()
+    data = (root / "f.ntu").read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    regions = {"header": (0, 8 + hlen), "groups": (8 + hlen, len(data) - 12),
+               "footer": (len(data) - 12, len(data))}
+    return data, regions, root
+
+
+@given(region=st.sampled_from(["header", "groups", "footer"]), mutations=MUTATIONS)
+@settings(max_examples=500, deadline=None)
+def test_a_mutated_file_reads_or_raises_data_error(fuzz_file, region, mutations):
+    """Mutations placed in one region of the file. A read of all columns,
+    of a subset and of none each returns columns of `n_rows` values or
+    raises a DataError, in bounded memory and time."""
+    data, regions, root = fuzz_file
+    lo, hi = regions[region]
+    path = root / "mutated.ntu"
+    path.write_bytes(mutate(data, [(kind, lo + pos % (hi - lo), arg)
+                                   for kind, pos, arg in mutations]))
+    for columns in (None, ["b", "e"], []):
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            got = read_ntu(path, columns)
+            assert all(len(values) == got.n_rows for values in got.columns.values())
+        except DataError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert time.perf_counter() - t0 < 2.0

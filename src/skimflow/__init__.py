@@ -31,7 +31,6 @@ from .storage import (
     read_ntu,
     scan_evt,
     write_evt,
-    write_ntu,
 )
 from .timing import PhaseTimers
 
@@ -71,5 +70,4 @@ __all__ = [
     "typecheck_projection",
     "typecheck_value",
     "write_evt",
-    "write_ntu",
 ]

@@ -2,8 +2,9 @@
 
 For mc datasets one traversal selects events, projects them to flat
 columns and, in the same loop, sums the generator weights of every event
-(the normalization denominator). Once it ends, the `weight` column is
-rewritten to hold
+(the normalization denominator), while the ntuple writer takes each
+partition as it finishes. Once it ends, the writer rewrites the `weight`
+column in place to hold
 
     weight = genWeight * xsec_pb * luminosity_invpb / sum_of_weights
 
@@ -307,15 +308,17 @@ def resolve_projection(config: AnalysisConfig, schema: Schema) -> tuple[tuple[st
 def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimResult:
     """Run the full skim/slim for one dataset and write its ntuple.
 
-    Both kinds make one traversal. mc sums the generator weights of every
-    event in the same loop as the selection and, once it ends, normalizes
-    each partition's weight column in one pass; data rows carry unit
-    weights. The weight is the compiled `genInfo.weight`, so the engine
-    learns every leaf the skim reads from the cut, the projection and the
-    weight. `config.persist` chooses whether the dataset, of either kind,
-    keeps its decoded columns in memory for later traversals. The time to
-    type-check the expressions adds to the dataset's compute phase and the
-    time to open the writer to its write phase.
+    Both kinds make one traversal, which appends each partition to the
+    writer as it finishes. mc sums the generator weights of every event in
+    the same loop as the selection, and then the writer rewrites the raw
+    weight column, on disk and in its buffer, to the normalised one; data
+    rows carry unit weights. The weight is the compiled `genInfo.weight`,
+    so the engine learns every leaf the skim reads from the cut, the
+    projection and the weight. An error aborts the writer, leaving any
+    earlier output as it was. `config.persist` chooses whether the
+    dataset, of either kind, keeps its decoded columns in memory for later
+    traversals. Type-checking and normalising add to the dataset's compute
+    phase, and opening and closing the writer to its write phase.
     """
     t0 = time.perf_counter()
     descriptor = ds.descriptor
@@ -332,36 +335,37 @@ def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimRe
             list(user_columns) + [(WEIGHT_COLUMN, GEN_WEIGHT)], schema
         )
         weight = typecheck_value(GEN_WEIGHT, schema)
-        xsec = descriptor.xsec_pb
-        lumi = config.luminosity_invpb
-
-        def finalize(sumw):
-            if ds.n_events and sumw == 0.0:
-                raise ZeroSumOfWeights(
-                    f"dataset {descriptor.label!r}: generator weights sum to zero"
-                )
-
-            def normalize(columns):
-                # normalize_weight's order, ((w * xsec) * lumi) / sumw, per value
-                gen = columns[-1]
-                try:
-                    columns[-1] = array(gen.typecode, [w * xsec * lumi / sumw for w in gen])
-                except (TypeError, OverflowError) as exc:
-                    raise ArityMismatch(f"weight value does not match column kind: {exc}") from exc
-            return normalize
     else:
         projection = typecheck_projection(
             list(user_columns) + [(WEIGHT_COLUMN, "1.0")], schema
         )
-        weight = finalize = None
+        weight = None
 
     t1 = time.perf_counter()
-    sink = NtuWriter(out_path, projection.columns)
-    ds.phases.compute_s += t1 - t0
-    ds.phases.write_s += time.perf_counter() - t1
-    n_out, sumw = filter_map_write(
-        ds, cut, projection, sink=sink, weight=weight, finalize=finalize
-    )
+    with NtuWriter(out_path, projection.columns) as sink:
+        ds.phases.compute_s += t1 - t0
+        ds.phases.write_s += time.perf_counter() - t1
+        n_out, sumw = filter_map_write(ds, cut, projection, sink=sink, weight=weight)
+        t0 = time.perf_counter()
+        if weight is not None:
+            if ds.n_events and sumw == 0.0:
+                raise ZeroSumOfWeights(
+                    f"dataset {descriptor.label!r}: generator weights sum to zero"
+                )
+            xsec, lumi = descriptor.xsec_pb, config.luminosity_invpb
+
+            def normalize(gen: array) -> array:
+                # normalize_weight's order, ((w * xsec) * lumi) / sumw, per value
+                try:
+                    return array(gen.typecode, [w * xsec * lumi / sumw for w in gen])
+                except (TypeError, OverflowError) as exc:
+                    raise ArityMismatch(f"weight value does not match column kind: {exc}") from exc
+
+            sink.rewrite_column(len(projection.columns) - 1, normalize)
+        t1 = time.perf_counter()
+        sink.close()
+        ds.phases.compute_s += t1 - t0
+        ds.phases.write_s += time.perf_counter() - t1
     return SkimResult(
         label=descriptor.label,
         path=Path(out_path),
@@ -466,12 +470,7 @@ def bundle_to_csv(bundle: dict) -> str:
     lines = ["variable,component,kind,bin,lo_edge,hi_edge,content,error"]
     for hist in bundle["histograms"]:
         nbins = hist["nbins"]
-        lo, hi = hist["lo"], hist["hi"]
-        span = hi - lo
-
-        def edge(i):
-            return lo + i * span / nbins
-
+        edges = HistogramSpec(hist["variable"], nbins, hist["lo"], hist["hi"]).edges()
         series = [(c["label"], "mc", c["contents"], c["errors"]) for c in hist["mc"]]
         if hist["stack"] is not None:
             series.append(("stack", "stack", hist["stack"]["contents"], hist["stack"]["errors"]))
@@ -480,7 +479,7 @@ def bundle_to_csv(bundle: dict) -> str:
         for label, kind, contents, errors in series:
             for i in range(nbins):
                 lines.append(
-                    f"{hist['variable']},{label},{kind},{i},{edge(i)!r},{edge(i + 1)!r},"
+                    f"{hist['variable']},{label},{kind},{i},{edges[i]!r},{edges[i + 1]!r},"
                     f"{contents[i]!r},{errors[i]!r}"
                 )
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import canonical
 from .analysis import AnalysisConfig, run_skim
-from .engine import open_dataset
+from .engine import dataset_paths, open_dataset
 from .errors import IncomparableConfigs, UsageError
 from .storage import convert_evt, scan_evt
 from .timing import PhaseTimers
@@ -127,10 +127,9 @@ def prepare_input(descriptor, compressed: bool, workdir) -> str:
     converting files into the workdir only when the source flag differs.
     Each converted copy carries its source's modification time, and is
     reused only while the two times are equal, so a regenerated source is
-    converted again."""
-    import glob as globmod
-
-    paths = sorted(globmod.glob(descriptor.glob))
+    converted again. A glob that matches no file raises `NoFilesMatched`
+    before anything is created."""
+    paths = dataset_paths(descriptor)
     variant_dir = Path(workdir) / f"{descriptor.label}-{'deflate' if compressed else 'raw'}"
     needs_convert = False
     for path in paths:
@@ -173,8 +172,8 @@ def run_benchmark(
         config.dataset(dataset_label) if dataset_label else config.datasets[0]
     )
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     variant_glob = prepare_input(descriptor, cell.compressed, workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     descriptor = replace(descriptor, glob=variant_glob)
     out_path = workdir / f"{descriptor.label}-bench.ntu"
 

@@ -13,10 +13,12 @@ weight (`expr.compile_kernel`) over the partition's column sets, cached
 and decoded alike, which appends the selected events' projected values
 to one typed `array` per column; no row is built. Given a weight, as for
 an mc dataset, that loop sums the weights as it selects, so every event
-is read and decoded once. Each partition's columns are then held until
-the traversal ends, because an mc event's normalised weight needs the
-sum over the whole dataset, and the writer takes them as they are.
-`map_reduce` is the same loop with no cut and no projection.
+is read and decoded once. Each partition's columns go to the caller's
+writer as soon as the partition and every one before it are done; a
+value that needs the whole dataset's sum, such as an mc event's
+normalised weight, is rewritten in the writer afterwards
+(`NtuWriter.rewrite_column`). `map_reduce` is the same loop with no cut
+and no projection.
 
 Partitions are decoded by a column codec (`storage.codec`) to one
 `ColumnSet` per block: typed leaf arrays plus collection offsets. A
@@ -54,7 +56,7 @@ from array import array
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConfigError,
@@ -284,18 +286,24 @@ class PartitionedDataset:
         return size
 
 
+def dataset_paths(descriptor: DatasetDescriptor) -> list[str]:
+    """The files the dataset's glob matches, sorted; `NoFilesMatched` when
+    there are none."""
+    paths = sorted(globmod.glob(descriptor.glob))
+    if not paths:
+        raise NoFilesMatched(f"dataset {descriptor.label!r}: no files match {descriptor.glob!r}")
+    return paths
+
+
 def open_dataset(
     descriptor: DatasetDescriptor, config: EngineConfig | None = None
 ) -> PartitionedDataset:
     """Enumerate the glob's files (sorted), index their blocks, and build
     the partition plan; the dataset's `phases` start with the scan."""
     config = config or EngineConfig()
-    paths = sorted(globmod.glob(descriptor.glob))
-    if not paths:
-        raise NoFilesMatched(f"dataset {descriptor.label!r}: no files match {descriptor.glob!r}")
     phases = PhaseTimers()
     files = []
-    for path in paths:
+    for path in dataset_paths(descriptor):
         try:
             files.append(scan_evt(path, phases))
         except OSError as exc:
@@ -351,13 +359,13 @@ def _traverse(
     cut: TypedCut | None,
     projection: TypedProjection | None,
     weight: TypedValue | None,
-) -> list[tuple[list[array], int, float]]:
+) -> Iterator[tuple[list[array], int, float]]:
     """Run the skim kernel of (cut, projection, weight) on every partition,
-    on `ds.config.workers` workers, and return each partition's (one fresh
+    on `ds.config.workers` workers, and yield each partition's (one fresh
     array per projection column, the number of selected events, Kahan
-    partial of the weight) in partition order, admitting its column sets
-    to the cache (`ds._admit`) and merging its phase timers into
-    `ds.phases` as it arrives.
+    partial of the weight) in partition order, once its column sets are
+    admitted to the cache (`ds._admit`) and its phase timers merged into
+    `ds.phases`.
     The three read the leaves L; the cache is widened to W first, and the
     partitions it does not serve are decoded by one decoder, at W or L
     (module docstring). When the cache serves every partition, no decoder
@@ -386,13 +394,11 @@ def _traverse(
         t.compute_s += max(time.perf_counter() - t0 - t.read_s - t.decode_s, 0.0)
         return part, (columns, n, partial), blocks, t
 
-    results = []
     for part, result, blocks, t in _run_partitions(ds, task, ds.config.workers):
         ds.phases.merge(t)
-        results.append(result)
         ds.phases.bytes_cached += ds._admit(part, blocks)
         del blocks  # not held while the next partition decodes
-    return results
+        yield result
 
 
 def _pairwise_sum(values: list[float]) -> float:
@@ -419,8 +425,7 @@ def map_reduce(ds: PartitionedDataset, value: TypedValue) -> float:
     partials then merge pairwise in partition order, so the result is
     bit-identical for any worker count over a fixed partition plan.
     """
-    results = _traverse(ds, None, None, value)
-    return _pairwise_sum([partial for _, _, partial in results])
+    return _pairwise_sum([partial for _, _, partial in _traverse(ds, None, None, value)])
 
 
 def filter_map_write(
@@ -430,51 +435,32 @@ def filter_map_write(
     *,
     sink: NtuWriter,
     weight: TypedValue | None = None,
-    finalize: Callable[[float | None], Callable[[list[array]], None]] | None = None,
 ) -> tuple[int, float | None]:
-    """Select events, project them to columns, and write the sink in
-    partition order (input order within each partition), in one
-    traversal. Consumes the sink: it is closed on success and aborted
-    (partial file removed) on failure.
+    """Select events, project them to columns, and append them to the
+    caller's sink in partition order (input order within each partition),
+    in one traversal. Each partition is appended
+    (`NtuWriter.append_columns`) as soon as it and every partition before
+    it are done, and the append counts as write time. The sink stays the
+    caller's: it is neither closed nor aborted here.
 
     Each partition runs one generated loop (`expr.compile_kernel`) over
     its column sets, cached or decoded, that appends each selected event's
     projected values to one typed array per column. With `weight`, that
     loop also sums the weight of every event, selected or not, as
     `map_reduce` does, so the sum is bit-identical to
-    `map_reduce(ds, weight)`. `finalize`, if given, is called once after
-    the traversal and before anything is written, with that sum (None
-    without `weight`), and returns a function that rewrites one
-    partition's column list in place, called on every partition's list;
-    an exception either raises aborts the sink. The sink then takes each
-    partition's columns (`NtuWriter.append_columns`) in partition order.
+    `map_reduce(ds, weight)`.
 
     Partitions are decoded only in the leaves that the cut, the
     projection and the weight read, or the cache's when it admits them.
 
-    Returns (rows written, sum of weights or None).
+    Returns (rows appended, sum of weights or None).
     """
     count = 0
-    try:
-        # drain all partitions before writing: a final value may need the
-        # sum over every partition, and an exclusive write keeps the write
-        # phase free of GIL contention with worker decode/compute
-        results = _traverse(ds, cut, projection, weight)
-        sumw = None if weight is None else _pairwise_sum([partial for _, _, partial in results])
-        if finalize is not None:
-            t0 = time.perf_counter()
-            finish = finalize(sumw)
-            for columns, _, _ in results:
-                finish(columns)
-            ds.phases.compute_s += time.perf_counter() - t0
+    partials = []
+    for columns, n, partial in _traverse(ds, cut, projection, weight):
         t0 = time.perf_counter()
-        for columns, n, _ in results:
-            sink.append_columns(columns, n)
-            count += n
-            columns.clear()  # free each partition's arrays once written
-        sink.close()
+        sink.append_columns(columns, n)
         ds.phases.write_s += time.perf_counter() - t0
-    except BaseException:
-        sink.abort()
-        raise
-    return count, sumw
+        count += n
+        partials.append(partial)
+    return count, None if weight is None else _pairwise_sum(partials)

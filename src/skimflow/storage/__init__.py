@@ -22,7 +22,6 @@ from .ntu import (
     NtuWriter,
     inspect_ntu,
     read_ntu,
-    write_ntu,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "read_ntu",
     "scan_evt",
     "write_evt",
-    "write_ntu",
 ]

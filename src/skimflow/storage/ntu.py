@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from struct import Struct
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .. import canonical
 from ..errors import ArityMismatch, BadMagic, CorruptHeader, FooterMismatch, UnknownColumn
@@ -77,13 +77,15 @@ class NtuWriteStats:
 class NtuWriter:
     """Writes column-wise row groups of `group_target` rows (the last one
     may be shorter), from one typed array per column (`append_columns`),
-    buffered until a group fills. Rows (`append`, `append_rows`) are
-    transposed into such arrays and appended the same way.
+    buffered until a group fills, so it holds at most one group. Rows
+    (`append_rows`) are transposed into such arrays and appended the same
+    way. `rewrite_column` rewrites a column in the written groups and the
+    buffer alike.
 
-    Writes to `<path>.tmp` and renames on close(); abort() removes the
-    partial file. Deterministic: the same rows and group target produce
-    byte-identical files, however they are split into calls and whether
-    they come as rows or as columns.
+    Writes to `<path>.tmp` and renames on close(); abort(), or an error
+    inside a `with` block, removes the partial file. Deterministic: the
+    same rows and group target produce byte-identical files, however they
+    are split into calls and whether they come as rows or as columns.
     """
 
     def __init__(self, path, columns: Sequence[tuple[str, str]], *, group_target: int = DEFAULT_GROUP_ROWS):
@@ -103,9 +105,9 @@ class NtuWriter:
         self._ncols = len(self.columns)
         self._pending = 0
         self._n_rows = 0
-        self._n_groups = 0
+        self._groups: list[tuple[int, int]] = []  # (file offset, rows) per written group
         self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._file = open(self._tmp, "wb")
+        self._file = open(self._tmp, "w+b")
         self._closed = False
         try:
             header = canonical.dump_bytes({"columns": [[n, k] for n, k in self.columns]})
@@ -115,9 +117,6 @@ class NtuWriter:
         except BaseException:
             self.abort()
             raise
-
-    def append(self, row: Sequence) -> None:
-        self.append_rows((row,))
 
     def append_rows(self, rows: Iterable[Sequence]) -> None:
         """Append rows of values in header order, transposed into columns
@@ -141,13 +140,8 @@ class NtuWriter:
         column holds only 0 and 1."""
         if len(columns) != self._ncols:
             raise ArityMismatch(f"{len(columns)} columns, expected {self._ncols}")
-        for (name, _), typecode, col in zip(self.columns, self._typecodes, columns):
-            if not isinstance(col, array) or col.typecode != typecode:
-                raise ArityMismatch(f"column {name!r} is not an array of typecode {typecode!r}")
-            if len(col) != n_rows:
-                raise ArityMismatch(f"column {name!r} has {len(col)} values, expected {n_rows}")
-            if typecode == "b" and col.count(0) + col.count(1) != n_rows:
-                raise ArityMismatch(f"bool column {name!r} holds a value other than 0 or 1")
+        for index, col in enumerate(columns):
+            self._checked(index, col, n_rows)
         start = 0
         while start < n_rows:
             stop = min(n_rows, start + self.group_target - self._pending)
@@ -159,22 +153,50 @@ class NtuWriter:
             start = stop
         self._n_rows += n_rows
 
+    def _checked(self, index: int, col, n_rows: int) -> array:
+        """`col` if it can be column `index` of `n_rows` rows, else `ArityMismatch`."""
+        name, typecode = self.columns[index][0], self._typecodes[index]
+        if not isinstance(col, array) or col.typecode != typecode:
+            raise ArityMismatch(f"column {name!r} is not an array of typecode {typecode!r}")
+        if len(col) != n_rows:
+            raise ArityMismatch(f"column {name!r} has {len(col)} values, expected {n_rows}")
+        if typecode == "b" and col.count(0) + col.count(1) != n_rows:
+            raise ArityMismatch(f"bool column {name!r} holds a value other than 0 or 1")
+        return col
+
     def _flush_group(self) -> None:
         if self._pending == 0:
             return
+        self._groups.append((self._file.tell(), self._pending))
         self._file.write(_U32.pack(self._pending))
         for buf in self._buffers:
             self._file.write(_tobytes(buf))
         self._buffers = [array(tc) for tc in self._typecodes]
-        self._n_groups += 1
         self._pending = 0
+
+    def rewrite_column(self, index: int, fn: Callable[[array], array]) -> None:
+        """Replace column `index` with `fn(values)` in every written group,
+        in place at the offset its row count fixes, then in the buffered
+        rows. `fn` must keep the column's typecode and length, else
+        `ArityMismatch`; a writer that raises here is to be aborted."""
+        typecode, width = KIND_INFO[self.columns[index][1]]
+        skip = sum(KIND_INFO[kind][1] for _, kind in self.columns[:index])
+        end = self._file.tell()
+        for offset, rows in self._groups:
+            start = offset + _U32.size + rows * skip
+            self._file.seek(start)
+            values = fn(_frombytes(typecode, self._file.read(rows * width)))
+            self._file.seek(start)
+            self._file.write(_tobytes(self._checked(index, values, rows)))
+        self._file.seek(end)
+        self._buffers[index] = self._checked(index, fn(self._buffers[index]), self._pending)
 
     def close(self) -> NtuWriteStats:
         if self._closed:
             raise ValueError("writer already closed")
         try:
             self._flush_group()
-            self._file.write(_FOOTER.pack(self._n_rows, self._n_groups))
+            self._file.write(_FOOTER.pack(self._n_rows, len(self._groups)))
             size = self._file.tell()
             self._file.close()
             os.replace(self._tmp, self.path)
@@ -182,7 +204,7 @@ class NtuWriter:
             self.abort()
             raise
         self._closed = True
-        return NtuWriteStats(self.path, self._n_rows, self._n_groups, size)
+        return NtuWriteStats(self.path, self._n_rows, len(self._groups), size)
 
     def abort(self) -> None:
         if self._closed:
@@ -202,22 +224,6 @@ class NtuWriter:
                 self.close()
         else:
             self.abort()
-
-
-def write_ntu(
-    path,
-    rows: Iterable[Sequence],
-    columns: Sequence[tuple[str, str]],
-    *,
-    group_target: int = DEFAULT_GROUP_ROWS,
-) -> NtuWriteStats:
-    writer = NtuWriter(path, columns, group_target=group_target)
-    try:
-        writer.append_rows(rows)
-    except BaseException:
-        writer.abort()
-        raise
-    return writer.close()
 
 
 @dataclass

@@ -28,7 +28,7 @@ from skimflow.bench import BenchCell, run_benchmark
 from skimflow.engine import DatasetDescriptor, EngineConfig, open_dataset
 from skimflow.errors import CrcMismatch
 from skimflow.generator import GeneratorSpec, generate_corpus
-from skimflow.storage import read_evt, read_ntu, scan_evt, write_evt, write_ntu
+from skimflow.storage import NtuWriter, read_evt, read_ntu, scan_evt, write_evt
 from skimflow.storage.ntu import KIND_INFO
 
 LUMI = 1000.0
@@ -311,7 +311,8 @@ def test_c6_format_round_trips(tmp_path):
                 else:
                     row.append(rng.uniform(-1e9, 1e9))
             rows.append(tuple(row))
-        write_ntu(ntu_path, rows, columns, group_target=rng.randint(1, 5))
+        with NtuWriter(ntu_path, columns, group_target=rng.randint(1, 5)) as writer:
+            writer.append_rows(rows)
         back = read_ntu(ntu_path).rows()
         want = [tuple(int(v) if isinstance(v, bool) else v for v in r) for r in rows]
         assert back == want, f"NTU case {case}: transpose mismatch"

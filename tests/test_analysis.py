@@ -508,6 +508,20 @@ def test_bundle_json_deterministic_and_csv_shape():
     assert lines[0].startswith("variable,component,kind,bin")
 
 
+def test_csv_edges_are_the_spec_edges():
+    """The CSV takes its bin edges from `HistogramSpec.edges()`, so the last
+    one reads `hi` even where `lo + nbins * span / nbins` rounds away."""
+    spec = HistogramSpec("met_pt", 6, 2.0, 8.4)
+    config = base_config([mc_descriptor("x", label="a")], histograms=(spec,))
+    bundle = build_plot_bundle(config, {"a": {"met_pt": hist_with(spec, [3.0])}})
+    rows = [line.split(",") for line in bundle_to_csv(bundle).strip().splitlines()[1:]]
+    edges = spec.edges()
+    assert [(row[4], row[5]) for row in rows] == [
+        (repr(edges[i % 6]), repr(edges[i % 6 + 1])) for i in range(len(rows))
+    ]
+    assert rows[-1][5] == "8.4"
+
+
 # -- config loading --------------------------------------------------------------------
 
 
@@ -751,3 +765,43 @@ def test_integer_generator_weight_raises_arity_mismatch(tmp_path, kind):
         run_skim(config, ds, out)
     assert out.read_bytes() == b"an earlier skim"
     assert not (tmp_path / "out.ntu.tmp").exists()
+
+
+@pytest.mark.parametrize("kind", ["f32", "f64", "i32"])
+def test_weight_rewritten_in_groups_already_on_disk(tmp_path, kind):
+    """70,000 selected rows: the writer has written one 65,536-row group
+    before the traversal ends, so the weight is rewritten on disk as well
+    as in the buffer. A float weight is bitwise the row formula; an
+    integer one raises and leaves the earlier output."""
+    schema = Schema(Record((
+        ("x", Primitive("f32")),
+        ("genInfo", Record((("weight", Primitive(kind)),))),
+    )))
+    rng = random.Random(11)
+    if kind == "i32":
+        gen = [rng.choice((1, -1, 2)) for _ in range(70000)]
+    else:
+        gen = [f32_exact(rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0)) for _ in range(70000)]
+    events = [{"x": float(i % 7), "genInfo": {"weight": w}} for i, w in enumerate(gen)]
+    write_evt(tmp_path / "f.evt", events, schema, block_target=5000)
+    config = base_config(
+        [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
+        selection="true", projection=(("x", "x"),),
+        engine=EngineConfig(partition_custom={"per_file": 3}, workers=2),
+    )
+    out = tmp_path / "out.ntu"
+    out.write_bytes(b"an earlier skim")
+    ds = open_dataset(config.datasets[0], config.engine)
+    if kind == "i32":
+        with pytest.raises(ArityMismatch):
+            run_skim(config, ds, out)
+        assert out.read_bytes() == b"an earlier skim"
+        assert not (tmp_path / "out.ntu.tmp").exists()
+        return
+    result = run_skim(config, ds, out)
+    got = read_ntu(out)
+    assert got.n_rows == 70000 and got.n_groups == 2
+    typecode = "f" if kind == "f32" else "d"
+    want = array(typecode, [normalize_weight(w, 7.3, 1000.0, result.sum_weights) for w in gen])
+    assert got.columns["weight"].tobytes() == want.tobytes()
+    assert list(got.columns["x"]) == [float(i % 7) for i in range(70000)]

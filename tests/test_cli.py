@@ -154,6 +154,20 @@ def test_a_glob_that_matches_no_file_leaves_no_directory(tmp_path, capsys, cmd):
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--cells", "uncached+raw"],
+    ["--cells", "cached+deflate", "--workdir", "w2"],
+], ids=["bench_work", "workdir"])
+def test_bench_on_a_glob_that_matches_no_file_leaves_no_work_directory(tmp_path, capsys,
+                                                                       monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, str(tmp_path / "none" / "*.evt"))
+    assert main(["bench", "--config", str(cfg), "--out-dir", "g", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("name, magic, header", [
     ("f.ntu", b"NTU1", b'{"columns":[["a","f64"]],"columns":[["a","f64"]],"extra":1}'),
     ("f.evt", b"EVT1", b'{"record":[["a","f64"]],"record":[["b","i64"]]}'),

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import sys
 import threading
+import tracemalloc
 import weakref
 import zlib
 from array import array
@@ -520,12 +521,12 @@ def test_persist_is_idempotent(small_corpus):
 # -- filter_map_write --------------------------------------------------------------------
 
 
-def run_filter(ds, cut_text, out, finalize=None):
+def run_filter(ds, cut_text, out):
     schema = ds.schema
     cut = typecheck_cut(cut_text, schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], schema)
-    sink = NtuWriter(out, proj.columns, group_target=512)
-    count, sumw = filter_map_write(ds, cut, proj, sink=sink, finalize=finalize)
+    with NtuWriter(out, proj.columns, group_target=512) as sink:
+        count, sumw = filter_map_write(ds, cut, proj, sink=sink)
     assert sumw is None
     return count
 
@@ -584,29 +585,58 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
         assert len(warnings) == 1 and len(warnings.pop()) == persist
 
 
-def rowwise(row_fn):
-    """A finaliser's per-partition function that applies `row_fn` to every
-    row of the partition's columns: transposed to rows, mapped, and
-    transposed back in place."""
-    def finish(columns):
-        rows = [row_fn(row) for row in zip(*columns)]
-        if rows:
-            columns[:] = [array(col.typecode, values) for col, values in zip(columns, zip(*rows))]
-    return finish
-
-
-def test_row_finalize_applied(small_corpus, tmp_path):
+def test_a_column_rewritten_after_the_traversal(small_corpus, tmp_path):
+    """The skim's groups are written as partitions finish (2,000 rows in
+    groups of 512), and `rewrite_column` then reaches them and the buffer."""
     ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-    count = run_filter(
-        ds, "true", tmp_path / "fin.ntu",
-        finalize=lambda _: rowwise(lambda row: (row[0] * 2.0, row[1])),
-    )
+    cut = typecheck_cut("true", ds.schema)
+    proj = typecheck_projection([("met_pt", "met.pt"), ("njets", "size(jets)")], ds.schema)
+    with NtuWriter(tmp_path / "fin.ntu", proj.columns, group_target=512) as sink:
+        count, _ = filter_map_write(ds, cut, proj, sink=sink)
+        sink.rewrite_column(0, lambda col: array("d", [v * 2.0 for v in col]))
     assert count == 2000
-    doubled = read_ntu(tmp_path / "fin.ntu").columns["met_pt"]
-    plain_ds = open_dataset(mc_descriptor(small_corpus["glob"]))
-    run_filter(plain_ds, "true", tmp_path / "plain.ntu")
-    plain = read_ntu(tmp_path / "plain.ntu").columns["met_pt"]
-    assert list(doubled) == [v * 2.0 for v in plain]
+    doubled = read_ntu(tmp_path / "fin.ntu")
+    assert doubled.n_groups == 4
+    run_filter(open_dataset(mc_descriptor(small_corpus["glob"])), "true", tmp_path / "plain.ntu")
+    plain = read_ntu(tmp_path / "plain.ntu").columns
+    assert list(doubled.columns["met_pt"]) == [v * 2.0 for v in plain["met_pt"]]
+    assert doubled.columns["njets"] == plain["njets"]
+
+
+@pytest.fixture(scope="module")
+def data_corpora(tmp_path_factory):
+    """Data corpora of 4,000 and 16,000 events in blocks of 128, by glob."""
+    globs = {}
+    for n in (4000, 16000):
+        root = tmp_path_factory.mktemp(f"data{n}")
+        generate_corpus(GeneratorSpec(seed=9, n_events=n, kind="data"), root, 1, block_target=128)
+        globs[n] = str(root / "*.evt")
+    return globs
+
+
+def test_output_memory_follows_the_group_not_the_dataset(data_corpora, tmp_path):
+    """A skim that selects every event appends each one-block partition as
+    it finishes, so the writer holds at most a 256-row group: four times
+    the events stay within 1.2 times the traced peak."""
+    def skim(n):
+        ds = open_dataset(DatasetDescriptor(data_corpora[n], "data", "data"),
+                          EngineConfig(workers=1, partition_target_bytes=1))
+        cut = typecheck_cut("true", ds.schema)
+        proj = typecheck_projection(
+            [("met_pt", "met.pt"), ("ht", "sum(jets, it.pt)"), ("njets", "size(jets)")], ds.schema
+        )
+        tracemalloc.start()
+        try:
+            with NtuWriter(tmp_path / f"{n}.ntu", proj.columns, group_target=256) as sink:
+                count, _ = filter_map_write(ds, cut, proj, sink=sink)
+            return count, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    skim(4000)  # the first skim compiles what both measured ones share
+    (small, small_peak), (large, large_peak) = skim(4000), skim(16000)
+    assert (small, large) == (4000, 16000)
+    assert large_peak < 1.2 * small_peak
 
 
 def spy_partitions(ds):
@@ -629,7 +659,8 @@ def test_a_persisting_traversal_caches_only_what_a_cold_one_decodes(small_corpus
     cut = typecheck_cut("met.pt > 1e9", ds.schema)
     proj = typecheck_projection([("njets", "size(jets)")], ds.schema)
     seen = spy_partitions(ds)
-    filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "a.ntu", proj.columns))
+    with NtuWriter(tmp_path / "a.ntu", proj.columns) as sink:
+        filter_map_write(ds, cut, proj, sink=sink)
     cold = [cs for _, _, blocks in seen for cs in blocks]
     assert sum(cs.count for cs in cold) == 2000
     # the size-only collection keeps its offsets alone
@@ -638,7 +669,8 @@ def test_a_persisting_traversal_caches_only_what_a_cold_one_decodes(small_corpus
 
     ds.persist()
     seen.clear()
-    filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "b.ntu", proj.columns))
+    with NtuWriter(tmp_path / "b.ntu", proj.columns) as sink:
+        filter_map_write(ds, cut, proj, sink=sink)
     assert ds.cache_state == "cached" and ds._leaves == MET_PT_NJETS
     filled = [cs for _, _, blocks in seen for cs in blocks]
     assert sum(cs.count for cs in filled) == 2000
@@ -663,8 +695,8 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
         cut = typecheck_cut("met.pt > 100.0", ds.schema)
         proj = typecheck_projection(projection, ds.schema)
         t = fresh_phases(ds)
-        sink = NtuWriter(tmp_path / name, proj.columns, group_target=512)
-        filter_map_write(ds, cut, proj, sink=sink)
+        with NtuWriter(tmp_path / name, proj.columns, group_target=512) as sink:
+            filter_map_write(ds, cut, proj, sink=sink)
         return t
 
     narrow, wider = [("met_pt", "met.pt")], [("ht", "sum(jets, it.pt)"), ("njets", "size(jets)")]
@@ -725,13 +757,14 @@ def test_sink_aborted_on_failure(small_corpus, tmp_path):
     schema = ds.schema
     cut = typecheck_cut("true", schema)
     proj = typecheck_projection([("met_pt", "met.pt")], schema)
-    sink = NtuWriter(tmp_path / "boom.ntu", proj.columns)
 
-    def explode(row):
+    def explode(col):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError):
-        filter_map_write(ds, cut, proj, sink=sink, finalize=lambda _: rowwise(explode))
+        with NtuWriter(tmp_path / "boom.ntu", proj.columns, group_target=512) as sink:
+            filter_map_write(ds, cut, proj, sink=sink)
+            sink.rewrite_column(0, explode)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -775,8 +808,8 @@ def weighted_skim(ds, out):
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("ht", "sum(jets, it.pt)")], ds.schema)
     weight = typecheck_value("genInfo.weight", ds.schema)
-    sink = NtuWriter(out, proj.columns)
-    return filter_map_write(ds, cut, proj, sink=sink, weight=weight)
+    with NtuWriter(out, proj.columns) as sink:
+        return filter_map_write(ds, cut, proj, sink=sink, weight=weight)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -904,8 +937,8 @@ def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_
     )
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([], ds.schema)
-    sink = NtuWriter(tmp_path / "none.ntu", proj.columns, group_target=64)
-    count, _ = filter_map_write(ds, cut, proj, sink=sink)
+    with NtuWriter(tmp_path / "none.ntu", proj.columns, group_target=64) as sink:
+        count, _ = filter_map_write(ds, cut, proj, sink=sink)
     want = sum(ev["met"]["pt"] > 100.0 for ev in iter_all_events(small_corpus["paths"]))
     assert 0 < count == want < 2000
     data = read_ntu(tmp_path / "none.ntu")
@@ -918,12 +951,13 @@ def test_a_value_its_column_cannot_hold_aborts_the_sink(small_corpus, tmp_path):
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([("met_pt", "met.pt"), ("big", str(2**64))], ds.schema)
     assert proj.columns[1] == ("big", "i64")
-    sink = NtuWriter(tmp_path / "big.ntu", proj.columns)
     with pytest.raises(DataError, match="partition 0 .*does not match column kind"):
-        filter_map_write(ds, cut, proj, sink=sink)
+        with NtuWriter(tmp_path / "big.ntu", proj.columns) as sink:
+            filter_map_write(ds, cut, proj, sink=sink)
     assert list(tmp_path.iterdir()) == []
     # an error while computing a value stays its own, before any append
     proj = typecheck_projection([("big", str(2**64)), ("s", "met.pt + " + "9" * 400)], ds.schema)
     with pytest.raises(OverflowError):
-        filter_map_write(ds, cut, proj, sink=NtuWriter(tmp_path / "s.ntu", proj.columns))
+        with NtuWriter(tmp_path / "s.ntu", proj.columns) as sink:
+            filter_map_write(ds, cut, proj, sink=sink)
     assert list(tmp_path.iterdir()) == []

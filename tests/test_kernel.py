@@ -213,18 +213,11 @@ class RowSink:
 
     def __init__(self):
         self.rows = []
-        self.closed = False
 
     def append_columns(self, columns, n_rows):
         rows = list(zip(*columns)) if columns else [()] * n_rows
         assert len(rows) == n_rows
         self.rows.extend(rows)
-
-    def close(self):
-        self.closed = True
-
-    def abort(self):
-        pass
 
 
 # -- equivalence -------------------------------------------------------------------------
@@ -289,14 +282,13 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
         kinds = [kind for _, kind in projection.columns]
         if all(fits(kind, v) for row in want_rows for kind, v in zip(kinds, row)):
             n, sumw = run()
-            assert sink.closed and n == len(want_rows) == len(sink.rows)
+            assert n == len(want_rows) == len(sink.rows)
             for got, want in zip(sink.rows, want_rows):
                 assert_same(got, want)
             assert_same([sumw], [want_sum])
         else:  # a selected value its column's typed array cannot hold
             with pytest.raises(ArityMismatch, match="does not match column kind"):
                 run()
-            assert not sink.closed
         assert_same([map_reduce(ds, typed_weight)], [want_sum])
 
 

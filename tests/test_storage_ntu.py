@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from skimflow.errors import (
     ArityMismatch, BadMagic, CorruptHeader, DataError, FooterMismatch, UnknownColumn,
 )
-from skimflow.storage import NtuWriter, read_ntu, write_ntu
-from skimflow.storage.ntu import KIND_INFO
+from skimflow.storage import NtuWriter, read_ntu
+from skimflow.storage.ntu import DEFAULT_GROUP_ROWS, KIND_INFO
 
 from mutation import MUTATIONS, mutate
 from randgen import f32_exact
@@ -38,6 +38,13 @@ def reference_ntu(rows, columns, group_target):
             out.append(struct.pack(f"<{len(group)}{_PACK[kind]}", *(row[i] for row in group)))
     out.append(struct.pack("<QI", len(rows), len(groups)))
     return b"".join(out)
+
+
+def write_ntu(path, rows, columns, *, group_target=DEFAULT_GROUP_ROWS):
+    """Write `rows` to a new NTU file, as a caller that owns the writer does."""
+    with NtuWriter(path, columns, group_target=group_target) as writer:
+        writer.append_rows(rows)
+        return writer.close()
 
 
 def test_empty_file(tmp_path):
@@ -173,10 +180,10 @@ def test_a_header_length_is_bounded_by_the_file_before_the_read(tmp_path):
 def test_arity_and_kind_mismatch(tmp_path):
     writer = NtuWriter(tmp_path / "f.ntu", COLS3)
     with pytest.raises(ArityMismatch):
-        writer.append((1.0, 2))
+        writer.append_rows([(1.0, 2)])
     with pytest.raises(ArityMismatch):
-        writer.append((1.0, 2.5, True))  # float into i64 column
-    writer.append((1.0, 2, True))
+        writer.append_rows([(1.0, 2.5, True)])  # float into i64 column
+    writer.append_rows([(1.0, 2, True)])
     stats = writer.close()
     assert stats.n_rows == 1
     data = read_ntu(tmp_path / "f.ntu")
@@ -198,9 +205,45 @@ def test_arity_and_kind_mismatch(tmp_path):
 
 def test_abort_removes_partial_file(tmp_path):
     writer = NtuWriter(tmp_path / "f.ntu", COLS3)
-    writer.append((1.0, 1, True))
+    writer.append_rows([(1.0, 1, True)])
     writer.abort()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rewrite_column_reaches_written_groups_and_the_buffer(tmp_path):
+    """Ten rows in groups of 4: two groups on disk and two rows buffered,
+    each column rewritten in turn; the file is the layout of the
+    rewritten rows."""
+    rows = [(float(i), i, i % 3 == 0) for i in range(10)]
+    with NtuWriter(tmp_path / "f.ntu", COLS3, group_target=4) as writer:
+        writer.append_rows(rows)
+        writer.rewrite_column(0, lambda col: array("d", [v * 0.5 for v in col]))
+        writer.rewrite_column(1, lambda col: array("q", [-v for v in col]))
+        writer.rewrite_column(2, lambda col: array("b", [1 - v for v in col]))
+        assert writer.close().n_groups == 3
+    want = [(x * 0.5, -n, not flag) for x, n, flag in rows]
+    assert (tmp_path / "f.ntu").read_bytes() == reference_ntu(want, COLS3, 4)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda col: array("f", col),  # another typecode
+    lambda col: array("d", list(col) + [0.0]),  # one value too many
+    lambda col: array("d", list(col)[1:]),  # one too few
+    lambda col: list(col),  # a list, not an array
+])
+def test_rewrite_column_rejects_a_mismatch(tmp_path, fn):
+    writer = NtuWriter(tmp_path / "f.ntu", COLS3, group_target=4)
+    writer.append_rows([(float(i), i, True) for i in range(6)])
+    with pytest.raises(ArityMismatch):
+        writer.rewrite_column(0, fn)
+    writer.abort()
+    assert list(tmp_path.iterdir()) == []
+    # the buffer is checked as a written group is: a bool other than 0 or 1
+    writer = NtuWriter(tmp_path / "b.ntu", COLS3, group_target=4)
+    writer.append_rows([(1.0, 1, True)])
+    with pytest.raises(ArityMismatch):
+        writer.rewrite_column(2, lambda col: array("b", [2] * len(col)))
+    writer.abort()
 
 
 def test_write_is_deterministic(tmp_path):

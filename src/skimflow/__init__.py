@@ -26,7 +26,6 @@ from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Array, Primitive, Record, Schema
 from .storage import (
     convert_evt,
-    flatten_schema,
     read_evt,
     read_ntu,
     scan_evt,
@@ -53,7 +52,6 @@ __all__ = [
     "convert_evt",
     "fill_histogram",
     "filter_map_write",
-    "flatten_schema",
     "generate_corpus",
     "generate_events",
     "generate_evt",

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ class AnalysisConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError("datasets: labels must be unique")
         lumi = self.luminosity_invpb
-        if not (type(lumi) in (int, float) and lumi > 0 and math.isfinite(lumi)):
+        if not (type(lumi) in (int, float) and 0 < lumi <= sys.float_info.max):
             raise ConfigError("luminosity_invpb must be finite and > 0")
         names = [name for name, _ in self.projection]
         if WEIGHT_COLUMN in names:
@@ -167,50 +168,45 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
         try:
             datasets.append(
                 DatasetDescriptor(
-                    glob=text(entry["glob"], f"datasets[{i}].glob"),
-                    kind=text(entry.get("kind", ""), f"datasets[{i}].kind"),
-                    label=text(entry.get("label", f"dataset{i}"), f"datasets[{i}].label"),
+                    glob=entry["glob"],
+                    kind=entry.get("kind", ""),
+                    label=entry.get("label", f"dataset{i}"),
                     xsec_pb=entry.get("xsec_pb"),
                 )
             )
         except KeyError as exc:
             raise ConfigError(f"{where}: datasets[{i}]: missing key {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: datasets[{i}].{exc}") from exc
+
+    def listed(key):
+        value = raw.get(key, [])
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: {key} must be a list, not {value!r}")
+        return value
 
     # Omitted -> the shipped representative columns; explicitly empty ([]) ->
     # defer to the schema-flatten default at run time.
-    projection: tuple[tuple[str, str], ...]
-    if "projection" not in raw:
-        projection = DEFAULT_PROJECTION
-    elif raw["projection"]:
+    projection: tuple[tuple[str, str], ...] = DEFAULT_PROJECTION
+    if "projection" in raw:
         cols = []
-        for i, col in enumerate(raw["projection"]):
+        for i, col in enumerate(listed("projection")):
             if not isinstance(col, dict) or set(col) != {"name", "expr"}:
                 raise ConfigError(f"{where}: projection[{i}] must be {{'name', 'expr'}}")
             cols.append((text(col["name"], f"projection[{i}].name"),
                          text(col["expr"], f"projection[{i}].expr")))
         projection = tuple(cols)
-    else:
-        projection = ()
 
     histograms = []
-    for i, h in enumerate(raw.get("histograms", ())):
+    for i, h in enumerate(listed("histograms")):
         if not isinstance(h, dict) or set(h) != {"variable", "nbins", "lo", "hi"}:
             raise ConfigError(
                 f"{where}: histograms[{i}] must be {{'variable', 'nbins', 'lo', 'hi'}}"
             )
-        for edge in ("lo", "hi"):
-            if type(h[edge]) not in (int, float):
-                raise ConfigError(
-                    f"{where}: histograms[{i}]: {edge} must be an integer or a float,"
-                    f" not {h[edge]!r}"
-                )
         try:
-            histograms.append(
-                HistogramSpec(text(h["variable"], f"histograms[{i}].variable"),
-                              h["nbins"], float(h["lo"]), float(h["hi"]))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: histograms[{i}]: {exc}") from exc
+            histograms.append(HistogramSpec(h["variable"], h["nbins"], h["lo"], h["hi"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: histograms[{i}].{exc}") from exc
 
     part = raw.get("partition", {})
     if not isinstance(part, dict):
@@ -267,19 +263,6 @@ def sum_of_weights(ds: PartitionedDataset) -> float:
             "sum of weights is defined for mc only"
         )
     return map_reduce(ds, typecheck_value(GEN_WEIGHT, ds.schema))
-
-
-def normalize_weight(
-    gen_weight: float,
-    xsec_pb: float,
-    luminosity_invpb: float,
-    sum_of_weights: float,
-) -> float:
-    """Scale a generator weight to the expected contribution at the given
-    luminosity. Evaluated strictly left to right: ((w * xsec) * lumi) / sumw."""
-    if sum_of_weights == 0.0:
-        raise ZeroSumOfWeights("sum of weights is zero; cannot normalize")
-    return gen_weight * xsec_pb * luminosity_invpb / sum_of_weights
 
 
 # -- skim ---------------------------------------------------------------------------
@@ -355,7 +338,7 @@ def run_skim(config: AnalysisConfig, ds: PartitionedDataset, out_path) -> SkimRe
             xsec, lumi = descriptor.xsec_pb, config.luminosity_invpb
 
             def normalize(gen: array) -> array:
-                # normalize_weight's order, ((w * xsec) * lumi) / sumw, per value
+                # strictly left to right, ((w * xsec) * lumi) / sumw, per value
                 try:
                     return array(gen.typecode, [w * xsec * lumi / sumw for w in gen])
                 except (TypeError, OverflowError) as exc:

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .bench import BenchCell, compare_reports, reports_to_csv, reports_to_json, run_benchmark
 from .engine import EngineConfig, open_dataset
-from .errors import BadMagic, KindMismatch, SkimflowError, UsageError
+from .errors import BadMagic, ConfigError, KindMismatch, SkimflowError, UsageError
 from .generator import GeneratorSpec, generate_corpus, generate_evt
 from .storage import convert_evt, inspect_evt, inspect_ntu
 from .storage.evt import DEFAULT_BLOCK_EVENTS
@@ -44,12 +44,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sanitize(label: str) -> str:
-    return re.sub(r"[^-\w.]", "_", label)
-
-
-def _ntu_path(out_dir: Path, label: str) -> Path:
-    return out_dir / f"{_sanitize(label)}.ntu"
+def _ntu_paths(config: AnalysisConfig, out_dir: Path) -> dict[str, Path]:
+    """Each dataset label's skim output: `<label>.ntu`, with every character
+    other than a letter, a digit, `_`, `-` or `.` replaced by `_`. Two
+    labels that map to one file are a config error, since the second skim
+    would overwrite the first."""
+    labels: dict[Path, str] = {}
+    for d in config.datasets:
+        path = out_dir / (re.sub(r"[^-\w.]", "_", d.label) + ".ntu")
+        if path in labels:
+            raise ConfigError(f"datasets {labels[path]!r} and {d.label!r} both map to {path}")
+        labels[path] = d.label
+    return {label: path for path, label in labels.items()}
 
 
 def _engine(config: AnalysisConfig, args) -> EngineConfig:
@@ -145,12 +151,13 @@ def cmd_skim(args) -> int:
     config = load_config(args.config)
     engine = _engine(config, args)
     out_dir = Path(args.out_dir)
+    paths = _ntu_paths(config, out_dir)
     # each opened dataset is skimmed once, so caching its events gains nothing
     one_off = replace(config, persist=False)
     for descriptor in _select_datasets(config, args.dataset):
         ds = open_dataset(descriptor, engine)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = run_skim(one_off, ds, _ntu_path(out_dir, descriptor.label))
+        result = run_skim(one_off, ds, paths[descriptor.label])
         print(
             f"{descriptor.label}: {result.n_input} -> {result.n_output} rows "
             f"(reduction factor {result.reduction_factor:.6g}) -> {result.path}"
@@ -160,8 +167,9 @@ def cmd_skim(args) -> int:
 
 def _fill_all(config: AnalysisConfig, out_dir: Path, label: str | None):
     hists = {}
+    paths = _ntu_paths(config, out_dir)
     for descriptor in _select_datasets(config, label):
-        path = _ntu_path(out_dir, descriptor.label)
+        path = paths[descriptor.label]
         if not path.exists():
             raise SkimflowError(
                 f"{path}: missing skim output for dataset {descriptor.label!r}; run `skim` first"

@@ -49,8 +49,8 @@ the scan and every traversal.
 from __future__ import annotations
 
 import glob as globmod
-import math
 import os
+import sys
 import time
 from array import array
 from collections import deque
@@ -87,14 +87,21 @@ class DatasetDescriptor:
     xsec_pb: float | None = None
 
     def __post_init__(self) -> None:
+        # each message starts with the field it names, so that a config
+        # loader can prefix where the field came from
+        for name in ("glob", "kind", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, not {value!r}")
         if self.kind not in ("data", "mc"):
-            raise ConfigError(f"dataset {self.label!r}: kind must be 'data' or 'mc'")
+            raise ConfigError(f"kind must be 'data' or 'mc', not {self.kind!r}")
+        xsec = self.xsec_pb
         if self.kind == "mc":
-            xsec = self.xsec_pb
-            if not (type(xsec) in (int, float) and xsec > 0 and math.isfinite(xsec)):
-                raise ConfigError(f"dataset {self.label!r}: mc requires a finite xsec_pb > 0")
-        elif self.xsec_pb is not None:
-            raise ConfigError(f"dataset {self.label!r}: data datasets carry no xsec_pb")
+            # compared exactly, so an int too large for a float is rejected here
+            if not (type(xsec) in (int, float) and 0 < xsec <= sys.float_info.max):
+                raise ConfigError(f"xsec_pb must be finite and xsec_pb > 0 for mc, not {xsec!r}")
+        elif xsec is not None:
+            raise ConfigError(f"xsec_pb must be omitted for data, not {xsec!r}")
 
 
 @dataclass(frozen=True)

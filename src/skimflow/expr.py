@@ -45,11 +45,13 @@ over them. User text enters that source only as the `repr()` of a
 parsed constant or of a field name the schema has checked, and every
 local name is generated.
 
-Each compiled form's `evaluate(event)` runs the same loop over a
-one-event column set, made by encoding the event and decoding it to
-columns, both compiled on its first call. So an event dict that does not
-conform to the whole schema (a missing field, a value of the wrong type)
-raises `SchemaViolation`, even in a field the expression does not read.
+A compiled cut's and a compiled projection's `evaluate(event)` run the
+same loop over a one-event column set, made by encoding the event and
+decoding it to columns, both compiled on its first call. So an event
+dict that does not conform to the whole schema (a missing field, a value
+of the wrong type) raises `SchemaViolation`, even in a field the
+expression does not read. A compiled value (`typecheck_value`) has no
+`evaluate`: the kernel sums it as a skim's weight.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Union, get_args
 
 from .errors import ArityMismatch, NonScalarProjection, ParseError, TypeMismatch, UnknownField
 from .schema import Array, Primitive, Record, Schema
@@ -129,6 +131,7 @@ class Reduce:
 
 
 Expr = Union[Const, Field, Compare, BoolOp, Not, Arith, Neg, Size, Count, Reduce]
+_NODE_TYPES = get_args(Expr)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -408,6 +411,8 @@ class _Checker:
         self._k = 0
 
     def compile(self, node: Expr, element: Record | None = None) -> tuple[str, str]:
+        if type(node) not in _NODE_TYPES:
+            raise TypeMismatch(f"not an expression node: {node!r}")
         method = getattr(self, "_c_" + type(node).__name__.lower())
         return method(node, element)
 
@@ -683,7 +688,8 @@ def _function(checker: _Checker, name: str, args: str, body: list[str]) -> Calla
 # paths its evaluation reads, written by `storage.codec.leaf_set`: a path
 # that ends at a collection reads only its size, and goes when an element
 # field is read, so `count(jets, it.pt > 30.0)` reads ("jets", "pt").
-# `evaluate` runs the same kernel over one event, compiled on first call.
+# A cut's or a projection's `evaluate` runs the same kernel over one event,
+# compiled on first call.
 
 
 def _evaluator(form, **parts) -> Callable[[dict, list], tuple[float, int]]:
@@ -702,7 +708,6 @@ def _evaluator(form, **parts) -> Callable[[dict, list], tuple[float, int]]:
 class TypedCut:
     """A boolean expression compiled against a schema."""
 
-    source: str
     node: Expr
     schema: Schema
     leaves: frozenset[tuple[str, ...]]
@@ -719,21 +724,9 @@ class TypedCut:
 class TypedValue:
     """A numeric expression compiled against a schema."""
 
-    source: str
     node: Expr
     schema: Schema
     leaves: frozenset[tuple[str, ...]]
-
-    @cached_property
-    def _kernel(self) -> Callable:
-        # a one-column projection: the weight path's Kahan sum would turn
-        # an int into a float and -0.0 into 0.0
-        return _evaluator(self, projection=typecheck_projection([("value", self.node)], self.schema))
-
-    def evaluate(self, event: dict):
-        column = []
-        self._kernel(event, (column,))
-        return column[0]
 
 
 @dataclass(frozen=True)
@@ -761,20 +754,18 @@ def typecheck_cut(expr: str | Expr, schema: Schema) -> TypedCut:
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
     checker.clauses(node)
-    source = expr if isinstance(expr, str) else repr(expr)
-    return TypedCut(source, node, schema, leaf_set(checker.paths))
+    return TypedCut(node, schema, leaf_set(checker.paths))
 
 
 def typecheck_value(expr: str | Expr, schema: Schema) -> TypedValue:
-    """Type-check a numeric expression against a schema and compile it for
-    evaluation."""
+    """Type-check a numeric expression against a schema, for a kernel to
+    sum as a weight (`compile_kernel`)."""
     node = parse_expr(expr) if isinstance(expr, str) else expr
     checker = _Checker(schema)
     _, kind = checker.compile(node)
     if kind not in NUMERIC_KINDS:
         raise TypeMismatch(f"value must be numeric, got {kind}")
-    source = expr if isinstance(expr, str) else repr(expr)
-    return TypedValue(source, node, schema, leaf_set(checker.paths))
+    return TypedValue(node, schema, leaf_set(checker.paths))
 
 
 def typecheck_projection(columns, schema: Schema) -> TypedProjection:

@@ -42,10 +42,10 @@ class GeneratorSpec:
             raise ConfigError("n_events must be >= 0")
         if self.kind not in ("mc", "data"):
             raise ConfigError("kind must be 'mc' or 'data'")
-        if not self.met_scale > 0:
-            raise ConfigError("met_scale must be > 0")
-        if self.mean_jets < 0:
-            raise ConfigError("mean_jets must be >= 0")
+        if not (math.isfinite(self.met_scale) and self.met_scale > 0):
+            raise ConfigError(f"met_scale must be finite and > 0, not {self.met_scale!r}")
+        if not (math.isfinite(self.mean_jets) and self.mean_jets >= 0):
+            raise ConfigError(f"mean_jets must be finite and >= 0, not {self.mean_jets!r}")
         if self.weight_dist not in ("constant", "signed"):
             raise ConfigError("weight_dist must be 'constant' or 'signed'")
         if not 0.0 <= self.p_plus <= 1.0:

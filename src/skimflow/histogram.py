@@ -11,7 +11,7 @@ never negative.
 
 from __future__ import annotations
 
-import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -21,16 +21,29 @@ from .errors import ConfigError, LengthMismatch, SpecMismatch, UnknownColumn
 
 @dataclass(frozen=True)
 class HistogramSpec:
+    """`nbins` uniform bins of `variable` over [lo, hi); an integer edge
+    is held as its float."""
+
     variable: str
     nbins: int
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        # each message starts with the field it names, so that a config
+        # loader can prefix where the field came from
+        if not isinstance(self.variable, str):
+            raise ConfigError(f"variable must be a string, not {self.variable!r}")
         if type(self.nbins) is not int or self.nbins < 1:
-            raise ConfigError(f"histogram {self.variable!r}: nbins must be a positive integer")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ConfigError(f"histogram {self.variable!r}: requires finite lo < hi")
+            raise ConfigError(f"nbins must be a positive integer, not {self.nbins!r}")
+        for edge in ("lo", "hi"):
+            value = getattr(self, edge)
+            # compared exactly, so an int too large for a float is rejected here
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{edge} must be a finite integer or float, not {value!r}")
+            object.__setattr__(self, edge, float(value))
+        if not self.lo < self.hi:
+            raise ConfigError(f"lo must be below hi, not {self.lo!r} >= {self.hi!r}")
 
     def edges(self) -> list[float]:
         span = self.hi - self.lo
@@ -52,27 +65,6 @@ class Histogram:
         self.overflow = 0.0
         self.overflow_sumw2 = 0.0
         self.n_fills = 0
-
-    def fill(self, value, weight: float = 1.0) -> None:
-        v = float(value)
-        w = float(weight)
-        self.n_fills += 1
-        spec = self.spec
-        if v != v:  # NaN
-            self.overflow += w
-            self.overflow_sumw2 += w * w
-        elif v < spec.lo:
-            self.underflow += w
-            self.underflow_sumw2 += w * w
-        elif v >= spec.hi:
-            self.overflow += w
-            self.overflow_sumw2 += w * w
-        else:
-            i = int((v - spec.lo) / (spec.hi - spec.lo) * spec.nbins)
-            if i >= spec.nbins:  # guard against round-up at the top edge
-                i = spec.nbins - 1
-            self.contents[i] += w
-            self.sumw2[i] += w * w
 
     def merge(self, other: "Histogram") -> None:
         if other.spec != self.spec:
@@ -125,9 +117,8 @@ def fill_histogram(columns: Mapping[str, Sequence], spec: HistogramSpec) -> Hist
             f"column {spec.variable!r} has {len(values)} rows, weights {len(weights)}"
         )
     hist = Histogram(spec)
-    # `Histogram.fill` per value, in one loop over locals: the same float()
-    # of each value and weight (skipped for float arrays, whose items are
-    # floats already), bins and sums in the same order
+    # one loop over locals: float() of each value and weight (skipped for
+    # float arrays, whose items are floats already), summed in row order
     lo, hi, nbins = spec.lo, spec.hi, spec.nbins
     span = hi - lo
     contents, sumw2 = hist.contents, hist.sumw2

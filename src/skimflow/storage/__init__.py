@@ -14,7 +14,7 @@ from .evt import (
     scan_evt,
     write_evt,
 )
-from .flatten import flatten_paths, flatten_schema
+from .flatten import flatten_paths
 from .ntu import (
     DEFAULT_GROUP_ROWS,
     NtuData,
@@ -37,7 +37,6 @@ __all__ = [
     "WriteStats",
     "convert_evt",
     "flatten_paths",
-    "flatten_schema",
     "inspect_evt",
     "inspect_ntu",
     "iter_block_range",

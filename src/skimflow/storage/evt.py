@@ -392,17 +392,13 @@ def inspect_evt(path) -> dict:
         index, 0, len(index.blocks), timers=timers, codec=EventCodec(index.schema, ())
     )
     decoded = sum(cs.count for cs in blocks)
-    counts = [b.n_events for b in index.blocks]
     return {
         "format": "EVT",
         "path": str(index.path),
         "schema_fields": [name for name, _ in index.schema.root.fields],
         "compression": "deflate" if index.compressed else "none",
         "events": decoded,
-        "declared_events": index.n_events,
         "blocks": len(index.blocks),
-        "block_events_min": min(counts) if counts else 0,
-        "block_events_max": max(counts) if counts else 0,
         "file_bytes": index.file_bytes,
         "payload_bytes": index.payload_bytes,
         "decoded_bytes": timers.bytes_decoded,

@@ -13,13 +13,13 @@ from ..schema import Primitive, Record, Schema
 SEPARATOR = "_"
 
 
-def _leaves(schema: Schema) -> list[tuple[str, str, str]]:
-    """[(column name, dotted source path, primitive kind), ...] for every
-    scalar leaf outside arrays.
+def flatten_paths(schema: Schema) -> list[tuple[str, str]]:
+    """Return [(column name, dotted source path), ...] for every scalar
+    leaf outside arrays.
 
     Raises NameCollision when two distinct paths flatten to the same name.
     """
-    out: list[tuple[str, str, str]] = []
+    out: list[tuple[str, str]] = []
     seen: dict[str, str] = {}
 
     def walk(node, column: str, dotted: str) -> None:
@@ -29,7 +29,7 @@ def _leaves(schema: Schema) -> list[tuple[str, str, str]]:
                     f"column {column!r} produced by both {seen[column]!r} and {dotted!r}"
                 )
             seen[column] = dotted
-            out.append((column, dotted, node.kind))
+            out.append((column, dotted))
         elif isinstance(node, Record):
             for name, child in node.fields:
                 walk(
@@ -40,16 +40,3 @@ def _leaves(schema: Schema) -> list[tuple[str, str, str]]:
 
     walk(schema.root, "", "")
     return out
-
-
-def flatten_schema(schema: Schema) -> list[tuple[str, str]]:
-    """Return [(column name, primitive kind), ...] for every scalar leaf.
-
-    Raises NameCollision when two distinct paths flatten to the same name.
-    """
-    return [(column, kind) for column, _, kind in _leaves(schema)]
-
-
-def flatten_paths(schema: Schema) -> list[tuple[str, str]]:
-    """Like flatten_schema but returns [(column name, dotted source path)]."""
-    return [(column, dotted) for column, dotted, _ in _leaves(schema)]

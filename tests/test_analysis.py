@@ -22,14 +22,13 @@ from skimflow.analysis import (
     config_from_dict,
     histograms_for_ntuple,
     load_config,
-    normalize_weight,
     run_skim,
     sum_of_weights,
 )
 from skimflow.engine import DatasetDescriptor, EngineConfig, open_dataset
 from skimflow.errors import ArityMismatch, ConfigError, KindMismatch, SpecMismatch, ZeroSumOfWeights
 from skimflow.events import make_event
-from skimflow.histogram import Histogram, HistogramSpec
+from skimflow.histogram import HistogramSpec, fill_histogram
 from skimflow.schema import Primitive, Record, Schema
 from skimflow import analysis
 from skimflow.storage import NtuWriter, inspect_evt, read_ntu, write_evt
@@ -41,22 +40,6 @@ def mc_descriptor(glob, label="mc", xsec=10.0):
 
 def base_config(datasets, **kw):
     return AnalysisConfig(datasets=tuple(datasets), luminosity_invpb=1000.0, **kw)
-
-
-# -- normalize_weight ------------------------------------------------------------
-
-
-def test_normalize_identity():
-    assert normalize_weight(1.0, 1.0, 1.0, 1.0) == 1.0
-
-
-def test_normalize_arithmetic():
-    assert normalize_weight(2.0, 50.0, 1000.0, 10000.0) == 10.0
-
-
-def test_normalize_zero_sum_raises():
-    with pytest.raises(ZeroSumOfWeights):
-        normalize_weight(1.0, 1.0, 1.0, 0.0)
 
 
 # -- sum_of_weights ---------------------------------------------------------------
@@ -440,11 +423,9 @@ def test_histograms_for_ntuple_match_brute_force(tmp_path, small_corpus):
 
 
 def hist_with(spec, contents):
-    hist = Histogram(spec)
     span = spec.hi - spec.lo
-    for i, c in enumerate(contents):
-        hist.fill(spec.lo + (i + 0.5) * span / spec.nbins, c)
-    return hist
+    centres = [spec.lo + (i + 0.5) * span / spec.nbins for i in range(len(contents))]
+    return fill_histogram({spec.variable: centres, "weight": list(contents)}, spec)
 
 
 def test_single_component_stack_equals_component():
@@ -630,14 +611,46 @@ def key_name(key):
     (("selection",), True),
 ], ids=lambda v: key_name(v) if isinstance(v, tuple) else repr(v))
 def test_config_text_values_must_be_json_strings(key, value):
-    raw = make_raw_config()
+    raw = with_value(make_raw_config(), key, value)
+    with pytest.raises(ConfigError, match=re.escape(f"config: {key_name(key)} must be a string")):
+        config_from_dict(raw)
+
+
+def with_value(raw, key, value):
     *parents, last = key
     node = raw
     for part in parents:
         node = node[part]
     node[last] = value
-    with pytest.raises(ConfigError, match=re.escape(f"{key_name(key)} must be a string")):
+    return raw
+
+
+@pytest.mark.parametrize("key", [
+    ("luminosity_invpb",), ("datasets", 0, "xsec_pb"), ("histograms", 0, "lo"),
+    ("histograms", 0, "hi"),
+], ids=key_name)
+def test_config_numbers_too_large_for_a_float_rejected(key):
+    raw = with_value(make_raw_config(), key, 10**400)
+    with pytest.raises(ConfigError, match="finite"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("histograms", 5), ("histograms", {}), ("histograms", "met_pt"),
+    ("projection", 5), ("projection", {}), ("projection", False),
+])
+def test_config_lists_of_the_wrong_json_type_rejected(key, value):
+    with pytest.raises(ConfigError, match=rf"^config: {key} must be a list"):
+        config_from_dict(make_raw_config(**{key: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("glob", 5), ("glob", None), ("kind", 1), ("label", 3), ("label", b"m"),
+])
+def test_descriptor_text_fields_must_be_strings(field, value):
+    fields = {"glob": "*.evt", "kind": "mc", "label": "m", "xsec_pb": 1.0, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be a string"):
+        DatasetDescriptor(**fields)
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
@@ -739,7 +752,7 @@ def test_weight_column_is_bitwise_the_row_formula(tmp_path, kind):
     assert got.kinds["weight"] == kind
     typecode = "f" if kind == "f32" else "d"
     gen = [ev["genInfo"]["weight"] for ev in events if ev["x"] > 0.0]
-    want = array(typecode, [normalize_weight(w, 7.3, 1000.0, result.sum_weights) for w in gen])
+    want = array(typecode, [oracle.normalize(w, 7.3, 1000.0, result.sum_weights) for w in gen])
     assert got.columns["weight"].tobytes() == want.tobytes()
     assert got.columns["weight"] != array(typecode, gen)
 
@@ -802,6 +815,6 @@ def test_weight_rewritten_in_groups_already_on_disk(tmp_path, kind):
     got = read_ntu(out)
     assert got.n_rows == 70000 and got.n_groups == 2
     typecode = "f" if kind == "f32" else "d"
-    want = array(typecode, [normalize_weight(w, 7.3, 1000.0, result.sum_weights) for w in gen])
+    want = array(typecode, [oracle.normalize(w, 7.3, 1000.0, result.sum_weights) for w in gen])
     assert got.columns["weight"].tobytes() == want.tobytes()
     assert list(got.columns["x"]) == [float(i % 7) for i in range(70000)]

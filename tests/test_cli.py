@@ -115,8 +115,9 @@ def test_convert_round_trip(tmp_path, capsys):
     ["convert", "f.evt", "g.evt", "--compress", "--block-events", "0"],
     ["bench", "--config", "cfg.json", "--out-dir", "g", "--reps", "2"],
     ["skim", "--config", "cfg.json", "--out-dir", "g", "--workers", "0"],
+    ["gen", "--out", "g.evt", "--events", "10", "--met-scale", "inf"],
 ], ids=["gen-events", "gen-files", "gen-block-events", "gen-files-block-events",
-        "convert-block-events", "bench-reps", "skim-workers"])
+        "convert-block-events", "bench-reps", "skim-workers", "gen-met-scale"])
 def test_a_bad_numeric_flag_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "--out", "f.evt", "--events", "100", "--seed", "3"]) == 0
@@ -320,6 +321,29 @@ def test_hist_of_an_ntuple_cut_inside_its_footer_is_a_data_error(corpus, capsys)
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not (out / "histograms.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["skim", "hist", "plot-data"])
+def test_two_labels_that_map_to_one_ntuple_are_one_error_line(corpus, capsys, cmd):
+    def config(mc_label, data_label):
+        datasets = [
+            {"glob": str(corpus / "mc" / "*.evt"), "kind": "mc", "xsec_pb": 50.0,
+             "label": mc_label},
+            {"glob": str(corpus / "data" / "*.evt"), "kind": "data", "label": data_label},
+        ]
+        path = corpus / f"{mc_label.replace('/', '-')}.json"
+        path.write_text(json.dumps({"datasets": datasets, "luminosity_invpb": 1000.0}))
+        return str(path)
+
+    out = corpus / "out"
+    assert main(["skim", "--config", config("x_y", "data"), "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main([cmd, "--config", config("x/y", "x_y"), "--out-dir", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: datasets 'x/y' and 'x_y' both map to ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_full_pipeline_matches_serial_oracle(corpus, capsys):

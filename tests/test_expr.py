@@ -102,7 +102,8 @@ def test_projection_column_kinds(schema):
 
 
 def test_value_must_be_numeric(schema):
-    assert typecheck_value("genInfo.weight", schema).evaluate(ev(weight=-1.0)) == -1.0
+    node = typecheck_value("genInfo.weight", schema).node
+    assert typecheck_projection([("w", node)], schema).evaluate(ev(weight=-1.0)) == (-1.0,)
     with pytest.raises(TypeMismatch):
         typecheck_value("met.pt > 1.0", schema)
 

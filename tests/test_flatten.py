@@ -3,7 +3,7 @@ import pytest
 from skimflow.errors import NameCollision
 from skimflow.events import analysis_schema
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import flatten_paths, flatten_schema
+from skimflow.storage import flatten_paths
 
 
 def rec(*fields):
@@ -12,26 +12,19 @@ def rec(*fields):
 
 def test_nested_record_paths_join_with_underscore():
     schema = Schema(rec(("met", rec(("pt", Primitive("f64")), ("phi", Primitive("f64"))))))
-    assert flatten_schema(schema) == [("met_pt", "f64"), ("met_phi", "f64")]
+    assert flatten_paths(schema) == [("met_pt", "met.pt"), ("met_phi", "met.phi")]
 
 
 def test_name_collision():
     schema = Schema(rec(("a_b", Primitive("f64")), ("a", rec(("b", Primitive("f64"))))))
-    with pytest.raises(NameCollision, match="a_b"):
-        flatten_schema(schema)
     with pytest.raises(NameCollision, match="a_b"):
         flatten_paths(schema)
 
 
 def test_arrays_are_skipped_full_analysis_schema():
     # hand-derived: only the scalar leaves, in declaration order
-    assert flatten_schema(analysis_schema()) == [
-        ("run", "i64"),
-        ("lumi", "i64"),
-        ("event", "i64"),
-        ("genInfo_weight", "f64"),
-        ("met_pt", "f64"),
-        ("met_phi", "f64"),
+    assert [column for column, _ in flatten_paths(analysis_schema())] == [
+        "run", "lumi", "event", "genInfo_weight", "met_pt", "met_phi",
     ]
 
 
@@ -45,4 +38,4 @@ def test_flatten_paths_gives_dotted_sources():
 
 def test_array_inside_record_skipped():
     schema = Schema(rec(("box", rec(("vals", Array(Primitive("f64"))), ("n", Primitive("i32"))))))
-    assert flatten_schema(schema) == [("box_n", "i32")]
+    assert flatten_paths(schema) == [("box_n", "box.n")]

@@ -86,6 +86,13 @@ def test_corpus_split_and_unique_event_numbers(tmp_path):
     assert numbers == list(range(1, 1004))
 
 
+@pytest.mark.parametrize("field", ["met_scale", "mean_jets"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        GeneratorSpec(seed=1, n_events=1, **{field: value})
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         GeneratorSpec(seed=1, n_events=-1)

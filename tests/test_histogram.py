@@ -19,6 +19,27 @@ def test_spec_validation():
         HistogramSpec("x", 10, 0.0, math.inf)
 
 
+@pytest.mark.parametrize("args, field", [
+    (("x", 3, "a", 1.0), "lo"),
+    (("x", 3, True, 2.0), "lo"),
+    (("x", 3, 0.0, False), "hi"),
+    (("x", 3, None, 1.0), "lo"),
+    (("x", 3, 0, 10**400), "hi"),
+    (("x", 3, math.nan, 1.0), "lo"),
+    ((5, 3, 0.0, 1.0), "variable"),
+    ((None, 3, 0.0, 1.0), "variable"),
+    (("x", 3.0, 0.0, 1.0), "nbins"),
+])
+def test_spec_fields_of_the_wrong_type_rejected(args, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        HistogramSpec(*args)
+
+
+def test_integer_edges_are_held_as_floats():
+    spec = HistogramSpec("x", 4, 0, 2)
+    assert type(spec.lo) is float and type(spec.hi) is float
+
+
 def test_no_rows_all_zero():
     hist = fill_histogram({"x": [], "weight": []}, HistogramSpec("x", 4, 0.0, 1.0))
     assert hist.contents == [0.0] * 4
@@ -35,30 +56,35 @@ def test_hand_arithmetic_example():
     assert hist.underflow == 0.0 and hist.overflow == 0.0
 
 
+def one_row(value, weight=1.0):
+    return {"x": [value], "weight": [weight]}
+
+
 def test_edge_semantics():
     spec = HistogramSpec("x", 4, 0.0, 4.0)
-    hist = Histogram(spec)
-    hist.fill(0.0)  # lower edge inclusive -> bin 0
-    hist.fill(1.0)  # interior lower edge -> bin 1
-    hist.fill(4.0)  # upper edge exclusive -> overflow
-    hist.fill(-0.001)  # underflow
-    hist.fill(3.9999999)  # just under the top edge -> last bin
-    assert hist.contents == [1.0, 1.0, 0.0, 1.0]
-    assert hist.overflow == 1.0
-    assert hist.underflow == 1.0
+    for value, bin_ in (
+        (0.0, 0),  # lower edge inclusive
+        (1.0, 1),  # interior lower edge
+        (3.9999999, 3),  # just under the top edge -> last bin
+    ):
+        hist = fill_histogram(one_row(value), spec)
+        assert hist.contents == [1.0 if i == bin_ else 0.0 for i in range(4)]
+        assert hist.underflow == hist.overflow == 0.0
+    upper = fill_histogram(one_row(4.0), spec)  # upper edge exclusive
+    assert upper.contents == [0.0] * 4 and upper.overflow == 1.0 and upper.underflow == 0.0
+    below = fill_histogram(one_row(-0.001), spec)
+    assert below.contents == [0.0] * 4 and below.underflow == 1.0 and below.overflow == 0.0
 
 
 def test_nan_goes_to_overflow_conserving_weight():
-    hist = Histogram(HistogramSpec("x", 2, 0.0, 1.0))
-    hist.fill(math.nan, 3.0)
+    hist = fill_histogram(one_row(math.nan, 3.0), HistogramSpec("x", 2, 0.0, 1.0))
     assert hist.overflow == 3.0
     assert hist.total_weight() == 3.0
 
 
 def test_negative_weights_allowed():
-    hist = Histogram(HistogramSpec("x", 2, 0.0, 2.0))
-    hist.fill(0.5, -1.0)
-    hist.fill(0.5, -1.0)
+    spec = HistogramSpec("x", 2, 0.0, 2.0)
+    hist = fill_histogram({"x": [0.5, 0.5], "weight": [-1.0, -1.0]}, spec)
     assert hist.contents == [-2.0, 0.0]
     assert hist.sumw2 == [2.0, 0.0]
 
@@ -90,10 +116,8 @@ def test_conservation_and_unit_weight_sumw2():
 
 def test_merge_and_spec_mismatch():
     spec = HistogramSpec("x", 2, 0.0, 2.0)
-    a = Histogram(spec)
-    b = Histogram(spec)
-    a.fill(0.5, 2.0)
-    b.fill(1.5, 3.0)
+    a = fill_histogram(one_row(0.5, 2.0), spec)
+    b = fill_histogram(one_row(1.5, 3.0), spec)
     a.merge(b)
     assert a.contents == [2.0, 3.0]
     with pytest.raises(SpecMismatch):
@@ -113,21 +137,6 @@ def test_fill_histogram_errors():
 def test_edges():
     spec = HistogramSpec("x", 4, 0.0, 2.0)
     assert spec.edges() == [0.0, 0.5, 1.0, 1.5, 2.0]
-
-
-def _filled_one_by_one(values, weights, spec):
-    hist = Histogram(spec)
-    for v, w in zip(values, weights):
-        hist.fill(v, w)
-    return hist
-
-
-def _bits(hist):
-    """`to_dict()` with every float as its IEEE-754 bit pattern."""
-    def bits(x):
-        return struct.pack("<d", x) if isinstance(x, float) else x
-    return {k: [bits(x) for x in v] if isinstance(v, list) else bits(v)
-            for k, v in hist.to_dict().items()}
 
 
 @pytest.mark.parametrize("lo, hi", [(-1.5, 2.5), (0, 1000), (-3.0, 0.1)])
@@ -150,7 +159,14 @@ def test_fill_histogram_is_bitwise_repeated_fill(lo, hi):
         (array("b", [0, 1, 1, 0]), [1, -1, 2, 0]),
     ]
     for values, w in cases:
-        got = fill_histogram({"x": values, "weight": w}, spec)
-        want = _filled_one_by_one(values, w, spec)
-        assert _bits(got) == _bits(want)
-        assert got.n_fills == len(values)
+        got = fill_histogram({"x": values, "weight": w}, spec).to_dict()
+        want = fill_hist_brute(values, w, spec.nbins, lo, hi)
+        assert {k: _bits(got[k]) for k in want} == {k: _bits(v) for k, v in want.items()}
+        assert got["entries"] == len(values)
+
+
+def _bits(x):
+    """A float, or each float of a list, as its IEEE-754 bit pattern."""
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return struct.pack("<d", x)

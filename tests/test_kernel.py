@@ -3,8 +3,9 @@
 Random expressions over the analysis schema and over random schemas
 (`randgen`), some with field names that are not identifiers, on random
 events with NaN, infinities, signed zeros, i64 values beyond 2**53 and
-empty collections. `evaluate` of every compiled form, the skim kernel
-over a block of columns, and the kernel through `filter_map_write` and
+empty collections. `evaluate` of each compiled cut and projection (and
+of a compiled value's one-column projection), the skim kernel over a
+block of columns, and the kernel through `filter_map_write` and
 `map_reduce` (over decoded and over cached columns), must give exactly
 what `interp` gives: the same bools, ints that stay ints, and floats with
 the same bits (any NaN matching any NaN).
@@ -229,11 +230,12 @@ def test_evaluate_matches_interpreter(case):
     schema, events, cut, columns, weight = case
     typed_cut = typecheck_cut(cut, schema)
     projection = typecheck_projection(columns, schema)
-    typed_weight = typecheck_value(weight, schema)
+    # a compiled value's per-event result: its one-column projection's
+    typed_weight = typecheck_projection([("w", typecheck_value(weight, schema).node)], schema)
     for ev in events:
         assert typed_cut.evaluate(ev) is interpret(cut, ev)
         assert_same(projection.evaluate(ev), [interpret(node, ev) for _, node in columns])
-        assert_same([typed_weight.evaluate(ev)], [interpret(weight, ev)])
+        assert_same(typed_weight.evaluate(ev), [interpret(weight, ev)])
 
 
 @given(
@@ -339,7 +341,7 @@ def test_evaluate_rejects_a_non_conforming_event(schema):
     with pytest.raises(SchemaViolation):
         typecheck_cut("met.pt > 1.0", schema).evaluate(ev)
     with pytest.raises(SchemaViolation):
-        typecheck_value("met.pt", schema).evaluate({**make_event(), "run": 1.5})
+        typecheck_projection([("x", "met.pt")], schema).evaluate({**make_event(), "run": 1.5})
 
 
 def test_i64_beyond_2_53_compares_after_widening(schema):
@@ -407,6 +409,9 @@ def test_field_names_enter_the_source_only_as_data():
     Compare("<", Const(True, "i64"), Const(2, "i64")),
     Compare("<", Const(1, "f64"), Const(2, "i64")),
     Compare("<", Reduce("sorted", ("jets",), "pt"), Const(2, "i64")),
+    5,
+    Not(5),
+    BoolOp("and", (Const(True, "bool"), None)),
 ])
 def test_malformed_trees_are_rejected(schema, node):
     with pytest.raises(TypeMismatch):

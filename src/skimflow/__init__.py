@@ -26,7 +26,6 @@ from .histogram import Histogram, HistogramSpec, fill_histogram
 from .schema import Array, Primitive, Record, Schema
 from .storage import (
     convert_evt,
-    read_evt,
     read_ntu,
     scan_evt,
     write_evt,
@@ -61,7 +60,6 @@ __all__ = [
     "open_dataset",
     "parse_expr",
     "plan_partitions",
-    "read_evt",
     "read_ntu",
     "scan_evt",
     "typecheck_cut",

@@ -10,7 +10,6 @@ from .evt import (
     convert_evt,
     inspect_evt,
     iter_block_range,
-    read_evt,
     scan_evt,
     write_evt,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "inspect_evt",
     "inspect_ntu",
     "iter_block_range",
-    "read_evt",
     "read_ntu",
     "scan_evt",
     "write_evt",

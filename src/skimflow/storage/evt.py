@@ -25,13 +25,12 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import pairwise
 from pathlib import Path
 from struct import Struct
 from typing import Iterable, Iterator
 
 from ..errors import BadMagic, ConfigError, CorruptHeader, CrcMismatch, TruncatedBlock
-from ..schema import Array, Primitive, Record, Schema, SchemaNode
+from ..schema import Schema
 from ..timing import PhaseTimers
 from .codec import ColumnSet, EventCodec
 
@@ -269,20 +268,16 @@ def iter_block_range(
     lo: int,
     hi: int,
     *,
-    timers: PhaseTimers | None = None,
-    codec: EventCodec | None = None,
+    timers: PhaseTimers,
+    codec: EventCodec,
 ) -> Iterator[ColumnSet]:
     """Decode blocks [lo, hi) lazily, one block in memory at a time, and
-    yield one `ColumnSet` per block, of `codec`'s leaves (every leaf by
-    default).
+    yield one `ColumnSet` per block, of `codec`'s leaves.
 
     `bytes_read` counts the payload and CRC bytes read here; the block
     headers were counted by `scan_evt`, so a scan plus a full-range read
     accounts for every byte of the file exactly once.
     """
-    timers = timers or PhaseTimers()
-    if codec is None:
-        codec = EventCodec(index.schema)
     for i, data in _stored_blocks(index, lo, hi, timers):
         yield _decode_stored_block(data, index, i, codec, timers)
 
@@ -310,30 +305,6 @@ def _in_block(index: EvtIndex, i: int):
         raise TruncatedBlock(f"{index.path}: block {i}: {exc}") from exc
 
 
-def _values(node: SchemaNode, cs: ColumnSet, path: tuple) -> list:
-    """The values of `node`, whose column key is `path`, from a full column
-    set: one per event at the root, one per element inside an array."""
-    if isinstance(node, Primitive):
-        col = cs[path]
-        return list(map(bool, col)) if node.kind == "bool" else col.tolist()
-    if isinstance(node, Array):
-        epath = path if isinstance(node.element, Record) else path + ("",)
-        items = _values(node.element, cs, epath)
-        return [items[a:b] for a, b in pairwise(cs[path])]
-    names = node.names()
-    fields = [_values(child, cs, path + (name,)) for name, child in node.fields]
-    return [dict(zip(names, vals)) for vals in zip(*fields)]
-
-
-def read_evt(path) -> tuple[Schema, Iterator[dict]]:
-    """Index an EVT file and return its schema plus a lazy event stream,
-    built block by block from full column sets."""
-    index = scan_evt(path)
-    blocks = iter_block_range(index, 0, len(index.blocks))
-    root = index.schema.root
-    return index.schema, (ev for cs in blocks for ev in _values(root, cs, ()))
-
-
 def convert_evt(
     src,
     dst,
@@ -349,7 +320,7 @@ def convert_evt(
     which builds no columns but rejects what a full decode rejects. Blocks
     and CRCs are rebuilt, and the header is the schema's canonical JSON, as
     `write_evt` writes it. So the output is byte-identical to `write_evt`
-    of `read_evt`'s events, except that stored bytes are copied as they
+    of the source's events, except that stored bytes are copied as they
     are, where decoding and encoding again would rewrite a few: a bool
     stored as a byte other than 0 or 1 (read as True, encoded as 1), and
     an f32 signalling NaN (quieted by the conversion to a Python float).

@@ -3,18 +3,70 @@
 Everything here is deliberately written directly in Python against event
 dicts: the default selection and projection are spelled out by hand (not
 compiled from expression text), the sums are a plain serial Kahan loop,
-and the histogram filler is a naive per-row loop. Only the storage reader
-is shared with the code under test, and it shares the engine's column
-decoder: `read_evt` builds its events from the same column sets the
-skims read. The check of that decoder that does not depend on it is
-`tests/test_codec.py::test_column_decode_equals_reference_layout`,
-against the byte layout read back by hand; round-trip tests cover the
-rest of the format.
+and the histogram filler is a naive per-row loop. No reader is shared
+with the code under test: `read_events` walks the EVT byte layout by
+hand, with `struct` and `zlib`, and takes only the schema parser from
+the program. So a fault in the engine's column decoder cannot hide by
+showing on both sides of a comparison.
 """
 
 from __future__ import annotations
 
-from skimflow.storage import read_evt
+import struct
+import zlib
+
+from skimflow.schema import Array, Primitive, Schema
+
+FMT = {"f64": "<d", "f32": "<f", "i64": "<q", "i32": "<i", "bool": "<?"}
+
+
+def reference_decode(schema, payload, count):
+    """The EVT layout read back directly: one struct.unpack_from per
+    primitive, a u32 count per array, and record fields in schema order,
+    for `count` events that must consume the payload exactly."""
+    off = 0
+
+    def read(node):
+        nonlocal off
+        if isinstance(node, Primitive):
+            (value,) = struct.unpack_from(FMT[node.kind], payload, off)
+            off += struct.calcsize(FMT[node.kind])
+            return value
+        if isinstance(node, Array):
+            (n,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            return [read(node.element) for _ in range(n)]
+        return {name: read(child) for name, child in node.fields}
+
+    events = [read(schema.root) for _ in range(count)]
+    assert off == len(payload)
+    return events
+
+
+def read_events(path) -> tuple[Schema, list[dict]]:
+    """An EVT file's schema and events, read by the byte layout: magic
+    "EVT1", a u32 header length and the schema JSON, a flags byte (bit 0:
+    raw deflate), then blocks of u32 event count, u32 payload length,
+    payload and u32 CRC32 of the payload as stored."""
+    with open(path, "rb") as f:
+        data = f.read()
+    assert data[:4] == b"EVT1", f"{path}: magic {data[:4]!r}"
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    off = 8 + hlen
+    schema = Schema.from_json(data[8:off].decode("utf-8"))
+    flags = data[off]
+    assert flags in (0, 1), f"{path}: flags {flags:#x}"
+    off += 1
+    events = []
+    while off < len(data):
+        count, length = struct.unpack_from("<II", data, off)
+        stored = data[off + 8:off + 8 + length]
+        (crc,) = struct.unpack_from("<I", data, off + 8 + length)
+        assert zlib.crc32(stored) == crc, f"{path}: CRC mismatch at offset {off}"
+        payload = zlib.decompress(stored, -15) if flags else stored
+        events += reference_decode(schema, payload, count)
+        off += 8 + length + 4
+    return schema, events
 
 
 def kahan_sum(values) -> float:
@@ -30,8 +82,7 @@ def kahan_sum(values) -> float:
 
 def iter_all_events(paths):
     for path in sorted(str(p) for p in paths):
-        _, events = read_evt(path)
-        yield from events
+        yield from read_events(path)[1]
 
 
 def default_cut(ev) -> bool:

@@ -1,30 +1,30 @@
 """The generated encoder and the generated column decoder against the EVT
-layout written out by hand, for every leaf and for pruned leaf sets;
-hostile counts and malformed payloads, decoded to columns and through
-`read_evt` to events."""
+layout written and read back by hand (`oracle.reference_decode`), for
+every leaf and for pruned leaf sets; hostile counts and malformed
+payloads, decoded to columns by each kind of codec, and conversion of
+such payloads against the program's own block iteration."""
 
 import random
 import struct
 import time
 import tracemalloc
 import zlib
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutation import MUTATIONS, mutate
+from oracle import FMT, reference_decode
 from randgen import HAND_BUILT, hostile, random_events, random_schema
 from skimflow.errors import DataError, SchemaError, TruncatedBlock
 from skimflow.events import analysis_schema, make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import (
-    EventCodec, convert_evt, evt, iter_block_range, read_evt, scan_evt, write_evt,
-)
+from skimflow.storage import EventCodec, convert_evt, evt, iter_block_range, scan_evt, write_evt
 from skimflow.storage.codec import leaf_set
 from skimflow.storage.ntu import KIND_INFO
+from skimflow.timing import PhaseTimers
 
 DEFAULT_LEAVES = {
     ("genInfo", "weight"), ("met", "pt"), ("met", "phi"), ("jets", "pt"),
@@ -33,8 +33,6 @@ DEFAULT_LEAVES = {
 
 
 # -- encoding ----------------------------------------------------------------------
-
-FMT = {"f64": "<d", "f32": "<f", "i64": "<q", "i32": "<i", "bool": "<?"}
 
 EMPTY = Record(())
 
@@ -74,29 +72,6 @@ def reference_encode(node, value) -> bytes:
             reference_encode(node.element, item) for item in value
         )
     return b"".join(reference_encode(child, value[name]) for name, child in node.fields)
-
-
-def reference_decode(schema, payload, count):
-    """The EVT layout read back directly: one struct.unpack_from per
-    primitive, a u32 count per array, and record fields in schema order,
-    for `count` events that must consume the payload exactly."""
-    off = 0
-
-    def read(node):
-        nonlocal off
-        if isinstance(node, Primitive):
-            (value,) = struct.unpack_from(FMT[node.kind], payload, off)
-            off += struct.calcsize(FMT[node.kind])
-            return value
-        if isinstance(node, Array):
-            (n,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            return [read(node.element) for _ in range(n)]
-        return {name: read(child) for name, child in node.fields}
-
-    events = [read(schema.root) for _ in range(count)]
-    assert off == len(payload)
-    return events
 
 
 @st.composite
@@ -163,6 +138,28 @@ def reference_columns(node, values, paths, path, out):
     return out
 
 
+def assert_columns_of(cs, schema, events, paths=None) -> dict:
+    """`cs` holds the columns that `reference_columns` builds from
+    `events` for the leaf `paths`, of the same typecodes and values;
+    returns those columns."""
+    want = reference_columns(schema.root, events, paths, (), {})
+    assert cs.count == len(events)
+    assert set(cs) == set(want)
+    for key, (typecode, values) in want.items():
+        assert cs[key].typecode == typecode and cs[key].tolist() == values, key
+    return want
+
+
+def assert_blocks_hold(blocks, schema, events) -> None:
+    """Full-leaf column sets `blocks`, in file order, hold `events`: each
+    block the columns of its own run of them."""
+    start = 0
+    for cs in blocks:
+        assert_columns_of(cs, schema, events[start:start + cs.count])
+        start += cs.count
+    assert start == len(events)
+
+
 @st.composite
 def hostile_schema_events_leaves(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -187,11 +184,7 @@ def test_column_decode_equals_reference_layout(case):
     for paths in (None, leaves):
         codec = EventCodec(schema, paths)
         cs = codec.decode_block(payload, len(events))
-        want = reference_columns(schema.root, decoded, paths, (), {})
-        assert cs.count == len(events)
-        assert set(cs) == set(want)
-        for key, (typecode, values) in want.items():
-            assert cs[key].typecode == typecode and cs[key].tolist() == values, key
+        want = assert_columns_of(cs, schema, decoded, paths)
         assert cs.nbytes == sum(cs[key].itemsize * len(values) for key, (_, values) in want.items())
         # the payload is consumed exactly: one byte more or less is an error
         with pytest.raises(TruncatedBlock):
@@ -312,7 +305,7 @@ def test_overrunning_count_raises_before_allocating(tmp_path, schema, schema_nam
     tracemalloc.start()
     try:
         with pytest.raises(TruncatedBlock, match="4294967280 elements"):
-            list(iter_block_range(index, 0, 1, codec=codec))
+            list(iter_block_range(index, 0, 1, timers=PhaseTimers(), codec=codec))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -342,15 +335,17 @@ def store_mutated(payload: bytes, mutations, compress: bool, mutate_stored: bool
     return evt._deflate(stored) if compress else stored
 
 
+def read_blocks(path) -> list:
+    """Every block of an EVT file as the program reads it: a scan, then
+    the full-leaf block iteration, one `ColumnSet` per block."""
+    index = scan_evt(path)
+    return list(iter_block_range(index, 0, len(index.blocks), timers=PhaseTimers(),
+                                 codec=EventCodec(index.schema)))
+
+
 def column_count(index, codec) -> int:
-    (cs,) = iter_block_range(index, 0, 1, codec=codec)
+    (cs,) = iter_block_range(index, 0, 1, timers=PhaseTimers(), codec=codec)
     return cs.count
-
-
-def event_count(path) -> int:
-    events = list(read_evt(path)[1])
-    assert all(type(ev) is dict for ev in events)
-    return len(events)
 
 
 def store_block(path, schema, stored, n_events, compress):
@@ -365,16 +360,14 @@ def store_block(path, schema, stored, n_events, compress):
 def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
     """Store `stored` as one block of `n_events` events. Every outcome,
     with each codec, is one column set of `n_events` events or a
-    DataError, and so is `read_evt`'s, as `n_events` event dicts, each in
-    bounded memory and time."""
+    DataError, in bounded memory and time."""
     store_block(path, schema, stored, n_events, compress)
     index = scan_evt(path)
-    reads = [partial(column_count, index, codec) for codec in codecs]
-    for read in reads + [partial(event_count, path)]:
+    for codec in codecs:
         t0 = time.perf_counter()
         tracemalloc.start()
         try:
-            assert read() == n_events
+            assert column_count(index, codec) == n_events
         except DataError:
             pass
         finally:
@@ -393,7 +386,7 @@ def assert_decodes_or_raises(path, schema, stored, n_events, compress, codecs):
 def test_malformed_payload_decodes_or_raises_data_error(fuzz_dir, compress, mutate_stored,
                                                         mutations):
     """Mutated analysis-schema blocks, with the full, a pruned and a
-    leaf-free codec, and through `read_evt`."""
+    leaf-free codec."""
     stored = store_mutated(FUZZ_PAYLOAD, mutations, compress, mutate_stored)
     codecs = [EventCodec(FUZZ_SCHEMA, leaves) for leaves in (None, DEFAULT_LEAVES, ())]
     assert_decodes_or_raises(fuzz_dir / "fuzz.evt", FUZZ_SCHEMA, stored, 8, compress, codecs)
@@ -411,7 +404,7 @@ def test_malformed_payload_over_random_schemas(fuzz_dir, seed, renamed, compress
                                                mutate_stored, mutations):
     """Mutated blocks of random schemas, half of them with hostile field
     names, with the full codec, one pruned to a random leaf set and one of
-    no leaves, and through `read_evt`."""
+    no leaves."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     if renamed:
@@ -446,9 +439,9 @@ def raw_payloads(path) -> bytes:
 def test_convert_of_a_malformed_payload_fails_as_read_evt_does(fuzz_dir, seed, compress,
                                                                mutate_stored, mutations,
                                                                block_target):
-    """Over random schemas: where `read_evt` raises, conversion raises the
-    same error and leaves no file; where it reads, conversion copies the
-    event bytes into blocks that read back."""
+    """Over random schemas: where the program's full-leaf block iteration
+    raises, conversion raises the same error and leaves no file; where it
+    reads, conversion copies the event bytes into blocks that read back."""
     rng = random.Random(seed)
     schema = random_schema(rng)
     events = random_events(rng, schema, rng.randint(1, 6))
@@ -457,7 +450,7 @@ def test_convert_of_a_malformed_payload_fails_as_read_evt_does(fuzz_dir, seed, c
     store_block(src, schema, store_mutated(payload, mutations, compress, mutate_stored),
                 len(events), compress)
     try:
-        event_count(src)
+        read_blocks(src)
         read_error = None
     except DataError as exc:
         read_error = type(exc)
@@ -469,5 +462,5 @@ def test_convert_of_a_malformed_payload_fails_as_read_evt_does(fuzz_dir, seed, c
         assert not dst.exists() and not (fuzz_dir / "dst.evt.tmp").exists()
     else:
         assert read_error is None
-        assert event_count(dst) == len(events)
+        assert sum(cs.count for cs in read_blocks(dst)) == len(events)
         assert raw_payloads(dst) == raw_payloads(src)

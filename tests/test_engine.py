@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from oracle import kahan_sum
+from oracle import kahan_sum, read_events
 from skimflow import engine
 from skimflow.engine import (
     DatasetDescriptor,
@@ -36,7 +36,6 @@ from skimflow.storage import (
     BlockInfo,
     EventCodec,
     iter_block_range,
-    read_evt,
     read_ntu,
     scan_evt,
     write_evt,
@@ -208,7 +207,7 @@ def test_map_reduce_deterministic_across_workers(single_file):
     """Fixed partitioning: bit-identical across worker counts; across
     partitionings: within 1e-12 relative of the serial Kahan oracle."""
     path = str(single_file["path"])
-    _, events = read_evt(path)
+    _, events = read_events(path)
     oracle = kahan_sum(ev["met"]["pt"] for ev in events)
 
     for n_parts in (1, 4, 13):
@@ -281,7 +280,8 @@ def cached_sizes(ds, leaves):
     codec = EventCodec(ds.schema, leaves)
     return [
         sum(cs.nbytes for cs in iter_block_range(
-            ds.files[part.file_index], part.block_lo, part.block_hi, codec=codec))
+            ds.files[part.file_index], part.block_lo, part.block_hi, timers=PhaseTimers(),
+            codec=codec))
         for part in ds.partitions
     ]
 
@@ -726,7 +726,7 @@ def test_map_reduce_compiled_value_equals_callable(small_corpus):
     )
     assert len(ds.partitions) == 2
     partials = [
-        kahan_sum(ev["met"]["pt"] * ev["genInfo"]["weight"] for ev in read_evt(path)[1])
+        kahan_sum(ev["met"]["pt"] * ev["genInfo"]["weight"] for ev in read_events(path)[1])
         for path in sorted(small_corpus["paths"])
     ]
     assert total(ds, "met.pt * genInfo.weight") == partials[0] + partials[1]

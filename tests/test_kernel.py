@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interp import interpret
-from oracle import kahan_sum
+from oracle import kahan_sum, read_events
 from randgen import f32_exact, hostile, random_schema
 from skimflow.engine import (
     DatasetDescriptor,
@@ -51,7 +51,7 @@ from skimflow.expr import (
     typecheck_value,
 )
 from skimflow.schema import Array, Primitive, Record, Schema
-from skimflow.storage import EventCodec, read_evt, write_evt
+from skimflow.storage import EventCodec, write_evt
 from skimflow.storage.ntu import KIND_INFO
 
 NUMERIC = ("f64", "f32", "i64", "i32")
@@ -250,7 +250,7 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.evt"
         write_evt(path, events, schema, block_target=4)
-        decoded = list(read_evt(path)[1])
+        decoded = read_events(path)[1]
         ds = open_dataset(
             DatasetDescriptor(str(path), "mc", "mc", 1.0),
             EngineConfig(partition_custom={"per_file": parts},

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 import zlib
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,17 +14,17 @@ from skimflow.errors import (
 from skimflow.events import make_event, make_particle
 from skimflow.generator import GeneratorSpec, generate_events
 from skimflow.schema import Schema
-from skimflow.storage import (
-    EventCodec, convert_evt, evt, iter_block_range, read_evt, scan_evt, write_evt,
-)
+from skimflow.storage import EventCodec, convert_evt, evt, iter_block_range, scan_evt, write_evt
 from skimflow.timing import PhaseTimers
 
+from oracle import read_events
 from randgen import HAND_BUILT, random_events, random_schema
+from test_codec import assert_blocks_hold, read_blocks
 
 
 def read_all(path):
-    _, events = read_evt(path)
-    return list(events)
+    """The events of an EVT file, read by the byte layout."""
+    return read_events(path)[1]
 
 
 def test_empty_file_round_trip(tmp_path, schema):
@@ -87,8 +88,6 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"EVTX" + b"\x00" * 64)
     with pytest.raises(BadMagic):
         scan_evt(path)
-    with pytest.raises(BadMagic):
-        read_evt(path)
 
 
 def _header(text: bytes, flags: bytes = b"\x00") -> bytes:
@@ -121,8 +120,6 @@ def test_malformed_header_raises_corrupt_header(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(CorruptHeader):
         scan_evt(path)
-    with pytest.raises(CorruptHeader):
-        read_evt(path)
 
 
 def test_a_header_length_is_bounded_by_the_file_before_the_read(tmp_path, schema):
@@ -158,12 +155,13 @@ def test_flipped_payload_bit_is_caught_with_block_index(tmp_path, schema):
     raw[target.offset + 8 + target.payload_len // 2] ^= 0x10
     path.write_bytes(bytes(raw))
     with pytest.raises(CrcMismatch, match="block 1"):
-        read_all(path)
+        read_blocks(path)
     # other blocks still readable through the range reader
     fresh = scan_evt(path)
-    assert sum(cs.count for cs in iter_block_range(fresh, 0, 1)) == 100
+    read = partial(iter_block_range, fresh, timers=PhaseTimers(), codec=EventCodec(schema))
+    assert sum(cs.count for cs in read(0, 1)) == 100
     with pytest.raises(CrcMismatch, match="block 1"):
-        list(iter_block_range(fresh, 1, 2))
+        list(read(1, 2))
 
 
 def test_truncated_file(tmp_path, schema):
@@ -175,7 +173,7 @@ def test_truncated_file(tmp_path, schema):
     with pytest.raises(TruncatedBlock):
         scan_evt(path)
     with pytest.raises(TruncatedBlock):
-        read_all(path)
+        read_blocks(path)
 
 
 def test_schema_violation_on_write(tmp_path, schema):
@@ -234,8 +232,9 @@ def test_byte_counters(tmp_path, schema):
     write_evt(path, events, schema, compress=True, block_target=100)
     timers = PhaseTimers()
     index = scan_evt(path, timers)
-    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers)
-    assert [ev for cs in blocks for ev in evt._values(index.schema.root, cs, ())] == events
+    blocks = iter_block_range(index, 0, len(index.blocks), timers=timers,
+                              codec=EventCodec(schema))
+    assert_blocks_hold(blocks, schema, events)
     assert timers.bytes_read == path.stat().st_size
     assert timers.bytes_decoded > timers.bytes_read  # deflate inflates back
 
@@ -271,9 +270,8 @@ def test_random_schema_round_trip(tmp_path_factory, case, compress, block_target
     schema, events = case
     path = tmp_path_factory.mktemp("rt") / "f.evt"
     write_evt(path, events, schema, compress=compress, block_target=block_target)
-    got_schema, got = read_evt(path)
+    got_schema, got = read_events(path)
     assert got_schema == schema
-    got = list(got)
     assert got == events
     assert_same_types(got, events)
 
@@ -302,7 +300,7 @@ def written(path, events, schema, compress, block_target):
 
 
 def assert_converts_like_write_of_read(tmp_path, src, compress, block_target):
-    schema, events = read_evt(src)
+    schema, events = read_events(src)
     want = written(tmp_path / "want.evt", events, schema, compress, block_target)
     dst = tmp_path / "dst.evt"
     stats = convert_evt(src, dst, compress=compress, block_target=block_target)
@@ -402,7 +400,7 @@ def test_convert_rejects_what_read_evt_rejects_and_leaves_no_file(tmp_path, sche
     src = tmp_path / "src.evt"
     _malformed(kind, src, schema, compress)
     with pytest.raises(DataError, match="block 1") as read_error:
-        read_all(src)
+        read_blocks(src)
     dst = tmp_path / "dst.evt"
     # a small block target, so block 0's events are written before block 1 fails
     with pytest.raises(type(read_error.value), match="block 1"):
@@ -430,7 +428,7 @@ def test_a_cut_or_padded_deflate_stream_is_a_truncated_block(tmp_path, schema, k
     _malformed(kind, src, schema, True)
     where = r"src\.evt: block 1: bad deflate stream"
     with pytest.raises(TruncatedBlock, match=where):
-        read_all(src)
+        read_blocks(src)
     with pytest.raises(TruncatedBlock, match=where):
         convert_evt(src, tmp_path / "dst.evt", compress=False)
     assert list(tmp_path.iterdir()) == [src]

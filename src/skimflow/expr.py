@@ -340,6 +340,24 @@ _FLOAT_KINDS = frozenset({"f64", "f32"})
 _CONST_TYPES = {"i64": int, "f64": float, "bool": bool}
 
 
+def _check_fields(node) -> None:
+    """TypeMismatch unless `node` is an expression node whose fields hold
+    what their types say: a path is a non-empty tuple of str, `items` a
+    non-empty tuple, and an operator, kind or element field a str. The
+    subtrees are checked as they are compiled."""
+    if type(node) not in _NODE_TYPES:
+        raise TypeMismatch(f"not an expression node: {node!r}")
+    for name, value in vars(node).items():
+        if name in ("path", "coll"):
+            ok = type(value) is tuple and value != () and all(type(p) is str for p in value)
+        elif name == "items":
+            ok = type(value) is tuple and value != ()
+        else:
+            ok = name not in ("op", "kind", "field") or type(value) is str
+        if not ok:
+            raise TypeMismatch(f"malformed {type(node).__name__}.{name}: {value!r}")
+
+
 def _float_of(value) -> float | None:
     """float(value), or None when that overflows."""
     try:
@@ -411,8 +429,7 @@ class _Checker:
         self._k = 0
 
     def compile(self, node: Expr, element: Record | None = None) -> tuple[str, str]:
-        if type(node) not in _NODE_TYPES:
-            raise TypeMismatch(f"not an expression node: {node!r}")
+        _check_fields(node)
         method = getattr(self, "_c_" + type(node).__name__.lower())
         return method(node, element)
 
@@ -425,6 +442,7 @@ class _Checker:
     def clauses(self, node: Expr) -> list[tuple[list[str], str]]:
         """A cut's top-level `and` clauses in source order, each as
         (its prelude, its source)."""
+        _check_fields(node)
         items = node.items if isinstance(node, BoolOp) and node.op == "and" else (node,)
         out = []
         for item in items:

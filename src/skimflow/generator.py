@@ -21,7 +21,8 @@ from pathlib import Path
 from .errors import ConfigError
 from .events import analysis_schema
 from .storage import WriteStats, write_evt
-from .storage.evt import DEFAULT_BLOCK_EVENTS, _check_block_target
+from .storage.evt import DEFAULT_BLOCK_EVENTS
+from .storage.ntu import check_target
 
 _LEPTON_MEANS = (("muons", 0.3), ("electrons", 0.3), ("taus", 0.2), ("photons", 0.5))
 _MASSES = {"muons": 0.105658, "electrons": 0.000511, "taus": 1.77686, "photons": 0.0}
@@ -138,7 +139,7 @@ def generate_corpus(
     per-file derived seeds and contiguous event numbering."""
     if n_files < 1:
         raise ConfigError("n_files must be >= 1")
-    _check_block_target(block_target)
+    check_target("block_target", block_target)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = spec.n_events // n_files

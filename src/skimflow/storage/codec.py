@@ -77,10 +77,9 @@ from typing import Callable, Iterable
 
 from ..errors import SchemaError, SchemaViolation, TruncatedBlock
 from ..schema import Array, Primitive, Record, Schema, SchemaNode
-from .ntu import KIND_INFO
+from .ntu import KIND_INFO, _U32
 
 _FMT = {"f64": "d", "f32": "f", "i64": "q", "i32": "i", "bool": "?"}
-_U32 = Struct("<I")
 
 # The selection a decoder is compiled from: True for a primitive that is
 # read, a dict of the fields read for a record, the element's selection

@@ -29,19 +29,18 @@ from pathlib import Path
 from struct import Struct
 from typing import Iterable, Iterator
 
-from ..errors import BadMagic, ConfigError, CorruptHeader, CrcMismatch, TruncatedBlock
+from ..errors import CorruptHeader, CrcMismatch, TruncatedBlock
 from ..schema import Schema
 from ..timing import PhaseTimers
 from .codec import ColumnSet, EventCodec
+from .ntu import _U32, check_target, read_frame, write_frame
 
 MAGIC = b"EVT1"
 FLAG_DEFLATE = 0x01
 DEFAULT_BLOCK_EVENTS = 4096
 _DEFLATE_LEVEL = 6
 
-_U32 = Struct("<I")
 _BLOCK_HDR = Struct("<II")
-_MAX_HEADER = 16 * 1024 * 1024
 
 
 def _deflate(data: bytes) -> bytes:
@@ -114,9 +113,7 @@ def _write_blocks(
     payload_bytes = 0
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(_U32.pack(len(header)))
-            f.write(header)
+            write_frame(f, MAGIC, header)
             f.write(bytes([FLAG_DEFLATE if compress else 0]))
             for count, payload in blocks:
                 if compress:
@@ -135,11 +132,6 @@ def _write_blocks(
     return WriteStats(path, n_events, n_blocks, file_bytes, payload_bytes)
 
 
-def _check_block_target(block_target: int) -> None:
-    if block_target < 1:
-        raise ConfigError(f"block_target must be >= 1, not {block_target}")
-
-
 def write_evt(
     path,
     events: Iterable[dict],
@@ -150,7 +142,7 @@ def write_evt(
 ) -> WriteStats:
     """Stream events into a new EVT file (written via a temp file and
     renamed into place), `block_target` events to a block."""
-    _check_block_target(block_target)
+    check_target("block_target", block_target)
     codec = EventCodec(schema)
 
     def blocks():
@@ -170,19 +162,7 @@ def write_evt(
 
 
 def _read_header(f, path, file_size: int) -> tuple[Schema, str, int]:
-    magic = f.read(4)
-    if magic != MAGIC:
-        raise BadMagic(f"{path}: not an EVT file (magic {magic!r})")
-    raw = f.read(4)
-    if len(raw) < 4:
-        raise CorruptHeader(f"{path}: truncated header length")
-    (hlen,) = _U32.unpack(raw)
-    if hlen > _MAX_HEADER:
-        raise CorruptHeader(f"{path}: implausible header length {hlen}")
-    # a buffered read allocates its length first: check it against the file
-    if hlen > file_size - f.tell():
-        raise CorruptHeader(f"{path}: truncated schema header")
-    header = f.read(hlen)
+    header = read_frame(f, path, file_size, MAGIC, "schema header")
     try:
         text = header.decode("utf-8")
         schema = Schema.from_json(text)
@@ -325,7 +305,7 @@ def convert_evt(
     stored as a byte other than 0 or 1 (read as True, encoded as 1), and
     an f32 signalling NaN (quieted by the conversion to a Python float).
     """
-    _check_block_target(block_target)
+    check_target("block_target", block_target)
     index = scan_evt(src)
     walker = EventCodec(index.schema, ())
 

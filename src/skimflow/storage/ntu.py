@@ -34,7 +34,9 @@ from struct import Struct
 from typing import Callable, Iterable, Sequence
 
 from .. import canonical
-from ..errors import ArityMismatch, BadMagic, CorruptHeader, FooterMismatch, UnknownColumn
+from ..errors import (
+    ArityMismatch, BadMagic, ConfigError, CorruptHeader, FooterMismatch, UnknownColumn,
+)
 
 MAGIC = b"NTU1"
 DEFAULT_GROUP_ROWS = 65536
@@ -66,6 +68,39 @@ def _frombytes(typecode: str, data: bytes) -> array:
     return arr
 
 
+def write_frame(f, magic: bytes, header: bytes) -> None:
+    """Write the frame that EVT and NTU files open with: magic, a u32
+    header length, the header."""
+    f.write(magic)
+    f.write(_U32.pack(len(header)))
+    f.write(header)
+
+
+def read_frame(f, path, file_size: int, magic: bytes, header: str) -> bytes:
+    """The header bytes of the frame at the start of `f`, a file of
+    `file_size` bytes, after checking its magic and bounding its length by
+    16 MiB and by the bytes left; `header` names the header in errors."""
+    got = f.read(4)
+    if got != magic:
+        raise BadMagic(f"{path}: not an {magic[:3].decode()} file (magic {got!r})")
+    raw = f.read(4)
+    if len(raw) < 4:
+        raise CorruptHeader(f"{path}: truncated header length")
+    (hlen,) = _U32.unpack(raw)
+    if hlen > _MAX_HEADER:
+        raise CorruptHeader(f"{path}: implausible header length {hlen}")
+    # a buffered read allocates its length first: check it against the file
+    if hlen > file_size - f.tell():
+        raise CorruptHeader(f"{path}: truncated {header}")
+    return f.read(hlen)
+
+
+def check_target(name: str, value) -> None:
+    """A block or group target is an int, not a bool, of at least 1."""
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{name} must be an int >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class NtuWriteStats:
     path: Path
@@ -89,8 +124,7 @@ class NtuWriter:
     """
 
     def __init__(self, path, columns: Sequence[tuple[str, str]], *, group_target: int = DEFAULT_GROUP_ROWS):
-        if group_target < 1:
-            raise ValueError("group_target must be >= 1")
+        check_target("group_target", group_target)
         for name, kind in columns:
             if kind not in KIND_INFO:
                 raise ArityMismatch(f"column {name!r}: unknown kind {kind!r}")
@@ -111,9 +145,7 @@ class NtuWriter:
         self._closed = False
         try:
             header = canonical.dump_bytes({"columns": [[n, k] for n, k in self.columns]})
-            self._file.write(MAGIC)
-            self._file.write(_U32.pack(len(header)))
-            self._file.write(header)
+            write_frame(self._file, MAGIC, header)
         except BaseException:
             self.abort()
             raise
@@ -252,20 +284,8 @@ def read_ntu(
     bytes_read = 0
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise BadMagic(f"{path}: not an NTU file (magic {magic!r})")
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise CorruptHeader(f"{path}: truncated header length")
-        (hlen,) = _U32.unpack(raw)
-        if hlen > _MAX_HEADER:
-            raise CorruptHeader(f"{path}: implausible header length {hlen}")
-        # a buffered read allocates its length first: check it against the file
-        if hlen > file_size - f.tell():
-            raise CorruptHeader(f"{path}: truncated header")
-        header_raw = f.read(hlen)
-        bytes_read += 8 + hlen
+        header_raw = read_frame(f, path, file_size, MAGIC, "header")
+        bytes_read += f.tell()
         try:
             header = canonical.loads(header_raw.decode("utf-8"))
             if type(header) is not dict or header.keys() != {"columns"}:

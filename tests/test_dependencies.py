@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,17 @@ def test_runtime_imports_only_the_standard_library():
 @pytest.mark.parametrize("module", [skimflow, skimflow.storage], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+
+def test_the_oracle_imports_nothing_of_the_program_but_the_schema():
+    """The oracle checks the program from outside: it may take the schema
+    parser from skimflow, and no reader or decoder."""
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert {m for m in modules if m.partition(".")[0] == "skimflow"} <= {"skimflow.schema"}

@@ -412,6 +412,20 @@ def test_field_names_enter_the_source_only_as_data():
     5,
     Not(5),
     BoolOp("and", (Const(True, "bool"), None)),
+    Compare(">", Field(5), Const(1, "i64")),
+    Compare(">", Field(()), Const(1, "i64")),
+    Compare(">", Field(("met", 5)), Const(1, "i64")),
+    Compare(">", Field(["met", "pt"]), Const(1, "i64")),
+    Compare(">", Size(5), Const(1, "i64")),
+    Compare(">", Count(("jets",), Const(True, "bool")), Count([], Const(True, "bool"))),
+    Compare(">", Reduce("max", "jets", "pt"), Const(1, "i64")),
+    Compare(">", Reduce("max", ("jets",), 5), Const(1, "i64")),
+    Compare([">"], Const(2, "i64"), Const(1, "i64")),
+    Compare(">", Const(2, ["i64"]), Const(1, "i64")),
+    BoolOp("and", 5),
+    BoolOp("and", ()),
+    BoolOp("or", [Const(True, "bool")]),
+    Not(BoolOp("and", ())),
 ])
 def test_malformed_trees_are_rejected(schema, node):
     with pytest.raises(TypeMismatch):

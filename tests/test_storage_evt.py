@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from skimflow.cli import main
 from skimflow.errors import (
-    BadMagic, CorruptHeader, CrcMismatch, DataError, SchemaViolation, TruncatedBlock,
+    BadMagic, ConfigError, CorruptHeader, CrcMismatch, DataError, SchemaViolation, TruncatedBlock,
 )
 from skimflow.events import make_event, make_particle
-from skimflow.generator import GeneratorSpec, generate_events
+from skimflow.generator import GeneratorSpec, generate_corpus, generate_events
 from skimflow.schema import Schema
 from skimflow.storage import EventCodec, convert_evt, evt, iter_block_range, scan_evt, write_evt
 from skimflow.timing import PhaseTimers
@@ -73,6 +73,24 @@ def test_write_is_deterministic(tmp_path, schema):
     write_evt(a, events, schema, compress=True, block_target=100)
     write_evt(b, events, schema, compress=True, block_target=100)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("block_target", [0, 1.5, 2.5, True, "3", None])
+def test_a_block_target_is_an_int_of_at_least_one(tmp_path, schema, block_target):
+    """Every writer of EVT blocks rejects any other target before it
+    writes, where a float once made blocks of its own size."""
+    events = list(generate_events(GeneratorSpec(seed=5, n_events=10)))
+    src = tmp_path / "src.evt"
+    write_evt(src, events, schema)
+    writes = [
+        partial(write_evt, tmp_path / "f.evt", events, schema),
+        partial(convert_evt, src, tmp_path / "f.evt", compress=True),
+        partial(generate_corpus, GeneratorSpec(seed=5, n_events=10), tmp_path / "corpus", 2),
+    ]
+    for write in writes:
+        with pytest.raises(ConfigError, match="block_target must be an int >= 1"):
+            write(block_target=block_target)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_block_chunking(tmp_path, schema):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skimflow.errors import (
-    ArityMismatch, BadMagic, CorruptHeader, DataError, FooterMismatch, UnknownColumn,
+    ArityMismatch, BadMagic, ConfigError, CorruptHeader, DataError, FooterMismatch, UnknownColumn,
 )
-from skimflow.storage import NtuWriter, read_ntu
-from skimflow.storage.ntu import DEFAULT_GROUP_ROWS, KIND_INFO
+from skimflow.storage import NtuWriter, read_ntu, scan_evt
+from skimflow.storage.ntu import DEFAULT_GROUP_ROWS, KIND_INFO, read_frame, write_frame
 
 from mutation import MUTATIONS, mutate
 from randgen import f32_exact
@@ -104,6 +104,34 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(BadMagic):
         read_ntu(path)
+
+
+@pytest.mark.parametrize("magic, read, header", [
+    pytest.param(b"EVT1", scan_evt, "schema header", id="EVT"),
+    pytest.param(b"NTU1", read_ntu, "header", id="NTU"),
+])
+def test_evt_and_ntu_share_one_frame(tmp_path, magic, read, header):
+    """Both containers open with magic, a u32 header length and the
+    header: written by `write_frame`, read by `read_frame`, whose checks
+    each container's reader raises with the same messages."""
+    path = tmp_path / "f"
+    with open(path, "wb") as f:
+        write_frame(f, magic, b"head")
+        f.write(b"rest")
+    with open(path, "rb") as f:
+        assert read_frame(f, path, 16, magic, header) == b"head"
+        assert f.read() == b"rest"
+    for after_magic, message in [
+        (b"\x10\x00", "truncated header length$"),
+        (struct.pack("<I", 16 * 1024 * 1024 + 1), "implausible header length 16777217$"),
+        (struct.pack("<I", 100) + b"{}", f"truncated {header}$"),
+    ]:
+        path.write_bytes(magic + after_magic)
+        with pytest.raises(CorruptHeader, match=message):
+            read(path)
+    path.write_bytes(b"XXXX" + bytes(32))
+    with pytest.raises(BadMagic, match=f"not an {magic[:3].decode()} file"):
+        read(path)
 
 
 def test_footer_mismatch(tmp_path):
@@ -201,6 +229,13 @@ def test_arity_and_kind_mismatch(tmp_path):
         writer.append_rows(good[4:])
         assert writer.close().n_rows == 5
         assert path.read_bytes() == reference_ntu(good[:2] + good[4:], COLS3, 4)
+
+
+@pytest.mark.parametrize("group_target", [0, 0.5, True, "2", None])
+def test_a_group_target_is_an_int_of_at_least_one(tmp_path, group_target):
+    with pytest.raises(ConfigError, match="group_target must be an int >= 1"):
+        NtuWriter(tmp_path / "f.ntu", COLS3, group_target=group_target)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_abort_removes_partial_file(tmp_path):

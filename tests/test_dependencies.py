@@ -35,7 +35,6 @@ def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-
 def test_the_oracle_imports_nothing_of_the_program_but_the_schema():
     """The oracle checks the program from outside: it may take the schema
     parser from skimflow, and no reader or decoder."""

@@ -77,8 +77,8 @@ def test_write_is_deterministic(tmp_path, schema):
 
 @pytest.mark.parametrize("block_target", [0, 1.5, 2.5, True, "3", None])
 def test_a_block_target_is_an_int_of_at_least_one(tmp_path, schema, block_target):
-    """Every writer of EVT blocks rejects any other target before it
-    writes, where a float once made blocks of its own size."""
+    """Every writer of EVT blocks rejects a target that is not an int of
+    at least 1, a float or a bool included, before it writes anything."""
     events = list(generate_events(GeneratorSpec(seed=5, n_events=10)))
     src = tmp_path / "src.evt"
     write_evt(src, events, schema)

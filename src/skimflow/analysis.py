@@ -28,7 +28,7 @@ The analysis configuration is one JSON document:
       "histograms": [{"variable": "met_pt", "nbins": 40, "lo": 0, "hi": 1000}],
       "workers": 4,                       # optional engine settings
       "cache_budget_bytes": null,
-      "partition": {"target_bytes": 4194304}   # or {"custom": {"per_file": 3}}
+      "partition": {"target_bytes": 4194304}
     }
 
 An empty/omitted projection defaults to every scalar leaf of the schema,
@@ -137,7 +137,7 @@ _TOP_KEYS = {
     "datasets", "luminosity_invpb", "selection", "projection", "histograms",
     "workers", "cache_budget_bytes", "partition",
 }
-_PARTITION_KEYS = {"target_bytes", "custom"}
+_PARTITION_KEYS = {"target_bytes"}
 
 
 def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
@@ -214,13 +214,10 @@ def config_from_dict(raw: Mapping, where: str = "config") -> AnalysisConfig:
     extra = set(part) - _PARTITION_KEYS
     if extra:
         raise ConfigError(f"{where}: partition: unknown keys {sorted(extra)}")
-    if part.keys() == _PARTITION_KEYS:
-        raise ConfigError(f"{where}: partition: target_bytes applies only without custom")
     engine = EngineConfig(
         workers=raw.get("workers"),
         cache_budget_bytes=raw.get("cache_budget_bytes"),
         partition_target_bytes=part.get("target_bytes", EngineConfig().partition_target_bytes),
-        partition_custom=part.get("custom"),
     )
 
     config = AnalysisConfig(
@@ -450,7 +447,7 @@ def bundle_to_json(bundle: dict) -> str:
 def bundle_to_csv(bundle: dict) -> str:
     """One row per visible bin per component (mc components, the stack, and
     data)."""
-    lines = ["variable,component,kind,bin,lo_edge,hi_edge,content,error"]
+    rows = [("variable", "component", "kind", "bin", "lo_edge", "hi_edge", "content", "error")]
     for hist in bundle["histograms"]:
         nbins = hist["nbins"]
         edges = HistogramSpec(hist["variable"], nbins, hist["lo"], hist["hi"]).edges()
@@ -460,9 +457,6 @@ def bundle_to_csv(bundle: dict) -> str:
         if hist["data"] is not None:
             series.append(("data", "data", hist["data"]["contents"], hist["data"]["errors"]))
         for label, kind, contents, errors in series:
-            for i in range(nbins):
-                lines.append(
-                    f"{hist['variable']},{label},{kind},{i},{edges[i]!r},{edges[i + 1]!r},"
-                    f"{contents[i]!r},{errors[i]!r}"
-                )
-    return "\n".join(lines) + "\n"
+            rows += [(hist["variable"], label, kind, i, edges[i], edges[i + 1],
+                      contents[i], errors[i]) for i in range(nbins)]
+    return canonical.csv_text(rows)

@@ -125,7 +125,10 @@ class TimingReport:
 def prepare_input(descriptor, compressed: bool, workdir) -> str:
     """Return a glob for the dataset in the requested compression variant,
     converting files into the workdir only when the source flag differs.
-    Each converted copy carries its source's modification time, and is
+    The copy of the i-th source (in sorted order) is named by i, so the
+    glob matches one copy per current source, in their order, whatever
+    the sources are named; copies of sources that have left the glob are
+    deleted. Each copy carries its source's modification time, and is
     reused only while the two times are equal, so a regenerated source is
     converted again. A glob that matches no file raises `NoFilesMatched`
     before anything is created."""
@@ -139,8 +142,11 @@ def prepare_input(descriptor, compressed: bool, workdir) -> str:
     if not needs_convert:
         return descriptor.glob
     variant_dir.mkdir(parents=True, exist_ok=True)
-    for path in paths:
-        target = variant_dir / Path(path).name
+    width = len(str(len(paths) - 1))
+    targets = [variant_dir / f"{i:0{width}d}.evt" for i in range(len(paths))]
+    for stale in set(variant_dir.glob("*.evt")) - set(targets):
+        stale.unlink()
+    for path, target in zip(paths, targets):
         stamp = os.stat(path).st_mtime_ns
         if not (target.exists() and target.stat().st_mtime_ns == stamp):
             convert_evt(path, target, compress=compressed)
@@ -259,12 +265,10 @@ def reports_to_json(reports: list[TimingReport]) -> str:
 
 def reports_to_csv(reports: list[TimingReport]) -> str:
     """Flat CSV: one row per cell per phase (medians)."""
-    lines = ["dataset,cached,compressed,workers,phase,seconds"]
+    rows = [("dataset", "cached", "compressed", "workers", "phase", "seconds")]
     for r in reports:
         for phase in _PHASES:
-            seconds = getattr(r.median, f"{phase}_s")
-            lines.append(
-                f"{r.dataset_label},{str(r.cell.cached).lower()},"
-                f"{str(r.cell.compressed).lower()},{r.cell.workers},{phase},{seconds!r}"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((r.dataset_label, str(r.cell.cached).lower(),
+                         str(r.cell.compressed).lower(), r.cell.workers, phase,
+                         getattr(r.median, f"{phase}_s")))
+    return canonical.csv_text(rows)

@@ -1,4 +1,5 @@
-"""Canonical JSON shared by file headers, configs and report emitters.
+"""Canonical JSON shared by file headers, configs and report emitters,
+and the CSV the report emitters write.
 
 Canonical form: compact separators, no key sorting (construction order is
 the declared order), UTF-8 without ASCII escaping, and no NaN/Infinity.
@@ -8,6 +9,8 @@ JSON as strictly as `dumps` writes it.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 
@@ -41,3 +44,11 @@ def _unique(pairs) -> dict:
             raise ValueError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV: a field is quoted only when it holds a comma, a quote
+    or a `\n`, lines end in `\n`, and a float is written as its `repr`."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()

@@ -1,11 +1,13 @@
 """Partitioned datasets and deterministic parallel traversal.
 
 A dataset is a sorted glob of EVT files sliced into partitions, each a
-contiguous block range of one file. Partitions are the unit of parallelism:
-a thread pool processes them independently and the coordinator combines the
-per-partition results in ascending partition order, so every result is a
-pure function of the partition plan, whatever the worker count or
-scheduling order.
+contiguous block range of one file: each file splits into
+ceil(stored bytes / `partition_target_bytes`) runs of whole blocks, cut
+near equal shares of its events (`plan_partitions`). Partitions are the
+unit of parallelism: a thread pool processes them independently and the
+coordinator combines the per-partition results in ascending partition
+order, so every result is a pure function of the partition plan,
+whatever the worker count or scheduling order.
 
 `filter_map_write` is the only traversal a skim makes. Each partition
 runs one loop generated from the skim's compiled cut, projection and
@@ -53,14 +55,15 @@ import os
 import sys
 import time
 from array import array
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConfigError,
-    InvalidCustomPlan,
     NoFilesMatched,
     SchemaMismatch,
     SkimflowError,
@@ -109,7 +112,6 @@ class EngineConfig:
     workers: int | None = None  # None -> hardware parallelism
     cache_budget_bytes: int | None = None  # None -> unlimited
     partition_target_bytes: int = DEFAULT_PARTITION_TARGET_BYTES
-    partition_custom: dict | None = None  # {"per_file": N}; None -> auto
 
     def __post_init__(self) -> None:
         # a JSON integer parses as exactly int; a bool is not one
@@ -121,15 +123,6 @@ class EngineConfig:
         budget = self.cache_budget_bytes
         if budget is not None and not (type(budget) is int and budget >= 0):
             raise ConfigError("cache_budget_bytes must be an integer >= 0")
-        custom = self.partition_custom
-        if custom is not None:
-            if type(custom) is not dict or custom.keys() != {"per_file"}:
-                raise InvalidCustomPlan(
-                    f"partition.custom must be {{'per_file': N}}, not {custom!r}"
-                )
-            per_file = custom["per_file"]
-            if not (type(per_file) is int and per_file >= 1):
-                raise InvalidCustomPlan(f"per_file must be a positive integer, not {per_file!r}")
 
 
 @dataclass(frozen=True)
@@ -143,23 +136,21 @@ class Partition:
 
 
 def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Partition]:
-    """Slice file block lists into partitions.
+    """Slice each file into runs of whole blocks, one partition per run,
+    numbered across files in order.
 
-    A custom plan (`partition_custom`, when set) splits each file evenly
-    into `per_file` partitions of whole blocks. Without one, the auto plan
-    accumulates whole blocks per file until the byte target is reached (a
-    partition always takes at least one block and a block is never split).
-    Either way every block of every file is in exactly one partition, so
-    planning cannot fail.
+    A file of S stored bytes (12 + payload length per block) splits into
+    k = ceil(S / `partition_target_bytes`) runs, at most one per block; a
+    file with no blocks gives none. The j-th of the k - 1 cuts goes at the
+    block boundary nearest j/k of the file's events (the lower one on a
+    tie), moved only as far as it takes to leave every run a block. So runs
+    hold near-equal event counts whatever the blocks' compression, every
+    block of every file is in exactly one partition, and planning cannot
+    fail.
     """
-    if config.partition_custom is None:
-        ranges = [_auto_ranges(f, config.partition_target_bytes) for f in files]
-    else:
-        ranges = [_even_ranges(f, config.partition_custom["per_file"]) for f in files]
     partitions: list[Partition] = []
-    for file_index, (evt_index, file_ranges) in enumerate(zip(files, ranges)):
-        for lo, hi in file_ranges:
-            blocks = evt_index.blocks[lo:hi]
+    for file_index, evt_index in enumerate(files):
+        for lo, hi in _ranges(evt_index, config.partition_target_bytes):
             partitions.append(
                 Partition(
                     index=len(partitions),
@@ -167,41 +158,25 @@ def plan_partitions(files: Sequence[EvtIndex], config: EngineConfig) -> list[Par
                     file_index=file_index,
                     block_lo=lo,
                     block_hi=hi,
-                    n_events=sum(b.n_events for b in blocks),
+                    n_events=sum(b.n_events for b in evt_index.blocks[lo:hi]),
                 )
             )
     return partitions
 
 
-def _auto_ranges(evt_index: EvtIndex, target_bytes: int) -> list[tuple[int, int]]:
-    sizes = [12 + b.payload_len for b in evt_index.blocks]
-    if not sizes:
-        return []
-    ranges = []
-    lo = 0
-    acc = 0
-    for i, size in enumerate(sizes):
-        if acc and acc + size > target_bytes:
-            ranges.append((lo, i))
-            lo = i
-            acc = 0
-        acc += size
-    ranges.append((lo, len(sizes)))
-    return ranges
-
-
-def _even_ranges(evt_index: EvtIndex, per_file: int) -> list[tuple[int, int]]:
-    """`per_file` ranges of whole blocks (fewer when the file has fewer
-    blocks), their lengths differing by at most one, longer ones first."""
+def _ranges(evt_index: EvtIndex, target_bytes: int) -> list[tuple[int, int]]:
     n = len(evt_index.blocks)
-    k = min(per_file, n)
-    ranges = []
-    start = 0
-    for i in range(k):
-        count = n // k + (1 if i < n % k else 0)
-        ranges.append((start, start + count))
-        start += count
-    return ranges
+    k = min(-(-sum(12 + b.payload_len for b in evt_index.blocks) // target_bytes), n)
+    if not k:
+        return []
+    before = [0, *accumulate(b.n_events for b in evt_index.blocks)]  # events before boundary b
+    cuts = [0]
+    for j in range(1, k):
+        share = j * before[-1]  # j/k of the events, times k
+        b = bisect_left(before, share, 1, key=lambda e: e * k)
+        nearest = b - 1 if share - before[b - 1] * k <= before[b] * k - share else b
+        cuts.append(min(max(nearest, cuts[-1] + 1), n - k + j))
+    return list(pairwise([*cuts, n]))
 
 
 class PartitionedDataset:

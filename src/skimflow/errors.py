@@ -3,7 +3,7 @@
 Every exception carries the CLI exit code it maps to:
 
     1  configuration / usage problems (bad flags, bad config file, ill-typed
-       expressions, invalid partition plans, mismatched benchmark reports)
+       expressions, mismatched benchmark reports)
     2  data problems (corrupt or inconsistent files, schema violations)
     3  I/O failures (unreadable or unwritable paths)
 """
@@ -43,10 +43,6 @@ class NonScalarProjection(ConfigError):
 
 class KindMismatch(ConfigError):
     """An operation restricted to mc (or data) datasets got the other kind."""
-
-
-class InvalidCustomPlan(ConfigError):
-    """A custom partition plan is not {"per_file": N} with an integer N >= 1."""
 
 
 class IncomparableConfigs(ConfigError):

@@ -37,9 +37,9 @@ SIG_XSEC = 50.0
 BKG_XSEC = 120.0
 
 WORKER_COUNTS = (1, 2, 7, 16)
-PARTITION_MODES = {
-    "auto": EngineConfig(partition_target_bytes=2 * 1024 * 1024),
-    "custom": EngineConfig(partition_custom={"per_file": 2}),
+PARTITION_PLANS = {  # 16 and 24 partitions of the signal corpus
+    "2MiB": EngineConfig(partition_target_bytes=2 * 1024 * 1024),
+    "1.5MiB": EngineConfig(partition_target_bytes=1536 * 1024),
 }
 
 
@@ -104,19 +104,20 @@ def sig_oracle(corpus):
 
 @pytest.fixture(scope="session")
 def matrix_runs(corpus, tmp_path_factory):
-    """The criterion-1 engine matrix: every worker count x partition mode,
+    """The criterion-1 engine matrix: every worker count x partition plan,
     skimming the signal dataset. Records outputs and the total wall time."""
     out_dir = tmp_path_factory.mktemp("matrix")
     runs = {}
     t0 = time.perf_counter()
-    for mode, engine in PARTITION_MODES.items():
+    for plan, engine in PARTITION_PLANS.items():
         config = make_config(corpus, engine)
         for workers in WORKER_COUNTS:
-            ntu_path = out_dir / f"signal-{mode}-w{workers}.ntu"
+            ntu_path = out_dir / f"signal-{plan}-w{workers}.ntu"
             ds = open_dataset(config.datasets[0], replace(engine, workers=workers))
             result = run_skim(config, ds, ntu_path)
             hists = histograms_for_ntuple(ntu_path, DEFAULT_HISTOGRAMS)
-            runs[(mode, workers)] = {
+            runs[(plan, workers)] = {
+                "partitions": len(ds.partitions),
                 "ntu": ntu_path,
                 "sumw": result.sum_weights,
                 "n_input": result.n_input,
@@ -167,9 +168,9 @@ def bench_reports(big_corpus, tmp_path_factory):
 
 def test_c1_oracle_equivalence(corpus, sig_oracle, matrix_runs):
     runs = matrix_runs["runs"]
-    assert len(runs) == len(WORKER_COUNTS) * len(PARTITION_MODES)
-    for (mode, workers), run in runs.items():
-        where = f"{mode}/w{workers}"
+    assert len(runs) == len(WORKER_COUNTS) * len(PARTITION_PLANS)
+    for (plan, workers), run in runs.items():
+        where = f"{plan}/w{workers}"
         assert run["n_input"] == 100_000, where
         assert oracle.rel_close(run["sumw"], sig_oracle["sumw"]), (
             f"{where}: sum of weights {run['sumw']} != {sig_oracle['sumw']}"
@@ -196,24 +197,26 @@ def test_c1_oracle_equivalence(corpus, sig_oracle, matrix_runs):
 
 def test_c2_determinism(corpus, matrix_runs):
     runs = matrix_runs["runs"]
-    for mode in PARTITION_MODES:
-        digests = {runs[(mode, w)]["sha"] for w in WORKER_COUNTS}
-        assert len(digests) == 1, f"{mode}: ntuple bytes differ across worker counts"
+    counts = {runs[(plan, w)]["partitions"] for plan in PARTITION_PLANS for w in WORKER_COUNTS}
+    assert len(counts) == len(PARTITION_PLANS), f"plans must differ in partition count: {counts}"
+    for plan in PARTITION_PLANS:
+        digests = {runs[(plan, w)]["sha"] for w in WORKER_COUNTS}
+        assert len(digests) == 1, f"{plan}: ntuple bytes differ across worker counts"
 
     # repeated run is bit-identical too
-    mode, workers = "auto", 2
-    engine = PARTITION_MODES[mode]
+    plan, workers = "2MiB", 2
+    engine = PARTITION_PLANS[plan]
     config = make_config(corpus, engine)
     rerun_path = matrix_runs["out_dir"] / "signal-rerun.ntu"
     ds = open_dataset(config.datasets[0], replace(engine, workers=workers))
     run_skim(config, ds, rerun_path)
-    assert sha(rerun_path) == runs[(mode, workers)]["sha"]
+    assert sha(rerun_path) == runs[(plan, workers)]["sha"]
 
     # plot-data json: identical across worker counts within a fixed partitioning
     bundles = set()
     for w in WORKER_COUNTS:
         bundle = build_plot_bundle(
-            config, {"signal": matrix_runs["runs"][("auto", w)]["hists"]}
+            config, {"signal": matrix_runs["runs"][("2MiB", w)]["hists"]}
         )
         bundles.add(hashlib.sha256(bundle_to_json(bundle).encode()).hexdigest())
     assert len(bundles) == 1
@@ -354,9 +357,9 @@ def test_c6_format_round_trips(tmp_path):
 def full_analysis(corpus, matrix_runs, tmp_path_factory):
     """Skim the remaining datasets once and assemble the plot bundle."""
     out_dir = tmp_path_factory.mktemp("full_analysis")
-    engine = PARTITION_MODES["auto"]
+    engine = PARTITION_PLANS["2MiB"]
     config = make_config(corpus, engine)
-    ntu_paths = {"signal": matrix_runs["runs"][("auto", 2)]["ntu"]}
+    ntu_paths = {"signal": matrix_runs["runs"][("2MiB", 2)]["ntu"]}
     for label in ("background", "data"):
         path = out_dir / f"{label}.ntu"
         ds = open_dataset(config.dataset(label), replace(engine, workers=2))
@@ -395,7 +398,7 @@ def test_c7_histogram_conservation(full_analysis):
 
 def test_c8_weight_covariance(corpus, full_analysis, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("covariance")
-    engine = PARTITION_MODES["auto"]
+    engine = PARTITION_PLANS["2MiB"]
     doubled_config = make_config(corpus, engine, sig_xsec=2 * SIG_XSEC)
     path = out_dir / "signal-doubled.ntu"
     ds = open_dataset(doubled_config.datasets[0], replace(engine, workers=2))
@@ -427,7 +430,7 @@ def test_c8_weight_covariance(corpus, full_analysis, tmp_path_factory):
 
 
 def test_c9_reduction_factor_shape(corpus, matrix_runs):
-    run = matrix_runs["runs"][("auto", 1)]
+    run = matrix_runs["runs"][("2MiB", 1)]
     ratio = run["n_output"] / run["n_input"]
     assert 0.0 < ratio < 1.0, f"reduction factor {ratio} not strictly inside (0, 1)"
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -108,7 +109,7 @@ def test_skim_zero_sum_of_weights_raises(tmp_path, schema):
 
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_skim_sum_weights_equals_sum_of_weights(tmp_path, small_corpus, workers):
-    engine = EngineConfig(partition_custom={"per_file": 3},
+    engine = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3],
                           workers=workers)
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine)
     ds = open_dataset(config.datasets[0], config.engine)
@@ -139,7 +140,7 @@ def cache_bytes(config, out):
 def test_later_skims_of_an_overflowed_dataset_stay_cold(tmp_path, small_corpus):
     """Each skim asks to persist, but after a budget overflow the dataset
     stays cold, so a later skim neither overflows again nor warns again."""
-    engine = EngineConfig(partition_custom={"per_file": 3})
+    engine = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     config = base_config([mc_descriptor(small_corpus["glob"])], engine=engine, persist=True)
     budget = cache_bytes(config, tmp_path / "sizing.ntu") // 2
     config = replace(config, engine=replace(engine, cache_budget_bytes=budget, workers=2))
@@ -247,7 +248,7 @@ def test_pruned_and_cached_skims_are_identical(tmp_path, small_corpus, skim, wor
     """Cold, filling and overflowing skims write the same ntuple; an
     overflow mixes admitted and streamed partitions within one skim."""
     selection, projection = SKIMS[skim]
-    engine = EngineConfig(partition_custom={"per_file": 3})
+    engine = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     sizing = base_config([mc_descriptor(small_corpus["glob"])], selection=selection,
                          projection=projection, engine=engine)
     half = cache_bytes(sizing, tmp_path / "sizing.ntu") // 2
@@ -489,6 +490,25 @@ def test_bundle_json_deterministic_and_csv_shape():
     assert lines[0].startswith("variable,component,kind,bin")
 
 
+def test_csv_quotes_a_label_that_holds_a_comma_a_quote_or_a_newline(tmp_path):
+    label = 'sig, "v2"\nrun'
+    spec = HistogramSpec("met_pt", 2, 0.0, 2.0)
+    config = base_config([mc_descriptor("x", label=label)], histograms=(spec,))
+    bundle = build_plot_bundle(config, {label: {"met_pt": hist_with(spec, [1.0, 2.0])}})
+    path = tmp_path / "plot_bundle.csv"
+    path.write_text(bundle_to_csv(bundle), encoding="utf-8")
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["variable", "component", "kind", "bin", "lo_edge", "hi_edge",
+                       "content", "error"]
+    assert rows[1:] == [
+        ["met_pt", label, "mc", "0", "0.0", "1.0", "1.0", "1.0"],
+        ["met_pt", label, "mc", "1", "1.0", "2.0", "2.0", "2.0"],
+        ["met_pt", "stack", "stack", "0", "0.0", "1.0", "1.0", "1.0"],
+        ["met_pt", "stack", "stack", "1", "1.0", "2.0", "2.0", "2.0"],
+    ]
+
+
 def test_csv_edges_are_the_spec_edges():
     """The CSV takes its bin edges from `HistogramSpec.edges()`, so the last
     one reads `hi` even where `lo + nbins * span / nbins` rounds away."""
@@ -528,7 +548,7 @@ def test_load_config_round_trip(tmp_path):
     assert config.datasets[0].label == "sig"
     assert config.selection == "met.pt > 100.0"
     assert config.histograms[0].nbins == 10
-    assert config.engine.partition_custom is None
+    assert config.engine == EngineConfig()
 
 
 def test_load_config_bad_json_reports_position(tmp_path):
@@ -691,27 +711,19 @@ def test_config_engine_keys():
     raw = make_raw_config(
         workers=7,
         cache_budget_bytes=123456,
-        partition={"custom": {"per_file": 3}},
+        partition={"target_bytes": 100_000},
     )
     config = config_from_dict(raw)
     assert config.engine == EngineConfig(
         workers=7,
         cache_budget_bytes=123456,
-        partition_custom={"per_file": 3},
+        partition_target_bytes=100_000,
     )
-
-
-def test_a_custom_partition_plan_is_taken_whenever_it_is_given(small_corpus):
-    raw = make_raw_config(partition={"custom": {"per_file": 3}})
-    raw["datasets"][0]["glob"] = small_corpus["glob"]
-    config = config_from_dict(raw)
-    ds = open_dataset(config.datasets[0], config.engine)
-    assert [p.file_index for p in ds.partitions] == [0, 0, 0, 1, 1, 1]
 
 
 def test_partition_target_bytes_applies_only_without_custom():
     raw = make_raw_config(partition={"target_bytes": 1024, "custom": {"per_file": 3}})
-    with pytest.raises(ConfigError, match="target_bytes applies only without custom"):
+    with pytest.raises(ConfigError, match=r"partition: unknown keys \['custom'\]"):
         config_from_dict(raw)
 
 
@@ -739,13 +751,14 @@ def test_weight_column_is_bitwise_the_row_formula(tmp_path, kind):
          "genInfo": {"weight": f32_exact(rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0))}}
         for _ in range(3000)
     ]
-    write_evt(tmp_path / "f.evt", events, schema, block_target=100)
+    size = write_evt(tmp_path / "f.evt", events, schema, block_target=100).file_bytes
     config = base_config(
         [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
         selection="x > 0.0", projection=(("x", "x"),),
-        engine=EngineConfig(partition_custom={"per_file": 4}, workers=2),
+        engine=EngineConfig(partition_target_bytes=-(-size // 4), workers=2),
     )
     ds = open_dataset(config.datasets[0], config.engine)
+    assert len(ds.partitions) == 4
     result = run_skim(config, ds, tmp_path / "out.ntu")
 
     got = read_ntu(tmp_path / "out.ntu")
@@ -796,15 +809,16 @@ def test_weight_rewritten_in_groups_already_on_disk(tmp_path, kind):
     else:
         gen = [f32_exact(rng.choice((1.0, -1.0)) * rng.uniform(0.1, 3.0)) for _ in range(70000)]
     events = [{"x": float(i % 7), "genInfo": {"weight": w}} for i, w in enumerate(gen)]
-    write_evt(tmp_path / "f.evt", events, schema, block_target=5000)
+    size = write_evt(tmp_path / "f.evt", events, schema, block_target=5000).file_bytes
     config = base_config(
         [mc_descriptor(str(tmp_path / "*.evt"), xsec=7.3)],
         selection="true", projection=(("x", "x"),),
-        engine=EngineConfig(partition_custom={"per_file": 3}, workers=2),
+        engine=EngineConfig(partition_target_bytes=-(-size // 3), workers=2),
     )
     out = tmp_path / "out.ntu"
     out.write_bytes(b"an earlier skim")
     ds = open_dataset(config.datasets[0], config.engine)
+    assert len(ds.partitions) == 3
     if kind == "i32":
         with pytest.raises(ArityMismatch):
             run_skim(config, ds, out)

@@ -1,3 +1,6 @@
+import csv
+import glob
+import io
 import json
 from dataclasses import fields
 
@@ -6,7 +9,10 @@ import pytest
 from skimflow.analysis import AnalysisConfig
 from skimflow.bench import (
     BenchCell,
+    PhaseSample,
+    TimingReport,
     compare_reports,
+    prepare_input,
     run_benchmark,
     reports_to_csv,
     reports_to_json,
@@ -14,7 +20,7 @@ from skimflow.bench import (
 from skimflow.engine import DatasetDescriptor, EngineConfig
 from skimflow.errors import IncomparableConfigs, UsageError
 from skimflow.generator import GeneratorSpec, generate_corpus, generate_evt
-from skimflow.storage import inspect_evt
+from skimflow.storage import inspect_evt, scan_evt
 from skimflow.timing import PhaseTimers
 
 
@@ -131,6 +137,53 @@ def test_report_serialization(bench_setup, tmp_path):
     lines = csv.strip().splitlines()
     assert lines[0] == "dataset,cached,compressed,workers,phase,seconds"
     assert len(lines) == 1 + 6  # one cell x six phases
+
+
+def test_csv_quotes_a_label_that_holds_a_comma_a_quote_or_a_newline():
+    label = 'sig, "v2"\nrun'
+    sample = PhaseSample(read_s=0.5, total_s=2.0)
+    report = TimingReport(label, BenchCell(cached=True, compressed=False, workers=2), 3,
+                          1, 10, 100, sample, (sample,) * 3, sample, "", ())
+    rows = list(csv.reader(io.StringIO(reports_to_csv([report]), newline="")))
+    assert rows[0] == ["dataset", "cached", "compressed", "workers", "phase", "seconds"]
+    assert rows[1] == [label, "true", "false", "2", "read", "0.5"]
+    assert [row[4:] for row in rows[1:]] == [
+        ["read", "0.5"], ["decode", "0.0"], ["compute", "0.0"], ["write", "0.0"],
+        ["read_compute", "0.5"], ["total", "2.0"],
+    ]
+
+
+def deflate_copies(source_glob, workdir):
+    """The event count of each file that the deflate variant's glob
+    matches, in the order a dataset opens them."""
+    descriptor = DatasetDescriptor(glob=str(source_glob), kind="mc", label="sample",
+                                   xsec_pb=10.0)
+    copies = sorted(glob.glob(prepare_input(descriptor, True, workdir)))
+    assert all(scan_evt(path).compressed for path in copies)
+    return [scan_evt(path).n_events for path in copies]
+
+
+def test_sources_not_named_evt_are_converted_and_matched(tmp_path):
+    (tmp_path / "bin").mkdir()
+    for i, n in enumerate((300, 200)):
+        generate_evt(GeneratorSpec(seed=i, n_events=n), tmp_path / "bin" / f"f{i}.dat")
+    assert deflate_copies(tmp_path / "bin" / "*.dat", tmp_path / "work") == [300, 200]
+
+
+def test_copies_of_sources_that_left_the_glob_are_not_read(tmp_path):
+    for n_files in (3, 2):
+        for old in (tmp_path / "mc").glob("*.evt"):
+            old.unlink()
+        generate_corpus(GeneratorSpec(seed=n_files, n_events=600), tmp_path / "mc", n_files)
+        counts = deflate_copies(tmp_path / "mc" / "*.evt", tmp_path / "work")
+        assert counts == [600 // n_files] * n_files
+
+
+def test_sources_of_one_name_in_two_directories_get_a_copy_each(tmp_path):
+    for directory, n in (("a", 300), ("b", 200)):
+        (tmp_path / directory).mkdir()
+        generate_evt(GeneratorSpec(seed=n, n_events=n), tmp_path / directory / "x.evt")
+    assert deflate_copies(tmp_path / "*" / "x.evt", tmp_path / "work") == [300, 200]
 
 
 def test_bytes_read_scales_linearly_with_events(tmp_path):

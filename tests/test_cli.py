@@ -137,12 +137,12 @@ def test_a_bad_partition_plan_is_one_error_line_before_any_file_is_read(tmp_path
     scanned = []
     monkeypatch.setattr(engine, "scan_evt", lambda path, timers=None: scanned.append(path))
     for glob in ("mc/*.evt", "none/*.evt"):
-        write_config(tmp_path, glob, partition={"custom": {"per_file": 0}})
+        write_config(tmp_path, glob, partition={"custom": {"per_file": 3}})
         capsys.readouterr()
         assert main(["skim", "--config", "cfg.json", "--out-dir", "g"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "per_file must be a positive integer" in err
+        assert "partition: unknown keys ['custom']" in err
     assert scanned == [] and not list(tmp_path.glob("g*"))
 
 
@@ -235,7 +235,7 @@ def test_config_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys)
 
 @pytest.mark.parametrize("extra, named", [
     ({"luminosity_invpb": math.inf}, "Infinity is not a JSON number"),
-    ({"partition": {"mode": "custom", "custom": {"per_file": 3}}}, "unknown keys ['mode']"),
+    ({"partition": {"mode": "custom"}}, "unknown keys ['mode']"),
     ({"persist": True}, "unknown keys ['persist']"),
     ({"ntu_group_rows": 65536}, "unknown keys ['ntu_group_rows']"),
 ])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import skimflow
+import skimflow.errors
 import skimflow.storage
 
 # imports the package and every submodule, and prints the top-level names
@@ -46,3 +47,18 @@ def test_the_oracle_imports_nothing_of_the_program_but_the_schema():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module)
     assert {m for m in modules if m.partition(".")[0] == "skimflow"} <= {"skimflow.schema"}
+
+
+def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
+    """An error class that nothing under src/ raises, and that no raised
+    class derives from, is dead code."""
+    raised = set()
+    for path in Path(skimflow.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+                raised |= {n.attr for n in ast.walk(node.exc) if isinstance(n, ast.Attribute)}
+    classes = {name: value for name, value in vars(skimflow.errors).items()
+               if isinstance(value, type) and value.__module__ == skimflow.errors.__name__}
+    live = {base.__name__ for name in raised & classes.keys() for base in classes[name].__mro__}
+    assert sorted(classes.keys() - live) == []

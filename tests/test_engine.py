@@ -23,7 +23,6 @@ from skimflow.engine import (
 from skimflow.errors import (
     ConfigError,
     DataError,
-    InvalidCustomPlan,
     NoFilesMatched,
     SchemaMismatch,
     UnreadableFile,
@@ -35,6 +34,7 @@ from skimflow.schema import Primitive, Record, Schema
 from skimflow.storage import (
     BlockInfo,
     EventCodec,
+    convert_evt,
     iter_block_range,
     read_ntu,
     scan_evt,
@@ -45,13 +45,14 @@ from skimflow.storage.ntu import NtuWriter
 from skimflow.timing import PhaseTimers
 
 
-def fake_index(path, block_sizes, events_per_block=10):
+def fake_index(path, block_sizes, events=None):
     """EvtIndex stub for planner tests: payload_len chosen so that the
-    on-disk block extent (12 + payload) equals the requested size."""
+    on-disk block extent (12 + payload) equals the requested size, and
+    `events[i]` events in block i (10 each by default)."""
     blocks = []
     offset = 64
-    for size in block_sizes:
-        blocks.append(BlockInfo(offset, events_per_block, size - 12))
+    for size, count in zip(block_sizes, events or [10] * len(block_sizes)):
+        blocks.append(BlockInfo(offset, count, size - 12))
         offset += size
     return EvtIndex(path, analysis_schema(), "{}", False, tuple(blocks), offset)
 
@@ -96,9 +97,13 @@ def test_descriptor_validation():
 # -- partition planning ----------------------------------------------------------
 
 
-def test_auto_planner_greedy_whole_blocks():
+def test_planner_rounds_the_run_count_up():
+    # 180 stored bytes at a 100-byte target make two runs; the cut nearest
+    # half the events is a tie between boundaries 1 and 2, and takes the lower
     files = [fake_index("/a.evt", [60, 60, 60])]
     parts = plan_partitions(files, EngineConfig(partition_target_bytes=100))
+    assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 1), (1, 3)]
+    parts = plan_partitions(files, EngineConfig(partition_target_bytes=60))
     assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -114,37 +119,50 @@ def test_auto_planner_accumulates_under_target():
     assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 2), (2, 4)]
 
 
-def test_custom_per_file():
-    files = [fake_index(f"/{c}.evt", [10] * 10) for c in "abc"]
-    config = EngineConfig(partition_custom={"per_file": 2})
-    parts = plan_partitions(files, config)
-    assert len(parts) == 6
-    assert all(p.block_hi - p.block_lo == 5 for p in parts)
-    assert [p.index for p in parts] == list(range(6))
-    # uneven: longer ranges first; a file of fewer blocks gets one per block
-    files = [fake_index("/a.evt", [10] * 7), fake_index("/b.evt", [10] * 2),
-             fake_index("/c.evt", [])]
-    parts = plan_partitions(files, EngineConfig(partition_custom={"per_file": 3}))
-    assert [(p.file_index, p.block_lo, p.block_hi) for p in parts] == [
-        (0, 0, 3), (0, 3, 5), (0, 5, 7), (1, 0, 1), (1, 1, 2),
+def test_planner_cuts_near_equal_shares_of_events():
+    """Cuts follow the events, not the stored bytes: a large first block
+    (as deflate leaves when the rest compresses well) does not take a run
+    of its own. Each cut is the boundary nearest its share."""
+    files = [fake_index("/a.evt", [100, 10, 10, 10, 10, 10])]
+    parts = plan_partitions(files, EngineConfig(partition_target_bytes=80))
+    assert [(p.block_lo, p.block_hi, p.n_events) for p in parts] == [(0, 3, 30), (3, 6, 30)]
+    files = [fake_index("/a.evt", [10] * 5, events=[5, 5, 5, 30, 5])]
+    parts = plan_partitions(files, EngineConfig(partition_target_bytes=17))  # 3 runs
+    # shares 16.7 and 33.3 of 50 events: the boundaries after 15 and 45 are nearest
+    assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 3), (3, 4), (4, 5)]
+    files = [fake_index("/a.evt", [10] * 3, events=[40, 5, 5])]
+    parts = plan_partitions(files, EngineConfig(partition_target_bytes=10))  # 3 runs
+    # the nearest boundaries (after 0 and 40 events) move on, so every run keeps a block
+    assert [(p.block_lo, p.block_hi) for p in parts] == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_planner_numbers_runs_across_files():
+    """Indexes run 0..n-1 across files; a file of fewer blocks than runs
+    gets one run per block, and a file without blocks gets none."""
+    files = [fake_index("/a.evt", [10] * 10), fake_index("/b.evt", [50, 50]),
+             fake_index("/c.evt", []), fake_index("/d.evt", [10] * 3)]
+    parts = plan_partitions(files, EngineConfig(partition_target_bytes=34))
+    assert [(p.index, p.file_index, p.block_lo, p.block_hi) for p in parts] == [
+        (0, 0, 0, 3), (1, 0, 3, 7), (2, 0, 7, 10),  # 100 bytes: 3 runs
+        (3, 1, 0, 1), (4, 1, 1, 2),  # 100 bytes, but 2 blocks
+        (5, 3, 0, 3),  # 30 bytes: 1 run
     ]
+    assert sum(p.n_events for p in parts) == 150
 
 
-@pytest.mark.parametrize("custom, message", [
-    ({"per_file": 0}, "per_file must be a positive integer"),
-    ([[0, 4]], r"must be \{'per_file': N\}"),
-    ({"/a.evt": [[0, 4]]}, r"must be \{'per_file': N\}"),
-    ({"per_file": 2, "/a.evt": [[0, 4]]}, r"must be \{'per_file': N\}"),
-    ({"per_file": True}, "per_file must be a positive integer"),
-    ({"per_file": 2.0}, "per_file must be a positive integer"),
-    ({"per_file": "2"}, "per_file must be a positive integer"),
-    ({}, r"must be \{'per_file': N\}"),
-])
-def test_custom_plan_malformed_rejected(custom, message):
-    """A plan other than {"per_file": N}, a path-keyed one included, is
-    rejected with the settings, before any file is scanned."""
-    with pytest.raises(InvalidCustomPlan, match=message):
-        EngineConfig(partition_custom=custom)
+def test_a_deflate_copy_plans_as_its_raw_source(tmp_path):
+    """At the default target, each file of 25,000 events plans into the
+    same block ranges whether its blocks are raw or deflated."""
+    raw, deflate = tmp_path / "raw.evt", tmp_path / "deflate.evt"
+    generate_evt(GeneratorSpec(seed=7, n_events=25_000, kind="mc"), raw)
+    convert_evt(raw, deflate, compress=True)
+    plans = []
+    for path in (raw, deflate):
+        index = scan_evt(path)
+        plans.append([(p.block_lo, p.block_hi, p.n_events)
+                      for p in plan_partitions([index], EngineConfig())])
+    assert plans[0] == plans[1] == [(0, 3, 12288), (3, 7, 12712)]
+    assert scan_evt(deflate).payload_bytes < scan_evt(raw).payload_bytes
 
 
 # -- opening ------------------------------------------------------------------------
@@ -210,12 +228,13 @@ def test_map_reduce_deterministic_across_workers(single_file):
     _, events = read_events(path)
     oracle = kahan_sum(ev["met"]["pt"] for ev in events)
 
-    for n_parts in (1, 4, 13):
-        config = EngineConfig(partition_custom={"per_file": n_parts})
+    # the file stores 2,580,920 bytes in 40 blocks
+    for target, n_parts in ((1 << 22, 1), (700_000, 4), (200_000, 13)):
+        config = EngineConfig(partition_target_bytes=target)
         values = []
         for workers in (1, 2, 7, 16):
             ds = open_dataset(mc_descriptor(path), replace(config, workers=workers))
-            assert len(ds.partitions) == min(n_parts, len(ds.files[0].blocks))
+            assert len(ds.partitions) == n_parts
             values.append(total(ds, "met.pt"))
         assert len(set(values)) == 1  # bit-identical for fixed partitioning
         assert abs(values[0] - oracle) <= 1e-12 * abs(oracle)
@@ -287,7 +306,7 @@ def cached_sizes(ds, leaves):
 
 
 def test_cache_budget_checked_as_partitions_are_admitted(small_corpus):
-    config = EngineConfig(partition_custom={"per_file": 2})
+    config = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][2])
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     assert len(ds.partitions) >= 3
     sizes = cached_sizes(ds, {("genInfo", "weight")})
@@ -311,7 +330,7 @@ def test_admission_follows_partition_order(tmp_path):
     partition order, so the overflow and its warning are the serial run's."""
     path = tmp_path / "f.evt"
     generate_evt(GeneratorSpec(seed=9, n_events=700), path, block_target=100)
-    config = EngineConfig(partition_custom={"per_file": 3})  # blocks 3, 2, 2
+    config = EngineConfig(partition_target_bytes=75_000)  # 182,612 bytes: blocks 2, 3, 2
     sizes = cached_sizes(open_dataset(mc_descriptor(str(path)), config), MET_PT)
     config = replace(config, cache_budget_bytes=sizes[1] + sizes[0] // 2)
 
@@ -344,7 +363,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
     """At one worker nothing runs ahead: every partition up to the one that
     overflows sees all before it cached, and every later one sees the
     partitions that fit still cached."""
-    config = EngineConfig(partition_custom={"per_file": 3})
+    config = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     ds = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     sizes = cached_sizes(ds, MET_PT)
     assert len(sizes) == 6
@@ -366,7 +385,7 @@ def test_one_worker_admits_each_partition_before_taking_the_next(small_corpus):
 def test_an_overflowing_partition_is_released_before_the_next_is_taken(small_corpus):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_custom={"per_file": 2},
+        EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][2],
                      cache_budget_bytes=1, workers=1),
     ).persist()
 
@@ -408,7 +427,7 @@ def test_overflow_keeps_the_partitions_that_fit(small_corpus, tmp_path):
     """Over budget, the cached set is the prefix of partitions that fits,
     the same at every worker count; a second skim reads none of their
     bytes and writes the same ntuple."""
-    config = EngineConfig(partition_custom={"per_file": 3})
+    config = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     plan = open_dataset(mc_descriptor(small_corpus["glob"]), config)
     sizes = cached_sizes(plan, MET_PT_NJETS)
     config = replace(config, cache_budget_bytes=sum(sizes[:3]) + sizes[3] // 2)
@@ -450,7 +469,7 @@ def test_bytes_cached_counts_what_a_traversal_admits(small_corpus):
 
 
 def test_one_worker_runs_every_task_on_the_calling_thread(small_corpus, tmp_path, monkeypatch):
-    config = EngineConfig(partition_custom={"per_file": 3})
+    config = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     threads = []
     run = engine._run_partitions
 
@@ -549,7 +568,7 @@ def test_filter_false_writes_empty_file(small_corpus, tmp_path):
 def test_rows_in_serial_order(small_corpus, tmp_path):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_custom={"per_file": 4}, workers=8),
+        EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][4], workers=8),
     )
     run_filter(ds, "met.pt > 100.0", tmp_path / "sel.ntu")
     got = read_ntu(tmp_path / "sel.ntu")
@@ -568,7 +587,7 @@ def test_output_identical_across_worker_counts(small_corpus, tmp_path):
     """Cold, and persisted with a cache budget that overflows mid-way: the
     same ntuple and the same warnings at every worker count."""
     plan = open_dataset(mc_descriptor(small_corpus["glob"]))
-    overflow = EngineConfig(partition_custom={"per_file": 3},
+    overflow = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3],
                             cache_budget_bytes=sum(cached_sizes(plan, MET_PT_NJETS)) // 2)
     for config, persist in ((EngineConfig(), False), (overflow, True)):
         digests = set()
@@ -684,7 +703,7 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
     is emptied and refilled at the union, in partition order, until the
     budget stops it. The partitions that fit serve later skims within the
     union, and every ntuple equals a cold one."""
-    config = EngineConfig(partition_custom={"per_file": 3})
+    config = EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3])
     plan = open_dataset(mc_descriptor(small_corpus["glob"]), replace(config, workers=1))
     wide = {("met", "pt"), ("jets", "pt")}  # the jets offsets come with their pt
     sizes = cached_sizes(plan, wide)
@@ -722,7 +741,7 @@ def test_an_overflowing_widening_keeps_what_fits_at_the_wider_leaves(small_corpu
 def test_map_reduce_compiled_value_equals_callable(small_corpus):
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_custom={"per_file": 1}),
+        EngineConfig(),
     )
     assert len(ds.partitions) == 2
     partials = [
@@ -746,7 +765,7 @@ def test_decode_errors_identify_partition(tmp_path, schema):
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_custom={"per_file": 4}, workers=2),
+        EngineConfig(partition_target_bytes=30_000, workers=2),  # one run per block
     )
     with pytest.raises(CrcMismatch, match=r"partition 2 .*block"):
         total(ds, "1.0")
@@ -919,7 +938,7 @@ def test_corrupt_block_in_a_filling_skim_restores_the_collector(tmp_path, collec
 
     ds = open_dataset(
         mc_descriptor(str(tmp_path / "*.evt")),
-        EngineConfig(partition_custom={"per_file": 4}, workers=2),
+        EngineConfig(partition_target_bytes=30_000, workers=2),  # one run per block
     ).persist()
     gc.enable()
     with pytest.raises(DataError, match=r"partition 1 .*block 1"):
@@ -933,7 +952,7 @@ def test_zero_column_projection_writes_its_selected_row_count(small_corpus, tmp_
 
     ds = open_dataset(
         mc_descriptor(small_corpus["glob"]),
-        EngineConfig(partition_custom={"per_file": 3}, workers=2),
+        EngineConfig(partition_target_bytes=small_corpus["target_for_runs"][3], workers=2),
     )
     cut = typecheck_cut("met.pt > 100.0", ds.schema)
     proj = typecheck_projection([], ds.schema)

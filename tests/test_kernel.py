@@ -249,13 +249,14 @@ def test_skim_matches_interpreter(case, parts, workers, cached):
     schema, events, cut, columns, weight = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.evt"
-        write_evt(path, events, schema, block_target=4)
+        stats = write_evt(path, events, schema, block_target=4)
+        stored = stats.payload_bytes + 12 * stats.n_blocks
         decoded = read_events(path)[1]
-        ds = open_dataset(
+        ds = open_dataset(  # `parts` runs, or one per block when there are fewer blocks
             DatasetDescriptor(str(path), "mc", "mc", 1.0),
-            EngineConfig(partition_custom={"per_file": parts},
-                         workers=workers),
+            EngineConfig(partition_target_bytes=max(1, -(-stored // parts)), workers=workers),
         )
+        assert len(ds.partitions) == min(parts, stats.n_blocks)
         typed_weight = typecheck_value(weight, schema)
         if cached:
             ds.persist()
